@@ -19,15 +19,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .configuration import (
-    TestBenchConfiguration,
-    TestMethodName,
-    classify_test_method,
-    enumerate_configurations,
-    require_same_bench,
-)
+from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge
-from .taxonomy import TestBench, canonical_dimension_of, leaf_dimensions
+from .taxonomy import TestBench
 from .testcase import (
     RequirementProfile,
     StageOverrides,
@@ -148,12 +142,14 @@ def check_admissibility(
        parent's entry),
     c. a selected element not validated for the profile's purpose.
     """
-    require_same_bench(config, bench)
-    leaves = leaf_dimensions(bench)
-    canonical_of = {leaf.id: canonical_dimension_of(bench, leaf.id) for leaf in leaves}
-    covered = set(canonical_of) | set(canonical_of.values())
-    elements = {e.id: e for e in bench.elements}
+    space = ConfigurationSpace(bench)
+    space.require_same_bench(config)
+    return _admissibility(space, config, profile)
 
+
+def _admissibility(
+    space: ConfigurationSpace, config: TestBenchConfiguration, profile: RequirementProfile
+) -> AdmissibilityReport:
     violations: list[Violation] = []
     seen: set[tuple[str, ReasonCode]] = set()
 
@@ -163,17 +159,17 @@ def check_admissibility(
             violations.append(Violation(dimension, reason))
 
     for dim_id, entry in profile.entries.items():
-        if entry.required and dim_id not in covered:
+        if entry.required and dim_id not in space.dimensions:
             add(dim_id, ReasonCode.MISSING_DIMENSION)
 
-    for leaf in leaves:
-        entry = profile.governing(leaf.id, canonical_of[leaf.id])
-        for elem_id in config.selection[leaf.id]:
-            elem = elements[elem_id]
+    for leaf_id in space.leaf_ids:
+        entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
+        for elem_id in config.selection[leaf_id]:
+            elem = space.elements[elem_id]
             if entry is not None and elem.stage not in entry.admissible_stages:
-                add(leaf.id, ReasonCode.STAGE_NOT_ADMISSIBLE)
+                add(leaf_id, ReasonCode.STAGE_NOT_ADMISSIBLE)
             if profile.purpose not in elem.characteristics.validated_for:
-                add(leaf.id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE)
+                add(leaf_id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE)
 
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
@@ -188,9 +184,15 @@ def estimate_cost(
     that time (in hours) times the summed cost rates, plus every selected
     element's setup cost.
     """
-    require_same_bench(config, bench)
-    elements = {e.id: e for e in bench.elements}
-    selected = [elements[eid] for eid in config.selected_ids()]
+    space = ConfigurationSpace(bench)
+    space.require_same_bench(config)
+    return _cost(space, config, tc)
+
+
+def _cost(
+    space: ConfigurationSpace, config: TestBenchConfiguration, tc: TestCase
+) -> CostEstimate:
+    selected = [space.elements[eid] for eid in config.selected_ids()]
 
     execution_time = Fraction(tc.scenario.nominal_duration) * max(
         Fraction(e.characteristics.time_factor) for e in selected
@@ -205,31 +207,9 @@ def estimate_cost(
 
 
 @dataclass(frozen=True)
-class _Candidate:
-    bench_id: str
-    config_index: int
-    configuration: TestBenchConfiguration
-    cost: CostEstimate
-    method: TestMethodName
-
-    @property
-    def order_key(self) -> tuple[Fraction, str, int]:
-        return (self.cost.monetary_cost, self.bench_id, self.config_index)
-
-    def as_assignment(self) -> Assignment:
-        return Assignment(
-            bench_id=self.bench_id,
-            config_index=self.config_index,
-            configuration=self.configuration,
-            cost=self.cost,
-            method=self.method,
-        )
-
-
-@dataclass(frozen=True)
 class _CaseCandidates:
     test_case: TestCase
-    candidates: tuple[_Candidate, ...]
+    candidates: tuple[Assignment, ...]  # by (monetary cost, bench id, config index)
     reports: Mapping[str, AdmissibilityReport]  # per bench: why (not) usable
 
     @property
@@ -268,36 +248,34 @@ def _collect_candidates(
     if len(set(bench_ids)) != len(bench_ids):
         raise ValueError(f"duplicate bench ids: {sorted(bench_ids)}")
 
-    ordered_benches = sorted(benches, key=lambda b: b.id)
-    configs_per_bench = {
-        bench.id: enumerate_configurations(bench, cap=cap) for bench in ordered_benches
-    }
+    spaces = [ConfigurationSpace(bench) for bench in sorted(benches, key=lambda b: b.id)]
+    configs_per_bench = [space.materialise(cap) for space in spaces]
 
     collected = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
-        candidates: list[_Candidate] = []
+        candidates: list[Assignment] = []
         reports: dict[str, AdmissibilityReport] = {}
-        for bench in ordered_benches:
+        for space, configs in zip(spaces, configs_per_bench):
             any_admissible = False
             union: set[Violation] = set()
-            for index, config in enumerate(configs_per_bench[bench.id]):
-                report = check_admissibility(config, bench, profile)
+            for index, config in enumerate(configs):
+                report = _admissibility(space, config, profile)
                 if report.admissible:
                     any_admissible = True
                     candidates.append(
-                        _Candidate(
-                            bench_id=bench.id,
+                        Assignment(
+                            bench_id=space.bench.id,
                             config_index=index,
                             configuration=config,
-                            cost=estimate_cost(config, bench, tc),
-                            method=classify_test_method(config, bench),
+                            cost=_cost(space, config, tc),
+                            method=space.classify(config),
                         )
                     )
                 else:
                     union.update(report.violations)
-            reports[bench.id] = _bench_report(any_admissible, union)
-        candidates.sort(key=lambda c: c.order_key)
+            reports[space.bench.id] = _bench_report(any_admissible, union)
+        candidates.sort(key=lambda c: (c.cost.monetary_cost, c.bench_id, c.config_index))
         collected.append(
             _CaseCandidates(test_case=tc, candidates=tuple(candidates), reports=reports)
         )
@@ -309,7 +287,7 @@ def _collect_candidates(
 
 def _finish_plan(
     suite: Sequence[TestCase],
-    chosen: Mapping[str, _Candidate],
+    chosen: Mapping[str, Assignment],
     skipped: Mapping[str, UnassignableCase],
 ) -> AssignmentPlan:
     assignments: dict[str, Assignment] = {}
@@ -319,7 +297,7 @@ def _finish_plan(
     for tc in suite:
         if tc.id in chosen:
             cand = chosen[tc.id]
-            assignments[tc.id] = cand.as_assignment()
+            assignments[tc.id] = cand
             total_cost += cand.cost.monetary_cost
             bench_time[cand.bench_id] = (
                 bench_time.get(cand.bench_id, Fraction(0)) + cand.cost.execution_time
@@ -373,7 +351,7 @@ def assign_greedy(
 
         order = [case for _, case in sorted(enumerate(cases), key=urgency)]
 
-    chosen: dict[str, _Candidate] = {}
+    chosen: dict[str, Assignment] = {}
     skipped: dict[str, UnassignableCase] = {}
     used: dict[str, Fraction] = {}
     for case in order:
@@ -423,14 +401,14 @@ def assign_exact(
         )
 
     n = len(cases)
-    best: tuple[int, Fraction, tuple[_Candidate | None, ...]] | None = None
+    best: tuple[int, Fraction, tuple[Assignment | None, ...]] | None = None
 
     def dfs(
         index: int,
         skipped_count: int,
         cost: Fraction,
         used: dict[str, Fraction],
-        picks: list[_Candidate | None],
+        picks: list[Assignment | None],
     ) -> None:
         nonlocal best
         if best is not None and (
@@ -458,7 +436,7 @@ def assign_exact(
     dfs(0, 0, Fraction(0), {}, [])
     assert best is not None  # the all-skipped combination always exists
 
-    chosen: dict[str, _Candidate] = {}
+    chosen: dict[str, Assignment] = {}
     skipped: dict[str, UnassignableCase] = {}
     for case, pick in zip(cases, best[2]):
         if pick is None:

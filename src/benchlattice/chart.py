@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 from xml.sax.saxutils import escape
 
-from .configuration import TestBenchConfiguration, require_same_bench
-from .taxonomy import Element, TestBench, elements_by_dimension, leaf_dimensions
+from .configuration import ConfigurationSpace, TestBenchConfiguration
+from .taxonomy import Element, TestBench
 
 __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 
@@ -62,18 +62,21 @@ def _attr(value: str) -> str:
 class _Layout:
     """Shared geometry: spoke angles and per-element dot positions."""
 
-    def __init__(self, bench: TestBench, style: ChartStyle) -> None:
+    def __init__(self, space: ConfigurationSpace, style: ChartStyle) -> None:
         self.style = style
         self.center = style.size / 2
-        self.leaves = leaf_dimensions(bench)
+        self.leaves = space.leaves
         self.spoke_angle = {
             leaf.id: i * 360.0 / len(self.leaves) for i, leaf in enumerate(self.leaves)
         }
-        self.grouped = elements_by_dimension(bench)
+        self.grouped = {
+            leaf.id: [space.elements[eid] for eid in ids]
+            for leaf, ids in zip(space.leaves, space.ids_per_leaf)
+        }
         self.dot_position: dict[str, tuple[float, float]] = {}
         for leaf in self.leaves:
             by_stage: dict[int, list[Element]] = {}
-            for elem in self.grouped.get(leaf.id, ()):
+            for elem in self.grouped[leaf.id]:
                 by_stage.setdefault(elem.stage.chart_index, []).append(elem)
             for stage_index, elems in by_stage.items():
                 radius = style.stage_radii[stage_index] * self.center
@@ -161,11 +164,11 @@ def _document(style: ChartStyle, body: list[str]) -> str:
 def render_bench_chart(bench: TestBench, style: ChartStyle | None = None) -> str:
     """Radar chart of every element a bench provides."""
     style = style or ChartStyle()
-    layout = _Layout(bench, style)
+    layout = _Layout(ConfigurationSpace(bench), style)
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
     for leaf in layout.leaves:
-        for elem in layout.grouped.get(leaf.id, ()):
+        for elem in layout.grouped[leaf.id]:
             body.append(_dot(layout, elem.id, selected=False))
     body.append("  </g>")
     body.append('  <g id="composition">')
@@ -185,14 +188,15 @@ def render_configuration_chart(
     are omitted unless ``style.show_unselected`` is set.
     """
     style = style or ChartStyle()
-    require_same_bench(config, bench)
-    layout = _Layout(bench, style)
+    space = ConfigurationSpace(bench)
+    space.require_same_bench(config)
+    layout = _Layout(space, style)
     selected = {eid for ids in config.selection.values() for eid in ids}
 
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
     for leaf in layout.leaves:
-        for elem in layout.grouped.get(leaf.id, ()):
+        for elem in layout.grouped[leaf.id]:
             if elem.id in selected:
                 body.append(_dot(layout, elem.id, selected=True))
             elif style.show_unselected:

@@ -18,6 +18,7 @@ from typing import Sequence
 from .assignment import AssignmentPlan, assign_exact, assign_greedy
 from .chart import render_bench_chart, render_configuration_chart
 from .configuration import (
+    ConfigurationSpace,
     classify_test_method,
     count_configurations,
     enumerate_configurations,
@@ -50,16 +51,6 @@ def _find_bench(benches: Sequence[TestBench], bench_id: str) -> TestBench:
             return bench
     known = ", ".join(bench.id for bench in benches) or "none"
     raise BenchlatticeError(f"no bench {bench_id!r} in registry (available: {known})")
-
-
-def _config_at(bench: TestBench, index: int):
-    configs = enumerate_configurations(bench)
-    if not 0 <= index < len(configs):
-        raise BenchlatticeError(
-            f"bench {bench.id!r} has {len(configs)} configurations; "
-            f"index {index} is out of range"
-        )
-    return configs[index]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -97,7 +88,9 @@ def cmd_chart(args: argparse.Namespace) -> int:
     if args.config is None:
         svg = render_bench_chart(bench)
     else:
-        svg = render_configuration_chart(_config_at(bench, args.config), bench)
+        svg = render_configuration_chart(
+            ConfigurationSpace(bench).at(args.config), bench
+        )
     write_text_atomic(args.output, svg)
     print(f"wrote {args.output}")
     return 0
@@ -106,7 +99,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     bench = _find_bench(benches, args.bench)
-    config = _config_at(bench, args.config)
+    config = ConfigurationSpace(bench).at(args.config)
     print(classify_test_method(config, bench).value)
     return 0
 

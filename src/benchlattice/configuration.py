@@ -6,22 +6,30 @@ non-empty subset on combinable leaves. Enumeration order is deterministic
 (leaves in spoke order with the rightmost leaf varying fastest, choices per
 leaf in element declaration order, subsets lexicographic by declaration
 index), so configuration indices are stable, reportable handles.
+
+Each bench's structure is derived once into a :class:`ConfigurationSpace`,
+which counts configurations in closed form and computes configuration *i*
+directly from its index. Looking up one configuration therefore works for
+any index in range, whatever the enumeration cap; only materialising every
+configuration (:func:`enumerate_configurations`, and assignment, which
+visits them all) is capped.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .errors import CombinatorialLimitExceeded, ForeignConfiguration
+from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
 from .taxonomy import (
+    DimensionNode,
     Element,
     Stage,
     TestBench,
-    canonical_dimension_of,
     elements_by_dimension,
     leaf_dimensions,
 )
@@ -29,6 +37,7 @@ from .taxonomy import (
 __all__ = [
     "DEFAULT_CONFIGURATION_CAP",
     "CAP_ENV_VAR",
+    "ConfigurationSpace",
     "TestBenchConfiguration",
     "TestMethodName",
     "enumerate_configurations",
@@ -69,59 +78,197 @@ def configuration_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_CONFIGURATION_CAP
+    if not env:
+        return DEFAULT_CONFIGURATION_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ConfigurationError(f"{CAP_ENV_VAR}={env!r} is not a positive integer")
+    return value
 
 
-def _nonempty_subsets(elements: tuple[Element, ...]) -> list[tuple[Element, ...]]:
-    # Lexicographic by declaration-index tuple: (0), (0,1), (0,1,2), (0,2), (1), ...
-    out: list[tuple[Element, ...]] = []
+class ConfigurationSpace:
+    """The configurations of one bench, derived once from its structure.
 
-    def grow(prefix: tuple[Element, ...], start: int) -> None:
-        for i in range(start, len(elements)):
-            picked = prefix + (elements[i],)
-            out.append(picked)
-            grow(picked, i + 1)
+    Holds the leaves in spoke order, each leaf's canonical dimension, the
+    element map, the per-leaf element ids, combinable flags and choice
+    counts, and the mixed-radix weights of the enumeration order. Building
+    a space costs O(leaves + elements); :meth:`at` names any configuration
+    by index in O(leaves + elements) without materialising the others, so
+    lookups work far past the enumeration cap. Callers build one space per
+    bench and pass it along; the space never changes after construction.
+    """
 
-    grow((), 0)
-    return out
+    def __init__(self, bench: TestBench) -> None:
+        grouped = elements_by_dimension(bench)
+        self.bench = bench
+        self.leaves: tuple[DimensionNode, ...] = leaf_dimensions(bench)
+        self.leaf_ids: tuple[str, ...] = tuple(leaf.id for leaf in self.leaves)
+        self.canonical_of: dict[str, str] = {
+            leaf.id: leaf.parent if leaf.parent is not None else leaf.id
+            for leaf in self.leaves
+        }
+        #: Every dimension id the bench covers: its leaves and their parents.
+        self.dimensions = frozenset(self.canonical_of) | frozenset(
+            self.canonical_of.values()
+        )
+        self.elements: dict[str, Element] = {e.id: e for e in bench.elements}
+        self.ids_per_leaf: tuple[tuple[str, ...], ...] = tuple(
+            tuple(e.id for e in grouped.get(leaf.id, ())) for leaf in self.leaves
+        )
+        self.available: dict[str, frozenset[str]] = {
+            leaf.id: frozenset(ids) for leaf, ids in zip(self.leaves, self.ids_per_leaf)
+        }
+        self.combinable: dict[str, bool] = {leaf.id: leaf.combinable for leaf in self.leaves}
+        self.choice_counts: tuple[int, ...] = tuple(
+            (2 ** len(ids) - 1) if leaf.combinable else len(ids)
+            for leaf, ids in zip(self.leaves, self.ids_per_leaf)
+        )
+        # The rightmost leaf varies fastest: its weight is 1.
+        weights = [1] * len(self.leaves)
+        for i in range(len(self.leaves) - 2, -1, -1):
+            weights[i] = weights[i + 1] * self.choice_counts[i + 1]
+        self.weights: tuple[int, ...] = tuple(weights)
+        self.count = math.prod(self.choice_counts)
 
+    def _choice(self, leaf_index: int, rank: int) -> tuple[str, ...]:
+        """The ``rank``-th selection on one leaf, in enumeration order."""
+        ids = self.ids_per_leaf[leaf_index]
+        if not self.leaves[leaf_index].combinable:
+            return (ids[rank],)
+        # Non-empty subsets in lexicographic order of declaration indices:
+        # (0), (0,1), (0,1,2), (0,2), (1), ... The subsets whose smallest
+        # index is i, the singleton (i) first, number 2^(n-1-i), so each
+        # index is skipped or taken by comparing the rank with that power.
+        picked: list[str] = []
+        n = len(ids)
+        i = 0
+        while True:
+            size = 1 << (n - 1 - i)
+            if rank < size:
+                picked.append(ids[i])
+                if rank == 0:
+                    return tuple(picked)
+                rank -= 1  # past the subset that ends here
+            else:
+                rank -= size
+            i += 1
 
-def _choices_per_leaf(bench: TestBench) -> list[tuple[str, list[tuple[Element, ...]]]]:
-    grouped = elements_by_dimension(bench)
-    choices = []
-    for leaf in leaf_dimensions(bench):
-        elems = grouped.get(leaf.id, ())
-        if leaf.combinable:
-            choices.append((leaf.id, _nonempty_subsets(elems)))
-        else:
-            choices.append((leaf.id, [(e,) for e in elems]))
-    return choices
+    def at(self, index: int) -> TestBenchConfiguration:
+        """The configuration with enumeration index ``index``.
+
+        Raises :class:`ConfigurationError` when the index is out of range.
+        """
+        if not 0 <= index < self.count:
+            raise ConfigurationError(
+                f"bench {self.bench.id!r} has {self.count} configurations; "
+                f"index {index} is out of range"
+            )
+        return TestBenchConfiguration(
+            bench_id=self.bench.id,
+            selection={
+                leaf_id: self._choice(i, index // weight % count)
+                for i, (leaf_id, weight, count) in enumerate(
+                    zip(self.leaf_ids, self.weights, self.choice_counts)
+                )
+            },
+        )
+
+    def __iter__(self) -> Iterator[TestBenchConfiguration]:
+        """Stream configurations in enumeration order, without a cap."""
+        options = [
+            [self._choice(i, rank) for rank in range(count)]
+            for i, count in enumerate(self.choice_counts)
+        ]
+        bench_id = self.bench.id
+        leaf_ids = self.leaf_ids
+        for combo in itertools.product(*options):
+            yield TestBenchConfiguration(bench_id=bench_id, selection=dict(zip(leaf_ids, combo)))
+
+    def materialise(self, cap: int | None = None) -> list[TestBenchConfiguration]:
+        """Every configuration as a list, refused past the cap (see
+        :func:`configuration_cap`) before anything is materialised."""
+        effective_cap = configuration_cap(cap)
+        if self.count > effective_cap:
+            raise CombinatorialLimitExceeded(self.count, effective_cap)
+        return list(self)
+
+    def require_same_bench(self, config: TestBenchConfiguration) -> None:
+        """Raise :class:`ForeignConfiguration` unless ``config`` can have
+        been derived from this space's bench."""
+        if config.bench_id != self.bench.id:
+            raise ForeignConfiguration(
+                f"configuration belongs to bench {config.bench_id!r}, not {self.bench.id!r}"
+            )
+        if config.selection.keys() != self.available.keys():
+            raise ForeignConfiguration(
+                f"configuration leaves {sorted(config.selection)} do not match "
+                f"bench leaves {sorted(self.available)}"
+            )
+        for leaf_id, picked in config.selection.items():
+            if not picked:
+                raise ForeignConfiguration(f"empty selection on leaf {leaf_id!r}")
+            if len(set(picked)) != len(picked):
+                raise ForeignConfiguration(f"repeated elements selected on {leaf_id!r}")
+            if not self.combinable[leaf_id] and len(picked) != 1:
+                raise ForeignConfiguration(
+                    f"leaf {leaf_id!r} is not combinable but selects {len(picked)} elements"
+                )
+            missing = set(picked) - self.available[leaf_id]
+            if missing:
+                raise ForeignConfiguration(
+                    f"selection on {leaf_id!r} names unknown elements {sorted(missing)}"
+                )
+
+    def classify(self, config: TestBenchConfiguration) -> TestMethodName:
+        """The test method of a configuration of this space (unchecked; see
+        :func:`classify_test_method` for the rules)."""
+        by_canonical: dict[str, set[Stage]] = {}
+        for leaf_id, picked in config.selection.items():
+            bucket = by_canonical.setdefault(self.canonical_of[leaf_id], set())
+            bucket.update(self.elements[eid].stage for eid in picked)
+        all_stages = set().union(*by_canonical.values())
+
+        if all_stages == {Stage.REAL}:
+            return TestMethodName.TEST_VEHICLE
+        if all_stages == {Stage.SIMULATED}:
+            return TestMethodName.SOFTWARE_IN_THE_LOOP
+
+        def only(dim: str, stage: Stage) -> bool:
+            return by_canonical.get(dim, set()) == {stage}
+
+        def rest_simulated(*excluded: str) -> bool:
+            return all(
+                stages == {Stage.SIMULATED}
+                for dim, stages in by_canonical.items()
+                if dim not in excluded
+            )
+
+        if only("test-object", Stage.REAL) and rest_simulated("test-object"):
+            return TestMethodName.HARDWARE_IN_THE_LOOP
+        if only("driver-user-behavior", Stage.REAL) and rest_simulated("driver-user-behavior"):
+            return TestMethodName.DRIVER_IN_THE_LOOP
+
+        anchors_real = all(
+            only(dim, Stage.REAL)
+            for dim in ("test-object", "vehicle-dynamics", "residual-vehicle")
+        )
+        movable = by_canonical.get("movable-objects", set())
+        if anchors_real and (movable & {Stage.SIMULATED, Stage.EMULATED}):
+            return TestMethodName.VEHICLE_IN_THE_LOOP
+        return TestMethodName.UNCLASSIFIED
 
 
 def count_configurations(bench: TestBench) -> int:
     """Closed-form configuration count; never materialises the product."""
-    total = 1
-    grouped = elements_by_dimension(bench)
-    for leaf in leaf_dimensions(bench):
-        n = len(grouped.get(leaf.id, ()))
-        total *= (2**n - 1) if leaf.combinable else n
-    return total
+    return ConfigurationSpace(bench).count
 
 
 def iter_configurations(bench: TestBench) -> Iterator[TestBenchConfiguration]:
     """Stream configurations in deterministic order, without a cap."""
-    choices = _choices_per_leaf(bench)
-    leaf_ids = [leaf_id for leaf_id, _ in choices]
-    for combo in itertools.product(*(options for _, options in choices)):
-        yield TestBenchConfiguration(
-            bench_id=bench.id,
-            selection={
-                leaf_id: tuple(e.id for e in picked)
-                for leaf_id, picked in zip(leaf_ids, combo)
-            },
-        )
+    return iter(ConfigurationSpace(bench))
 
 
 def enumerate_configurations(
@@ -133,55 +280,13 @@ def enumerate_configurations(
     when the count exceeds the cap (default 10^6, see
     :func:`configuration_cap`).
     """
-    effective_cap = configuration_cap(cap)
-    count = count_configurations(bench)
-    if count > effective_cap:
-        raise CombinatorialLimitExceeded(count, effective_cap)
-    return list(iter_configurations(bench))
+    return ConfigurationSpace(bench).materialise(cap)
 
 
 def require_same_bench(config: TestBenchConfiguration, bench: TestBench) -> None:
     """Raise :class:`ForeignConfiguration` unless ``config`` can have been
     derived from ``bench``."""
-    if config.bench_id != bench.id:
-        raise ForeignConfiguration(
-            f"configuration belongs to bench {config.bench_id!r}, not {bench.id!r}"
-        )
-    leaf_ids = {leaf.id for leaf in leaf_dimensions(bench)}
-    if set(config.selection) != leaf_ids:
-        raise ForeignConfiguration(
-            f"configuration leaves {sorted(config.selection)} do not match "
-            f"bench leaves {sorted(leaf_ids)}"
-        )
-    grouped = elements_by_dimension(bench)
-    combinable = {leaf.id: leaf.combinable for leaf in leaf_dimensions(bench)}
-    for leaf_id, picked in config.selection.items():
-        if not picked:
-            raise ForeignConfiguration(f"empty selection on leaf {leaf_id!r}")
-        if len(set(picked)) != len(picked):
-            raise ForeignConfiguration(f"repeated elements selected on {leaf_id!r}")
-        if not combinable[leaf_id] and len(picked) != 1:
-            raise ForeignConfiguration(
-                f"leaf {leaf_id!r} is not combinable but selects {len(picked)} elements"
-            )
-        available = {e.id for e in grouped.get(leaf_id, ())}
-        missing = set(picked) - available
-        if missing:
-            raise ForeignConfiguration(
-                f"selection on {leaf_id!r} names unknown elements {sorted(missing)}"
-            )
-
-
-def _selected_stages_by_canonical(
-    config: TestBenchConfiguration, bench: TestBench
-) -> dict[str, set[Stage]]:
-    stages: dict[str, set[Stage]] = {}
-    for leaf_id, picked in config.selection.items():
-        canonical = canonical_dimension_of(bench, leaf_id)
-        bucket = stages.setdefault(canonical, set())
-        for eid in picked:
-            bucket.add(bench.element(eid).stage)
-    return stages
+    ConfigurationSpace(bench).require_same_bench(config)
 
 
 def classify_test_method(
@@ -200,35 +305,6 @@ def classify_test_method(
                                              -> vehicle-in-the-loop
     6. otherwise                             -> unclassified
     """
-    require_same_bench(config, bench)
-    by_canonical = _selected_stages_by_canonical(config, bench)
-    all_stages = set().union(*by_canonical.values())
-
-    if all_stages == {Stage.REAL}:
-        return TestMethodName.TEST_VEHICLE
-    if all_stages == {Stage.SIMULATED}:
-        return TestMethodName.SOFTWARE_IN_THE_LOOP
-
-    def only(dim: str, stage: Stage) -> bool:
-        return by_canonical.get(dim, set()) == {stage}
-
-    def rest_simulated(*excluded: str) -> bool:
-        return all(
-            stages == {Stage.SIMULATED}
-            for dim, stages in by_canonical.items()
-            if dim not in excluded
-        )
-
-    if only("test-object", Stage.REAL) and rest_simulated("test-object"):
-        return TestMethodName.HARDWARE_IN_THE_LOOP
-    if only("driver-user-behavior", Stage.REAL) and rest_simulated("driver-user-behavior"):
-        return TestMethodName.DRIVER_IN_THE_LOOP
-
-    anchors_real = all(
-        only(dim, Stage.REAL)
-        for dim in ("test-object", "vehicle-dynamics", "residual-vehicle")
-    )
-    movable = by_canonical.get("movable-objects", set())
-    if anchors_real and (movable & {Stage.SIMULATED, Stage.EMULATED}):
-        return TestMethodName.VEHICLE_IN_THE_LOOP
-    return TestMethodName.UNCLASSIFIED
+    space = ConfigurationSpace(bench)
+    space.require_same_bench(config)
+    return space.classify(config)

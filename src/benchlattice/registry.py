@@ -15,7 +15,6 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -500,10 +499,6 @@ def save_budget(budget: CapacityBudget, path: str | Path) -> None:
 # --- plans ----------------------------------------------------------------------
 
 
-def _seconds(value: Fraction) -> float:
-    return float(value)
-
-
 def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
@@ -513,7 +508,7 @@ def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
                 "config_index": a.config_index,
                 "method": a.method.value,
                 "selection": {leaf: list(ids) for leaf, ids in a.configuration.selection.items()},
-                "execution_time_s": _seconds(a.cost.execution_time),
+                "execution_time_s": float(a.cost.execution_time),
                 "monetary_cost": float(a.cost.monetary_cost),
             }
             for tc_id, a in plan.assignments.items()
@@ -537,7 +532,7 @@ def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
         ],
         "total_cost": float(plan.total_cost),
         "total_bench_time_s": {
-            bench_id: _seconds(seconds)
+            bench_id: float(seconds)
             for bench_id, seconds in sorted(plan.total_bench_time.items())
         },
     }

@@ -205,7 +205,7 @@ def derive_requirement_profile(
     """
     tc = validate_test_case(tc)
     override_sets: dict[str, frozenset[Stage]] = {
-        dim: frozenset(Stage(s) if not isinstance(s, Stage) else s for s in stages)
+        dim: frozenset(s if isinstance(s, Stage) else Stage.from_name(s) for s in stages)
         for dim, stages in (overrides or {}).items()
     }
 

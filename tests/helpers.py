@@ -3,17 +3,21 @@ solver instances."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from benchlattice.assignment import CapacityBudget
+from benchlattice.configuration import TestBenchConfiguration
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
     Element,
     Stage,
     TestBench,
+    elements_by_dimension,
+    leaf_dimensions,
     validate_bench,
 )
 from benchlattice.testcase import EvaluationCriterion, ObjectDescriptor, ScenarioLayers, TestCase
@@ -121,6 +125,47 @@ def zero_setup_costs(bench: TestBench) -> TestBench:
             for elem in bench.elements
         ),
     )
+
+
+# --- brute-force reference ---------------------------------------------------
+
+
+def _nonempty_subsets(elements: tuple[Element, ...]) -> list[tuple[Element, ...]]:
+    # Lexicographic by declaration-index tuple: (0), (0,1), (0,1,2), (0,2), (1), ...
+    out: list[tuple[Element, ...]] = []
+
+    def grow(prefix: tuple[Element, ...], start: int) -> None:
+        for i in range(start, len(elements)):
+            picked = prefix + (elements[i],)
+            out.append(picked)
+            grow(picked, i + 1)
+
+    grow((), 0)
+    return out
+
+
+def reference_configurations(bench: TestBench) -> Iterator[TestBenchConfiguration]:
+    """Every configuration in enumeration order, built by brute force: the
+    full list of choices per leaf, then their product. The reference the
+    configuration space's counting, unranking and iteration are checked
+    against."""
+    grouped = elements_by_dimension(bench)
+    choices = []
+    for leaf in leaf_dimensions(bench):
+        elems = grouped.get(leaf.id, ())
+        if leaf.combinable:
+            choices.append((leaf.id, _nonempty_subsets(elems)))
+        else:
+            choices.append((leaf.id, [(e,) for e in elems]))
+    leaf_ids = [leaf_id for leaf_id, _ in choices]
+    for combo in itertools.product(*(options for _, options in choices)):
+        yield TestBenchConfiguration(
+            bench_id=bench.id,
+            selection={
+                leaf_id: tuple(e.id for e in picked)
+                for leaf_id, picked in zip(leaf_ids, combo)
+            },
+        )
 
 
 # --- randomized generation ---------------------------------------------------

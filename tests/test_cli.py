@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
+
+import pytest
 
 from benchlattice.cli import run
 from benchlattice.data import fixture_path
-from benchlattice.registry import LoadedSuite, save_suite
+from benchlattice.registry import LoadedSuite, save_registry, save_suite
 from benchlattice.taxonomy import Stage
-from helpers import make_test_case
+from helpers import make_element, make_test_case, uniform_bench
 
 FLEET = str(fixture_path("fleet_bench.json"))
 SIL = str(fixture_path("sil_bench.json"))
@@ -129,6 +132,69 @@ def test_config_cap_env_var(monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
     # Counting stays available.
     assert run(["enumerate", SIL, "--bench", "sil", "--count-only"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_config_cap_exits_one(monkeypatch, capsys, value):
+    monkeypatch.setenv("BENCHLATTICE_CONFIG_CAP", value)
+    assert run(["enumerate", SIL, "--bench", "sil"]) == 1
+    assert f"BENCHLATTICE_CONFIG_CAP={value!r}" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def wide_registry(tmp_path):
+    """A bench with a 24-element combinable movable-objects leaf: 2^24 - 1
+    configurations, far past the default enumeration cap. Everything is
+    real except the movable objects after the first."""
+    bench = uniform_bench(
+        "wide",
+        Stage.REAL,
+        skip_dimensions=("movable-objects",),
+        extra_elements=[
+            make_element(f"m{i}", "movable-objects", Stage.REAL if i == 0 else Stage.SIMULATED)
+            for i in range(24)
+        ],
+    )
+    path = tmp_path / "wide.bench.json"
+    save_registry([bench], path)
+    return str(path)
+
+
+# Index -> (movable-objects selection, method). Subsets run (m0), (m0, m1),
+# (m0, m1, m2), ..., so the last is the singleton of the last element.
+WIDE_CASES = {
+    0: (["m0"], "test-vehicle"),
+    1: (["m0", "m1"], "vehicle-in-the-loop"),
+    2**24 - 2: (["m23"], "vehicle-in-the-loop"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(WIDE_CASES))
+def test_lookup_past_the_cap(wide_registry, tmp_path, capsys, index):
+    movable, method = WIDE_CASES[index]
+    argv = ["--bench", "wide", "--config", str(index)]
+    assert run(["classify", wide_registry, *argv]) == 0
+    assert capsys.readouterr().out.strip() == method
+
+    out = tmp_path / "wide.svg"
+    assert run(["chart", wide_registry, *argv, "-o", str(out)]) == 0
+    root = ET.fromstring(out.read_text())
+    selected = {
+        circle.get("id")[len("dot-"):]
+        for circle in root.iter("{http://www.w3.org/2000/svg}circle")
+        if "selected" in (circle.get("class") or "")
+    }
+    assert {eid for eid in selected if eid.startswith("m")} == set(movable)
+    assert len(selected) == 9 + len(movable)
+
+
+@pytest.mark.parametrize("index", [2**24 - 1, -1])
+def test_lookup_out_of_range_past_the_cap(wide_registry, tmp_path, capsys, index):
+    argv = ["--bench", "wide", "--config", str(index)]
+    assert run(["classify", wide_registry, *argv]) == 1
+    assert f"has {2**24 - 1} configurations" in capsys.readouterr().err
+    assert run(["chart", wide_registry, *argv, "-o", str(tmp_path / "x.svg")]) == 1
+    assert f"has {2**24 - 1} configurations" in capsys.readouterr().err
 
 
 def test_validate_warns_on_test_object_substantiation(tmp_path, capsys):

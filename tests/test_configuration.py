@@ -8,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchlattice.configuration import (
+    ConfigurationSpace,
     TestMethodName,
     classify_test_method,
+    configuration_cap,
     count_configurations,
     enumerate_configurations,
     iter_configurations,
 )
-from benchlattice.errors import CombinatorialLimitExceeded, ForeignConfiguration
-from benchlattice.taxonomy import Stage, leaf_dimensions
-from helpers import make_element, random_bench, uniform_bench
+from benchlattice.errors import (
+    CombinatorialLimitExceeded,
+    ConfigurationError,
+    ForeignConfiguration,
+)
+from benchlattice.taxonomy import Stage, leaf_dimensions, validate_bench
+from helpers import make_element, random_bench, reference_configurations, uniform_bench
 
 
 def test_sil_bench_enumerates_two_configurations(sil_bench):
@@ -90,6 +96,70 @@ def test_cap_env_var(monkeypatch, sil_bench):
         enumerate_configurations(sil_bench)
     monkeypatch.setenv("BENCHLATTICE_CONFIG_CAP", "2")
     assert len(enumerate_configurations(sil_bench)) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_cap_env_var_must_be_a_positive_integer(monkeypatch, sil_bench, value):
+    monkeypatch.setenv("BENCHLATTICE_CONFIG_CAP", value)
+    with pytest.raises(ConfigurationError) as excinfo:
+        configuration_cap()
+    assert "BENCHLATTICE_CONFIG_CAP" in str(excinfo.value)
+    assert repr(value) in str(excinfo.value)
+    with pytest.raises(ConfigurationError):
+        enumerate_configurations(sil_bench)
+
+
+# Every 25th bench of acceptance criterion 3, same generator arguments.
+@pytest.mark.parametrize("seed", range(0, 1000, 25))
+def test_space_matches_brute_force_reference(seed):
+    bench = random_bench(
+        random.Random(seed), f"rand-{seed}", max_elements=3, count_cap=10_000
+    )
+    reference = list(reference_configurations(bench))
+    space = ConfigurationSpace(bench)
+    assert space.count == len(reference)
+    assert [space.at(i) for i in range(space.count)] == reference
+    assert list(space) == reference
+
+
+def test_space_matches_reference_with_substantiated_combinable_leaf():
+    bench = validate_bench(
+        {
+            "id": "subst",
+            "display_name": "subst",
+            "substantiations": {"movable-objects": ["cars", "pedestrians"]},
+            "elements": [
+                make_element(f"{dim}-el", dim)
+                for dim in (
+                    "test-object",
+                    "driver-user-behavior",
+                    "environment-sensor-system",
+                    "scenery",
+                    "environmental-conditions",
+                    "localization-sensor-system",
+                    "v2x-communication",
+                    "residual-vehicle",
+                )
+            ]
+            + [make_element(f"vd-{i}", "vehicle-dynamics") for i in range(2)]
+            + [make_element(f"car-{i}", "cars", Stage.REAL) for i in range(4)]
+            + [make_element(f"ped-{i}", "pedestrians") for i in range(3)],
+        }
+    )
+    space = ConfigurationSpace(bench)
+    assert [leaf.id for leaf in space.leaves if leaf.parent] == ["cars", "pedestrians"]
+    assert space.count == 2 * 15 * 7
+    reference = list(reference_configurations(bench))
+    assert [space.at(i) for i in range(space.count)] == reference
+    assert list(space) == reference
+
+
+def test_space_index_out_of_range():
+    space = ConfigurationSpace(uniform_bench())
+    assert space.count == 1
+    for index in (-1, 1):
+        with pytest.raises(ConfigurationError, match="has 1 configurations"):
+            space.at(index)
 
 
 @settings(deadline=None, max_examples=60)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from benchlattice.errors import (
+    BenchlatticeError,
     ContradictoryOverride,
     MissingLayer,
     NoEvaluationCriteria,
@@ -151,6 +152,11 @@ def test_sub_dimension_override_creates_required_entry():
 def test_contradictory_override_rejected():
     with pytest.raises(ContradictoryOverride):
         derive_requirement_profile(make_test_case(), {"test-object": set()})
+
+
+def test_unknown_override_stage_rejected():
+    with pytest.raises(BenchlatticeError, match="'virtual'"):
+        derive_requirement_profile(make_test_case(), {"scenery": ["virtual"]})
 
 
 def test_empty_override_on_optional_dimension_allowed():
