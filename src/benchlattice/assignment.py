@@ -1,10 +1,13 @@
 """Admissibility checks, run-cost estimation and suite assignment.
 
 A configuration is admissible for a test case when the bench covers every
-required dimension, every selected element's stage is admissible for its
-dimension, and every selected element is validated for the test case's
-purpose. Costs use exact rational arithmetic (``fractions.Fraction``) so
-plans compare and scale without floating-point noise.
+required dimension and every selected element passes on its own: its stage
+is admissible for its dimension and it is validated for the test case's
+purpose. The rule is therefore decided once per element; assignment walks
+only the configurations composed of passing elements, and a bench with none
+reports its coverage violations plus every element's own. Costs use exact
+rational arithmetic (``fractions.Fraction``) so plans compare and scale
+without floating-point noise.
 
 Two solvers produce assignment plans: a regret-guided greedy heuristic and
 an exhaustive oracle for small instances. Both minimise (number of
@@ -144,34 +147,38 @@ def check_admissibility(
     """
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
-    return _admissibility(space, config, profile)
-
-
-def _admissibility(
-    space: ConfigurationSpace, config: TestBenchConfiguration, profile: RequirementProfile
-) -> AdmissibilityReport:
-    violations: list[Violation] = []
-    seen: set[tuple[str, ReasonCode]] = set()
-
-    def add(dimension: str, reason: ReasonCode) -> None:
-        if (dimension, reason) not in seen:
-            seen.add((dimension, reason))
-            violations.append(Violation(dimension, reason))
-
-    for dim_id, entry in profile.entries.items():
-        if entry.required and dim_id not in space.dimensions:
-            add(dim_id, ReasonCode.MISSING_DIMENSION)
-
+    missing, own = _violations(space, profile)
+    # An insertion-ordered set: the first occurrence of each violation wins.
+    violations = dict.fromkeys(missing)
     for leaf_id in space.leaf_ids:
-        entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
         for elem_id in config.selection[leaf_id]:
-            elem = space.elements[elem_id]
-            if entry is not None and elem.stage not in entry.admissible_stages:
-                add(leaf_id, ReasonCode.STAGE_NOT_ADMISSIBLE)
-            if profile.purpose not in elem.characteristics.validated_for:
-                add(leaf_id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE)
-
+            violations.update(dict.fromkeys(own[elem_id]))
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
+
+
+def _violations(
+    space: ConfigurationSpace, profile: RequirementProfile
+) -> tuple[tuple[Violation, ...], dict[str, tuple[Violation, ...]]]:
+    """The bench's coverage violations (required dimensions it lacks, in
+    profile order) and each element's own violations by element id (stage
+    before purpose), in O(leaves + elements)."""
+    missing = tuple(
+        Violation(dim_id, ReasonCode.MISSING_DIMENSION)
+        for dim_id, entry in profile.entries.items()
+        if entry.required and dim_id not in space.dimensions
+    )
+    own: dict[str, tuple[Violation, ...]] = {}
+    for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
+        entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
+        for elem_id in elem_ids:
+            elem = space.elements[elem_id]
+            found = []
+            if entry is not None and elem.stage not in entry.admissible_stages:
+                found.append(Violation(leaf_id, ReasonCode.STAGE_NOT_ADMISSIBLE))
+            if profile.purpose not in elem.characteristics.validated_for:
+                found.append(Violation(leaf_id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE))
+            own[elem_id] = tuple(found)
+    return missing, own
 
 
 def estimate_cost(
@@ -223,17 +230,6 @@ class _CaseCandidates:
         )
 
 
-def _bench_report(
-    any_admissible: bool, violation_union: set[Violation]
-) -> AdmissibilityReport:
-    if any_admissible:
-        return AdmissibilityReport(admissible=True, violations=())
-    ordered = tuple(
-        sorted(violation_union, key=lambda v: (v.dimension, v.reason.value))
-    )
-    return AdmissibilityReport(admissible=False, violations=ordered)
-
-
 def _collect_candidates(
     suite: Sequence[TestCase],
     benches: Sequence[TestBench],
@@ -249,32 +245,36 @@ def _collect_candidates(
         raise ValueError(f"duplicate bench ids: {sorted(bench_ids)}")
 
     spaces = [ConfigurationSpace(bench) for bench in sorted(benches, key=lambda b: b.id)]
-    configs_per_bench = [space.materialise(cap) for space in spaces]
+    for space in spaces:
+        space.require_within_cap(cap)
 
     collected = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
         candidates: list[Assignment] = []
         reports: dict[str, AdmissibilityReport] = {}
-        for space, configs in zip(spaces, configs_per_bench):
-            any_admissible = False
-            union: set[Violation] = set()
-            for index, config in enumerate(configs):
-                report = _admissibility(space, config, profile)
-                if report.admissible:
-                    any_admissible = True
-                    candidates.append(
-                        Assignment(
-                            bench_id=space.bench.id,
-                            config_index=index,
-                            configuration=config,
-                            cost=_cost(space, config, tc),
-                            method=space.classify(config),
-                        )
-                    )
-                else:
-                    union.update(report.violations)
-            reports[space.bench.id] = _bench_report(any_admissible, union)
+        for space in spaces:
+            missing, own = _violations(space, profile)
+            walk = () if missing else space.walk(lambda elem_id: not own[elem_id])
+            found = [
+                Assignment(
+                    bench_id=space.bench.id,
+                    config_index=index,
+                    configuration=config,
+                    cost=_cost(space, config, tc),
+                    method=space.classify(config),
+                )
+                for index, config in walk
+            ]
+            # With nothing admissible, every configuration was rejected, and
+            # every element is selected by one: the union of their violations
+            # is the coverage violations plus every element's own.
+            union = set() if found else set(missing).union(*own.values())
+            reports[space.bench.id] = AdmissibilityReport(
+                admissible=bool(found),
+                violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
+            )
+            candidates.extend(found)
         candidates.sort(key=lambda c: (c.cost.monetary_cost, c.bench_id, c.config_index))
         collected.append(
             _CaseCandidates(test_case=tc, candidates=tuple(candidates), reports=reports)

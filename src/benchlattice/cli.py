@@ -17,12 +17,7 @@ from typing import Sequence
 
 from .assignment import AssignmentPlan, assign_exact, assign_greedy
 from .chart import render_bench_chart, render_configuration_chart
-from .configuration import (
-    ConfigurationSpace,
-    classify_test_method,
-    count_configurations,
-    enumerate_configurations,
-)
+from .configuration import ConfigurationSpace, classify_test_method
 from .errors import BenchlatticeError, InstanceTooLarge
 from .registry import (
     load_budget,
@@ -31,7 +26,7 @@ from .registry import (
     save_plan,
     write_text_atomic,
 )
-from .taxonomy import TestBench, leaf_dimensions
+from .taxonomy import TestBench
 
 __all__ = ["run", "main"]
 
@@ -56,11 +51,11 @@ def _find_bench(benches: Sequence[TestBench], bench_id: str) -> TestBench:
 def cmd_validate(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     for bench in benches:
-        leaves = leaf_dimensions(bench)
+        space = ConfigurationSpace(bench)
         print(
-            f"{bench.id}: {len(leaves)} leaf dimensions, "
+            f"{bench.id}: {len(space.leaves)} leaf dimensions, "
             f"{len(bench.elements)} elements, "
-            f"{count_configurations(bench)} configurations"
+            f"{space.count} configurations"
         )
     print(f"OK: {len(benches)} bench(es) valid")
     return 0
@@ -68,13 +63,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
-    bench = _find_bench(benches, args.bench)
+    space = ConfigurationSpace(_find_bench(benches, args.bench))
     if args.count_only:
-        print(count_configurations(bench))
+        print(space.count)
         return 0
-    configs = enumerate_configurations(bench)
-    for index, config in enumerate(configs):
-        method = classify_test_method(config, bench)
+    space.require_within_cap()
+    for index, config in enumerate(space):
+        method = space.classify(config)
         selection = " ".join(
             f"{leaf}={'+'.join(ids)}" for leaf, ids in config.selection.items()
         )

@@ -10,9 +10,10 @@ index), so configuration indices are stable, reportable handles.
 Each bench's structure is derived once into a :class:`ConfigurationSpace`,
 which counts configurations in closed form and computes configuration *i*
 directly from its index. Looking up one configuration therefore works for
-any index in range, whatever the enumeration cap; only materialising every
-configuration (:func:`enumerate_configurations`, and assignment, which
-visits them all) is capped.
+any index in range, whatever the enumeration cap. Listing every
+configuration (:func:`enumerate_configurations`) is capped, and so is
+assignment, which walks only the admissible configurations but still
+refuses a bench whose full count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
 from .taxonomy import (
@@ -176,24 +177,32 @@ class ConfigurationSpace:
             },
         )
 
+    def walk(
+        self, usable: Callable[[str], bool]
+    ) -> Iterator[tuple[int, TestBenchConfiguration]]:
+        """Stream ``(index, configuration)`` in enumeration order for every
+        configuration whose selected element ids all pass ``usable``; each
+        leaf's choices are filtered first, so rejected ones are never built."""
+        options = []
+        for i, (weight, count) in enumerate(zip(self.weights, self.choice_counts)):
+            ranked = enumerate(self._choice(i, rank) for rank in range(count))
+            options.append([(rank * weight, c) for rank, c in ranked if all(map(usable, c))])
+        for combo in itertools.product(*options):
+            yield sum(offset for offset, _ in combo), TestBenchConfiguration(
+                bench_id=self.bench.id,
+                selection={leaf_id: c for leaf_id, (_, c) in zip(self.leaf_ids, combo)},
+            )
+
     def __iter__(self) -> Iterator[TestBenchConfiguration]:
         """Stream configurations in enumeration order, without a cap."""
-        options = [
-            [self._choice(i, rank) for rank in range(count)]
-            for i, count in enumerate(self.choice_counts)
-        ]
-        bench_id = self.bench.id
-        leaf_ids = self.leaf_ids
-        for combo in itertools.product(*options):
-            yield TestBenchConfiguration(bench_id=bench_id, selection=dict(zip(leaf_ids, combo)))
+        return (config for _, config in self.walk(lambda elem_id: True))
 
-    def materialise(self, cap: int | None = None) -> list[TestBenchConfiguration]:
-        """Every configuration as a list, refused past the cap (see
-        :func:`configuration_cap`) before anything is materialised."""
+    def require_within_cap(self, cap: int | None = None) -> None:
+        """Raise :class:`CombinatorialLimitExceeded` when the space has more
+        configurations than the cap (see :func:`configuration_cap`)."""
         effective_cap = configuration_cap(cap)
         if self.count > effective_cap:
             raise CombinatorialLimitExceeded(self.count, effective_cap)
-        return list(self)
 
     def require_same_bench(self, config: TestBenchConfiguration) -> None:
         """Raise :class:`ForeignConfiguration` unless ``config`` can have
@@ -280,7 +289,9 @@ def enumerate_configurations(
     when the count exceeds the cap (default 10^6, see
     :func:`configuration_cap`).
     """
-    return ConfigurationSpace(bench).materialise(cap)
+    space = ConfigurationSpace(bench)
+    space.require_within_cap(cap)
+    return list(space)
 
 
 def require_same_bench(config: TestBenchConfiguration, bench: TestBench) -> None:

@@ -11,6 +11,7 @@ temp file + rename, so no partial files survive a failure.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -58,6 +59,13 @@ class LoadedSuite:
 # --- primitives -------------------------------------------------------------
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it; put it straight back.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
     partial document."""
@@ -66,6 +74,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open() would.
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -129,7 +139,13 @@ class _Checker:
         if not _is_number(value):
             self.add(location, f"expected a number, got {type(value).__name__}")
             return None
-        number = float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            self.add(location, f"must be a finite number, got {number}")
+            return None
         if minimum is not None:
             if exclusive and not number > minimum:
                 self.add(location, f"must be > {minimum}, got {number}")

@@ -13,6 +13,7 @@ bench returns a new value.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -142,6 +143,9 @@ class Characteristics:
     def __post_init__(self) -> None:
         object.__setattr__(self, "validated_for", frozenset(self.validated_for))
         object.__setattr__(self, "extra", dict(self.extra))
+        for name in ("cost_rate", "time_factor", "setup_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise TaxonomyError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cost_rate < 0:
             raise TaxonomyError(f"cost_rate must be >= 0, got {self.cost_rate}")
         if self.time_factor <= 0:
@@ -181,12 +185,6 @@ class TestBench:
             if node.id == dim_id:
                 return node
         raise UnknownDimension(f"bench {self.id!r} has no dimension {dim_id!r}")
-
-    def element(self, element_id: str) -> Element:
-        for elem in self.elements:
-            if elem.id == element_id:
-                return elem
-        raise UnknownDimension(f"bench {self.id!r} has no element {element_id!r}")
 
 
 def new_bench(

@@ -8,8 +8,16 @@ import random
 from dataclasses import replace
 from typing import Iterable, Iterator, Mapping
 
-from benchlattice.assignment import CapacityBudget
-from benchlattice.configuration import TestBenchConfiguration
+from benchlattice.assignment import (
+    AdmissibilityReport,
+    Assignment,
+    CapacityBudget,
+    ReasonCode,
+    Violation,
+    check_admissibility,
+    estimate_cost,
+)
+from benchlattice.configuration import TestBenchConfiguration, classify_test_method
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
@@ -20,7 +28,15 @@ from benchlattice.taxonomy import (
     leaf_dimensions,
     validate_bench,
 )
-from benchlattice.testcase import EvaluationCriterion, ObjectDescriptor, ScenarioLayers, TestCase
+from benchlattice.testcase import (
+    EvaluationCriterion,
+    ObjectDescriptor,
+    RequirementProfile,
+    ScenarioLayers,
+    StageOverrides,
+    TestCase,
+    derive_requirement_profile,
+)
 
 STAGES = (Stage.SIMULATED, Stage.EMULATED, Stage.REAL)
 
@@ -166,6 +182,77 @@ def reference_configurations(bench: TestBench) -> Iterator[TestBenchConfiguratio
                 for leaf_id, picked in zip(leaf_ids, combo)
             },
         )
+
+
+def reference_admissibility(
+    config: TestBenchConfiguration, bench: TestBench, profile: RequirementProfile
+) -> AdmissibilityReport:
+    """The admissibility rule applied to one whole configuration, straight
+    from the bench: coverage first, then each selected element in leaf and
+    selection order, keeping the first occurrence of each violation."""
+    leaves = leaf_dimensions(bench)
+    covered = {leaf.id for leaf in leaves} | {leaf.parent for leaf in leaves if leaf.parent}
+    elements = {elem.id: elem for elem in bench.elements}
+    violations: list[Violation] = []
+
+    def add(dimension: str, reason: ReasonCode) -> None:
+        if Violation(dimension, reason) not in violations:
+            violations.append(Violation(dimension, reason))
+
+    for dim_id, entry in profile.entries.items():
+        if entry.required and dim_id not in covered:
+            add(dim_id, ReasonCode.MISSING_DIMENSION)
+    for leaf in leaves:
+        entry = profile.governing(leaf.id, leaf.parent or leaf.id)
+        for elem_id in config.selection[leaf.id]:
+            elem = elements[elem_id]
+            if entry is not None and elem.stage not in entry.admissible_stages:
+                add(leaf.id, ReasonCode.STAGE_NOT_ADMISSIBLE)
+            if profile.purpose not in elem.characteristics.validated_for:
+                add(leaf.id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE)
+    return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
+
+
+def reference_candidates(
+    suite: Iterable[TestCase],
+    benches: Iterable[TestBench],
+    overrides: Mapping[str, StageOverrides],
+) -> list[tuple[tuple[Assignment, ...], dict[str, AdmissibilityReport]]]:
+    """Per test case, its candidates by (cost, bench id, configuration index)
+    and a report per bench, found by checking every configuration of every
+    bench: the reference the assignment's candidate collection is checked
+    against. A bench with no admissible configuration reports the sorted
+    union of its configurations' violations."""
+    collected = []
+    for tc in suite:
+        profile = derive_requirement_profile(tc, overrides.get(tc.id))
+        candidates = []
+        reports = {}
+        for bench in sorted(benches, key=lambda b: b.id):
+            any_admissible = False
+            union: set[Violation] = set()
+            for index, config in enumerate(reference_configurations(bench)):
+                report = check_admissibility(config, bench, profile)
+                if report.admissible:
+                    any_admissible = True
+                    candidates.append(
+                        Assignment(
+                            bench_id=bench.id,
+                            config_index=index,
+                            configuration=config,
+                            cost=estimate_cost(config, bench, tc),
+                            method=classify_test_method(config, bench),
+                        )
+                    )
+                else:
+                    union.update(report.violations)
+            ordered = tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value)))
+            reports[bench.id] = AdmissibilityReport(
+                admissible=any_admissible, violations=() if any_admissible else ordered
+            )
+        candidates.sort(key=lambda c: (c.cost.monetary_cost, c.bench_id, c.config_index))
+        collected.append((tuple(candidates), reports))
+    return collected
 
 
 # --- randomized generation ---------------------------------------------------
@@ -317,3 +404,51 @@ def random_instance(rng: random.Random):
         if limits:
             budget = CapacityBudget(limits)
     return suite, benches, overrides, budget
+
+
+def random_admissibility_instance(rng: random.Random):
+    """(suite, benches, overrides) small enough to check every configuration:
+    elements unvalidated for some purpose, overrides that narrow stages, and
+    overrides naming sub-dimensions that some or all benches lack."""
+    benches = []
+    for i in range(rng.randint(1, 3)):
+        bench = random_bench(rng, f"bench-{i}", count_cap=rng.choice((6, 30, 120)))
+        # random_bench leaves each element unvalidated for a purpose one time
+        # in five, so most of its benches admit nothing; validate most
+        # elements of most benches for every purpose.
+        if rng.random() < 0.7:
+            everything = frozenset(_PURPOSES)
+            bench = replace(
+                bench,
+                elements=tuple(
+                    replace(e, characteristics=replace(e.characteristics, validated_for=everything))
+                    if rng.random() < 0.95
+                    else e
+                    for e in bench.elements
+                ),
+            )
+        benches.append(bench)
+    sub_dimensions = sorted(
+        {leaf.id for bench in benches for leaf in leaf_dimensions(bench) if leaf.parent}
+        | {"scenery-unknown"}
+    )
+    suite = []
+    overrides = {}
+    for i in range(rng.randint(1, 3)):
+        case = make_test_case(
+            f"case-{i}",
+            duration=rng.choice((60.0, 360.0)),
+            purpose=rng.choice(_PURPOSES),
+            movable=rng.randint(0, 2),
+            conditions=("rain",) if rng.random() < 0.5 else (),
+        )
+        suite.append(case)
+        narrowed = {
+            rng.choice(list(CANONICAL_DIMENSION_IDS) + sub_dimensions): frozenset(
+                rng.sample(STAGES, k=rng.randint(1, 3))
+            )
+            for _ in range(rng.randint(0, 2))
+        }
+        if narrowed:
+            overrides[case.id] = narrowed
+    return suite, benches, overrides

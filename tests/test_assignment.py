@@ -9,6 +9,7 @@ import pytest
 from benchlattice.assignment import (
     CapacityBudget,
     ReasonCode,
+    _collect_candidates,
     assign_exact,
     assign_greedy,
     check_admissibility,
@@ -26,7 +27,11 @@ from benchlattice.testcase import derive_requirement_profile
 from helpers import (
     make_element,
     make_test_case,
+    random_admissibility_instance,
     random_instance,
+    reference_admissibility,
+    reference_candidates,
+    reference_configurations,
     scale_cost_rates,
     uniform_bench,
 )
@@ -357,3 +362,36 @@ def test_scaling_cost_rates_scales_plans(sil_bench, vehicle_bench):
         )
         assert other.cost.monetary_cost == 10 * assignment.cost.monetary_cost
         assert other.cost.execution_time == assignment.cost.execution_time
+
+
+# --- candidate collection against brute force ---------------------------------
+
+ADMISSIBILITY_SEEDS = range(60)
+
+
+def test_check_admissibility_matches_per_configuration_rule():
+    for seed in ADMISSIBILITY_SEEDS:
+        suite, benches, overrides = random_admissibility_instance(random.Random(seed))
+        for tc in suite:
+            profile = derive_requirement_profile(tc, overrides.get(tc.id))
+            for bench in benches:
+                for config in reference_configurations(bench):
+                    assert check_admissibility(config, bench, profile) == (
+                        reference_admissibility(config, bench, profile)
+                    ), f"seed {seed}"
+
+
+def test_collected_candidates_match_brute_force_reference():
+    seen = set()
+    for seed in ADMISSIBILITY_SEEDS:
+        suite, benches, overrides = random_admissibility_instance(random.Random(seed))
+        collected = _collect_candidates(suite, benches, overrides, None)
+        expected = reference_candidates(suite, benches, overrides)
+        assert [(case.candidates, case.reports) for case in collected] == expected, (
+            f"seed {seed}"
+        )
+        for _, reports in expected:
+            seen.update(v.reason for report in reports.values() for v in report.violations)
+            seen.update(report.admissible for report in reports.values())
+    # The instances reach every reason, and benches with and without candidates.
+    assert seen >= set(ReasonCode) | {True, False}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +240,33 @@ def test_validate_warns_on_test_object_substantiation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning:" in captured.err
     assert "test-object" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, value, location",
+    [
+        ("registry", float("nan"), "benches[0].elements[0].cost_rate"),
+        ("registry", 10**400, "benches[0].elements[0].cost_rate"),
+        ("suite", float("inf"), "test_cases[0].scenario.nominal_duration"),
+        ("budget", float("inf"), "max_bench_time.sil"),
+    ],
+    ids=["registry-nan", "registry-huge-integer", "suite-inf", "budget-inf"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, kind, value, location):
+    paths = {"registry": SIL, "suite": SUITE, "budget": BUDGET}
+    doc = json.loads(Path(paths[kind]).read_text())
+    if kind == "registry":
+        doc["benches"][0]["elements"][0]["cost_rate"] = value
+    elif kind == "suite":
+        doc["test_cases"][0]["scenario"]["nominal_duration"] = value
+    else:
+        doc["max_bench_time"]["sil"] = value
+    paths[kind] = str(tmp_path / f"bad.{kind}.json")
+    Path(paths[kind]).write_text(json.dumps(doc))  # NaN / Infinity / a 401-digit integer
+    out = tmp_path / "plan.json"
+    argv = ["assign", paths["registry"], paths["suite"], "--budget", paths["budget"]]
+    assert run([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{location}: must be a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()

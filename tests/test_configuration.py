@@ -154,6 +154,19 @@ def test_space_matches_reference_with_substantiated_combinable_leaf():
     assert list(space) == reference
 
 
+@pytest.mark.parametrize("seed", range(0, 1000, 50))
+def test_walk_matches_filtered_reference(seed):
+    rng = random.Random(seed)
+    bench = random_bench(rng, f"rand-{seed}", count_cap=2_000)
+    usable = {elem.id for elem in bench.elements if rng.random() < 0.85}
+    expected = [
+        (index, config)
+        for index, config in enumerate(reference_configurations(bench))
+        if set(config.selected_ids()) <= usable
+    ]
+    assert list(ConfigurationSpace(bench).walk(usable.__contains__)) == expected
+
+
 def test_space_index_out_of_range():
     space = ConfigurationSpace(uniform_bench())
     assert space.count == 1

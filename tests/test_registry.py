@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
 from benchlattice.assignment import CapacityBudget, assign_greedy
+from benchlattice.chart import render_bench_chart
 from benchlattice.data import fixture_path
 from benchlattice.errors import (
     DocumentSyntaxError,
@@ -21,6 +24,7 @@ from benchlattice.registry import (
     save_plan,
     save_registry,
     save_suite,
+    write_text_atomic,
 )
 from benchlattice.taxonomy import Stage
 from helpers import random_bench
@@ -144,6 +148,19 @@ def test_failed_write_leaves_no_partial_file(tmp_path, fleet, monkeypatch):
         save_registry(fleet, target)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_follow_the_umask(tmp_path, fleet, demo_suite):
+    plan = assign_greedy(demo_suite.test_cases, fleet, overrides=demo_suite.overrides)
+    previous = os.umask(0o022)
+    try:
+        save_registry(fleet, tmp_path / "fleet.bench.json")
+        save_plan(plan, tmp_path / "demo.plan.json")
+        write_text_atomic(tmp_path / "fleet.svg", render_bench_chart(fleet[0]))
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"fleet.bench.json": 0o644, "demo.plan.json": 0o644, "fleet.svg": 0o644}
 
 
 def test_load_demo_suite():

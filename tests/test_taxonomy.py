@@ -210,6 +210,13 @@ def test_characteristics_invariants():
     assert Characteristics(validated_for=()).validated_for == frozenset()
 
 
+@pytest.mark.parametrize("name", ["cost_rate", "time_factor", "setup_cost"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_characteristics_must_be_finite(name, value):
+    with pytest.raises(TaxonomyError, match=f"{name} must be finite"):
+        Characteristics(**{name: value})
+
+
 def test_elements_sorted_into_spoke_order(sil_bench):
     ranks = {leaf.id: i for i, leaf in enumerate(leaf_dimensions(sil_bench))}
     positions = [ranks[e.dimension] for e in sil_bench.elements]
