@@ -12,14 +12,33 @@ without floating-point noise.
 Two solvers produce assignment plans: a regret-guided greedy heuristic and
 an exhaustive oracle for small instances. Both minimise (number of
 unassignable test cases, total cost) lexicographically, coverage before
-savings, and break ties identically, so plans are reproducible artifacts.
+savings, and break ties identically (cost, then bench id, then
+configuration index), so plans are reproducible artifacts.
+
+The greedy never walks the configurations. A configuration whose slowest
+element has time factor T costs the sum over its elements of
+``duration·T·rate/3600 + setup``, so for each distinct time factor T of the
+usable elements it takes, on every leaf, the usable element with time
+factor <= T that minimises that term (the lowest declaration index on a
+tie) and sums them; the least (sum, configuration index) over all T is the
+cheapest configuration with the lowest index, because rates and setups are
+never negative. On a combinable leaf the pick is a singleton, since subset
+order puts ``(i)`` before every other subset of zero-cost elements. A
+bench-time limit caps T; the regret's runner-up comes from the same sweep
+with the cheapest configuration's choice left out on one leaf at a time.
+The work grows with leaves × elements × distinct time factors, and only
+the picked configurations are built. The oracle walks and prices every
+admissible configuration, so it stays an independent check, and refuses an
+instance by counting them in closed form before walking any.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
@@ -99,8 +118,11 @@ class CapacityBudget:
 
     def __post_init__(self) -> None:
         for bench_id, limit in self.max_bench_time.items():
-            if not limit > 0:
-                raise ValueError(f"budget for bench {bench_id!r} must be > 0, got {limit}")
+            if not (math.isfinite(limit) and limit > 0):
+                raise ValueError(
+                    f"budget for bench {bench_id!r} must be a finite number > 0, "
+                    f"got {limit}"
+                )
 
     def limit(self, bench_id: str) -> Fraction | None:
         raw = self.max_bench_time.get(bench_id)
@@ -210,32 +232,210 @@ def _cost(
     return CostEstimate(execution_time=execution_time, monetary_cost=monetary)
 
 
-# --- candidate generation ---------------------------------------------------
+# --- factored search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CaseCandidates:
-    test_case: TestCase
-    candidates: tuple[Assignment, ...]  # by (monetary cost, bench id, config index)
-    reports: Mapping[str, AdmissibilityReport]  # per bench: why (not) usable
+class _Prices:
+    """Each element's time factor, cost rate and setup cost in one space as
+    integers ``(t, r, s)`` over one common denominator ``scale``, so that
+    the values are exactly t/scale, r/scale and s/scale (floats are dyadic:
+    ``scale`` is a power of two)."""
 
-    @property
-    def regret(self) -> Fraction | None:
-        """Second-cheapest minus cheapest; None (treated as infinite) when
-        there is no alternative."""
-        if len(self.candidates) < 2:
-            return None
-        return (
-            self.candidates[1].cost.monetary_cost - self.candidates[0].cost.monetary_cost
+    def __init__(self, space: ConfigurationSpace) -> None:
+        ratios = {}
+        for elem_id, elem in space.elements.items():
+            c = elem.characteristics
+            ratios[elem_id] = [
+                value.as_integer_ratio()
+                for value in (c.time_factor, c.cost_rate, c.setup_cost)
+            ]
+        self.space = space
+        self.scale = math.lcm(*(den for pairs in ratios.values() for _, den in pairs))
+        self.of: dict[str, tuple[int, ...]] = {
+            elem_id: tuple(num * (self.scale // den) for num, den in pairs)
+            for elem_id, pairs in ratios.items()
+        }
+
+
+class _Options:
+    """One bench's admissible configurations for one test case, kept
+    factored: per leaf, the elements that pass on their own. The greedy's
+    queries sweep the time factors over them (see the module docstring)
+    without walking them; the oracle walks them.
+
+    The sweep works on integers. With the duration dn/dd and an element's
+    prices t/scale, r/scale, s/scale (see :class:`_Prices`), the value at
+    time t' is ``v = (t'·dn·r + 3600·dd·scale·s) / (3600·dd·scale²)``; only
+    the numerators are compared and summed.
+    """
+
+    def __init__(self, prices: _Prices, tc: TestCase, profile: RequirementProfile) -> None:
+        space = prices.space
+        self.space = space
+        self.prices = prices
+        self.test_case = tc
+        self.duration = tc.scenario.nominal_duration.as_integer_ratio()
+        self.missing, self.own = _violations(space, profile)
+        self.usable = tuple(
+            tuple(pos for pos, elem_id in enumerate(ids) if not self.own[elem_id])
+            for ids in space.ids_per_leaf
+        )
+        self.count = 0 if self.missing else math.prod(
+            (2 ** len(usable) - 1) if leaf.combinable else len(usable)
+            for leaf, usable in zip(space.leaves, self.usable)
         )
 
+    def report(self) -> AdmissibilityReport:
+        if self.count:
+            return AdmissibilityReport(admissible=True, violations=())
+        # With nothing admissible, every configuration is rejected, and every
+        # element is selected by one: the union of their violations is the
+        # coverage violations plus every element's own.
+        union = set(self.missing).union(*self.own.values())
+        return AdmissibilityReport(
+            admissible=False,
+            violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
+        )
 
-def _collect_candidates(
+    def assignment(self, index: int, config: TestBenchConfiguration) -> Assignment:
+        return Assignment(
+            bench_id=self.space.bench.id,
+            config_index=index,
+            configuration=config,
+            cost=_cost(self.space, config, self.test_case),
+            method=self.space.classify(config),
+        )
+
+    def walk(self) -> list[Assignment]:
+        """Every admissible configuration, built and priced (the oracle's
+        enumeration)."""
+        if not self.count:
+            return []
+        walk = self.space.walk(lambda elem_id: not self.own[elem_id])
+        return [self.assignment(index, config) for index, config in walk]
+
+    @cached_property
+    def _leaves(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """Per leaf, each usable element as (t, dn·r, 3600·dd·scale·s,
+        rank × weight of its singleton choice)."""
+        dn, dd = self.duration
+        fixed = SECONDS_PER_HOUR * dd * self.prices.scale
+        space = self.space
+        leaves = []
+        for leaf, ids, positions, weight in zip(
+            space.leaves, space.ids_per_leaf, self.usable, space.weights
+        ):
+            n = len(ids)
+            entries = []
+            for pos in positions:
+                t, r, s = self.prices.of[ids[pos]]
+                # (pos) is the pos-th plain choice; on a combinable leaf the
+                # 2^n - 2^(n-pos) subsets with a smaller first index precede it.
+                rank = ((1 << n) - (1 << (n - pos))) if leaf.combinable else pos
+                entries.append((t, dn * r, fixed * s, rank * weight))
+            leaves.append(tuple(entries))
+        return tuple(leaves)
+
+    @cached_property
+    def _times(self) -> tuple[int, ...]:
+        """The distinct usable time factors (numerators) at or above the
+        least one every leaf can meet."""
+        floor = max(min(t for t, *_ in leaf) for leaf in self._leaves)
+        return tuple(sorted({t for leaf in self._leaves for t, *_ in leaf if t >= floor}))
+
+    def _value(self, numerator: int) -> Fraction:
+        dd = self.duration[1]
+        return Fraction(numerator, SECONDS_PER_HOUR * dd * self.prices.scale**2)
+
+    def _sweep(self, until: int | None) -> tuple[int, int, int, tuple[int, ...]] | None:
+        """(value, index, time, per-leaf offsets) of the cheapest
+        configuration, lowest index on a tie, among those whose time factors
+        are all <= ``until`` (a numerator; None for no limit)."""
+        best = None
+        for time in self._times:
+            if until is not None and time > until:
+                break
+            value = 0
+            offsets = []
+            for leaf in self._leaves:
+                low = pick = None
+                for t, slope, setup, offset in leaf:
+                    if t <= time:
+                        w = time * slope + setup
+                        if low is None or w < low:
+                            low, pick = w, offset
+                value += low
+                offsets.append(pick)
+            index = sum(offsets)
+            if best is None or (value, index) < best[:2]:
+                best = (value, index, time, tuple(offsets))
+        return best
+
+    @cached_property
+    def _cheapest(self) -> tuple[int, int, int, tuple[int, ...]]:
+        # Ascending times with a strict improvement keep the first time that
+        # reaches the best: the cheapest configuration's own time factor.
+        return self._sweep(None)
+
+    def cheapest(self, room: Fraction | None = None) -> tuple[Fraction, int] | None:
+        """(cost, index) of the cheapest configuration, lowest index on a
+        tie, among those that run within ``room`` seconds (None: any)."""
+        best = self._cheapest
+        if room is not None:
+            # duration·t/scale <= room  <=>  t <= room·dd·scale/dn
+            dn, dd = self.duration
+            until = room * dd * self.prices.scale // dn
+            if best[2] > until:
+                best = self._sweep(until)
+                if best is None:
+                    return None
+        return self._value(best[0]), best[1]
+
+    def second_cost(self) -> Fraction | None:
+        """The second-lowest cost (equal to the lowest on a tie); None with
+        fewer than two admissible configurations.
+
+        Every configuration other than the cheapest, c, differs from it on
+        some leaf i, and those that differ on leaf i form a product of
+        per-leaf choices: c's choice left out on leaf i, every choice
+        elsewhere. At each time the sweep prices that product as the sum of
+        every leaf's best value with leaf i's replaced by its best value
+        without c's choice (a singleton, on a combinable leaf too). The
+        products overlap, which a minimum does not mind; Lawler's partition,
+        which keeps c's choices on the leaves before i, makes them disjoint
+        for ranking further.
+        """
+        if self.count < 2:
+            return None
+        picks = self._cheapest[3]
+        best = None
+        for time in self._times:
+            total = 0
+            detour = None  # the least extra cost of leaving c's choice on one leaf
+            for leaf, pick in zip(self._leaves, picks):
+                low = other = None
+                for t, slope, setup, offset in leaf:
+                    if t <= time:
+                        w = time * slope + setup
+                        if low is None or w < low:
+                            low = w
+                        if offset != pick and (other is None or w < other):
+                            other = w
+                total += low
+                if other is not None and (detour is None or other - low < detour):
+                    detour = other - low
+            if detour is not None and (best is None or total + detour < best):
+                best = total + detour
+        return self._value(best)
+
+
+def _analyse(
     suite: Sequence[TestCase],
     benches: Sequence[TestBench],
     overrides: Mapping[str, StageOverrides] | None,
     cap: int | None,
-) -> list[_CaseCandidates]:
+) -> list[tuple[TestCase, list[_Options]]]:
+    """Per test case, its options on every bench in bench-id order."""
     overrides = overrides or {}
     ids = [tc.id for tc in suite]
     if len(set(ids)) != len(ids):
@@ -247,37 +447,71 @@ def _collect_candidates(
     spaces = [ConfigurationSpace(bench) for bench in sorted(benches, key=lambda b: b.id)]
     for space in spaces:
         space.require_within_cap(cap)
+    prices = [_Prices(space) for space in spaces]
 
-    collected = []
+    analysed = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
-        candidates: list[Assignment] = []
-        reports: dict[str, AdmissibilityReport] = {}
-        for space in spaces:
-            missing, own = _violations(space, profile)
-            walk = () if missing else space.walk(lambda elem_id: not own[elem_id])
-            found = [
-                Assignment(
-                    bench_id=space.bench.id,
-                    config_index=index,
-                    configuration=config,
-                    cost=_cost(space, config, tc),
-                    method=space.classify(config),
-                )
-                for index, config in walk
-            ]
-            # With nothing admissible, every configuration was rejected, and
-            # every element is selected by one: the union of their violations
-            # is the coverage violations plus every element's own.
-            union = set() if found else set(missing).union(*own.values())
-            reports[space.bench.id] = AdmissibilityReport(
-                admissible=bool(found),
-                violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
+        analysed.append((tc, [_Options(p, tc, profile) for p in prices]))
+    return analysed
+
+
+def _reports(options: Sequence[_Options]) -> dict[str, AdmissibilityReport]:
+    return {opts.space.bench.id: opts.report() for opts in options}
+
+
+def _regret(options: Sequence[_Options]) -> Fraction | None:
+    """The cost gap between a test case's second-cheapest and cheapest
+    candidates over all benches; None when it has fewer than two."""
+    if sum(opts.count for opts in options) < 2:
+        return None
+    ranked = sorted((opts for opts in options if opts.count), key=lambda o: o.cheapest()[0])
+    lowest = ranked[0].cheapest()[0]
+    # The second-cheapest is on the cheapest bench or is another's cheapest.
+    seconds = [opts.cheapest()[0] for opts in ranked[1:2]]
+    second = ranked[0].second_cost()
+    if second is not None:
+        seconds.append(second)
+    return min(seconds) - lowest
+
+
+# --- candidate generation ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _CaseCandidates:
+    test_case: TestCase
+    candidates: tuple[Assignment, ...]  # by (monetary cost, bench id, config index)
+    reports: Mapping[str, AdmissibilityReport]  # per bench: why (not) usable
+
+
+def _collect_candidates(
+    suite: Sequence[TestCase],
+    benches: Sequence[TestBench],
+    overrides: Mapping[str, StageOverrides] | None,
+    cap: int | None,
+    max_candidates: int | None = None,
+) -> list[_CaseCandidates]:
+    """Every test case's candidates, found by walking and pricing each
+    admissible configuration. Raises :class:`InstanceTooLarge` before any
+    walk when their number, counted in closed form, exceeds
+    ``max_candidates``."""
+    analysed = _analyse(suite, benches, overrides, cap)
+    if max_candidates is not None:
+        total = sum(opts.count for _, options in analysed for opts in options)
+        if total > max_candidates:
+            raise InstanceTooLarge(
+                f"exhaustive solver handles at most {max_candidates} candidate "
+                f"configurations in total, got {total}"
             )
-            candidates.extend(found)
+    collected = []
+    for tc, options in analysed:
+        candidates = [cand for opts in options for cand in opts.walk()]
         candidates.sort(key=lambda c: (c.cost.monetary_cost, c.bench_id, c.config_index))
         collected.append(
-            _CaseCandidates(test_case=tc, candidates=tuple(candidates), reports=reports)
+            _CaseCandidates(
+                test_case=tc, candidates=tuple(candidates), reports=_reports(options)
+            )
         )
     return collected
 
@@ -312,13 +546,11 @@ def _finish_plan(
     )
 
 
-def _skip(case: _CaseCandidates) -> UnassignableCase:
-    reason = (
-        "bench-time-exhausted" if case.candidates else "no-admissible-configuration"
-    )
-    return UnassignableCase(
-        test_case_id=case.test_case.id, reason=reason, reports=case.reports
-    )
+def _skip(
+    tc: TestCase, admissible: bool, reports: Mapping[str, AdmissibilityReport]
+) -> UnassignableCase:
+    reason = "bench-time-exhausted" if admissible else "no-admissible-configuration"
+    return UnassignableCase(test_case_id=tc.id, reason=reason, reports=reports)
 
 
 def assign_greedy(
@@ -336,15 +568,21 @@ def assign_greedy(
     budget, test cases are processed in descending regret (the cost gap to
     their second-cheapest candidate, infinite when there is no alternative)
     and take the cheapest candidate whose bench still has time left.
+
+    The candidates are searched factored, per leaf and time factor (see
+    the module docstring), never by walking the configurations; only the
+    picked ones are built, priced and classified.
     """
-    cases = _collect_candidates(suite, benches, overrides, cap)
+    cases = _analyse(suite, benches, overrides, cap)
 
     if budget is None:
         order = cases
     else:
-        def urgency(pair: tuple[int, _CaseCandidates]) -> tuple[int, Fraction, int]:
-            index, case = pair
-            regret = case.regret
+        def urgency(
+            pair: tuple[int, tuple[TestCase, list[_Options]]]
+        ) -> tuple[int, Fraction, int]:
+            index, (_, options) = pair
+            regret = _regret(options)
             if regret is None:
                 return (0, Fraction(0), index)
             return (1, -regret, index)
@@ -354,18 +592,25 @@ def assign_greedy(
     chosen: dict[str, Assignment] = {}
     skipped: dict[str, UnassignableCase] = {}
     used: dict[str, Fraction] = {}
-    for case in order:
-        picked = None
-        for cand in case.candidates:
-            limit = budget.limit(cand.bench_id) if budget is not None else None
-            spent = used.get(cand.bench_id, Fraction(0))
-            if limit is None or spent + cand.cost.execution_time <= limit:
-                picked = cand
-                break
-        if picked is None:
-            skipped[case.test_case.id] = _skip(case)
+    for tc, options in order:
+        best: tuple[Fraction, int, _Options] | None = None
+        for opts in options:
+            if not opts.count:
+                continue
+            bench_id = opts.space.bench.id
+            limit = budget.limit(bench_id) if budget is not None else None
+            room = None if limit is None else limit - used.get(bench_id, Fraction(0))
+            found = opts.cheapest(room)
+            # Benches come in id order, so only a strictly lower cost wins.
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (*found, opts)
+        if best is None:
+            admissible = any(opts.count for opts in options)
+            skipped[tc.id] = _skip(tc, admissible, _reports(options))
         else:
-            chosen[case.test_case.id] = picked
+            _, index, opts = best
+            picked = opts.assignment(index, opts.space.at(index))
+            chosen[tc.id] = picked
             used[picked.bench_id] = (
                 used.get(picked.bench_id, Fraction(0)) + picked.cost.execution_time
             )
@@ -385,20 +630,15 @@ def assign_exact(
     the budget.
 
     Guarded to |suite| <= 8 test cases and <= 32 candidate configurations in
-    total; larger instances raise :class:`InstanceTooLarge`.
+    total; larger instances raise :class:`InstanceTooLarge` before any
+    configuration is walked.
     """
     if len(suite) > EXACT_MAX_SUITE:
         raise InstanceTooLarge(
             f"exhaustive solver handles at most {EXACT_MAX_SUITE} test cases, "
             f"got {len(suite)}"
         )
-    cases = _collect_candidates(suite, benches, overrides, cap)
-    total_candidates = sum(len(case.candidates) for case in cases)
-    if total_candidates > EXACT_MAX_CANDIDATES:
-        raise InstanceTooLarge(
-            f"exhaustive solver handles at most {EXACT_MAX_CANDIDATES} candidate "
-            f"configurations in total, got {total_candidates}"
-        )
+    cases = _collect_candidates(suite, benches, overrides, cap, EXACT_MAX_CANDIDATES)
 
     n = len(cases)
     best: tuple[int, Fraction, tuple[Assignment | None, ...]] | None = None
@@ -440,7 +680,9 @@ def assign_exact(
     skipped: dict[str, UnassignableCase] = {}
     for case, pick in zip(cases, best[2]):
         if pick is None:
-            skipped[case.test_case.id] = _skip(case)
+            skipped[case.test_case.id] = _skip(
+                case.test_case, bool(case.candidates), case.reports
+            )
         else:
             chosen[case.test_case.id] = pick
     return _finish_plan(suite, chosen, skipped)

@@ -12,8 +12,9 @@ which counts configurations in closed form and computes configuration *i*
 directly from its index. Looking up one configuration therefore works for
 any index in range, whatever the enumeration cap. Listing every
 configuration (:func:`enumerate_configurations`) is capped, and so is
-assignment, which walks only the admissible configurations but still
-refuses a bench whose full count exceeds the cap.
+assignment, which builds only the configurations it picks (the exhaustive
+oracle: only the admissible ones) but still refuses a bench whose full
+count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
@@ -99,7 +101,8 @@ class ConfigurationSpace:
     a space costs O(leaves + elements); :meth:`at` names any configuration
     by index in O(leaves + elements) without materialising the others, so
     lookups work far past the enumeration cap. Callers build one space per
-    bench and pass it along; the space never changes after construction.
+    bench and pass it along; the space never changes after construction,
+    except that :meth:`walk` lists each leaf's choices once, on first use.
     """
 
     def __init__(self, bench: TestBench) -> None:
@@ -177,16 +180,25 @@ class ConfigurationSpace:
             },
         )
 
+    @cached_property
+    def _choices(self) -> tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]:
+        """Each leaf's choices in enumeration order with their index offsets
+        (rank times weight), listed on first use."""
+        return tuple(
+            tuple((rank * weight, self._choice(i, rank)) for rank in range(count))
+            for i, (weight, count) in enumerate(zip(self.weights, self.choice_counts))
+        )
+
     def walk(
         self, usable: Callable[[str], bool]
     ) -> Iterator[tuple[int, TestBenchConfiguration]]:
         """Stream ``(index, configuration)`` in enumeration order for every
         configuration whose selected element ids all pass ``usable``; each
         leaf's choices are filtered first, so rejected ones are never built."""
-        options = []
-        for i, (weight, count) in enumerate(zip(self.weights, self.choice_counts)):
-            ranked = enumerate(self._choice(i, rank) for rank in range(count))
-            options.append([(rank * weight, c) for rank, c in ranked if all(map(usable, c))])
+        options = [
+            [(offset, c) for offset, c in choices if all(map(usable, c))]
+            for choices in self._choices
+        ]
         for combo in itertools.product(*options):
             yield sum(offset for offset, _ in combo), TestBenchConfiguration(
                 bench_id=self.bench.id,

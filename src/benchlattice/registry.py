@@ -96,6 +96,10 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(str(path), str(exc)) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DocumentSyntaxError(str(path), f"unreadable number: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError(str(path), "arrays or objects nested too deeply") from exc
 
 
 def _is_number(value: object) -> bool:

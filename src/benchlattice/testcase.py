@@ -11,6 +11,7 @@ thresholds on an ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -123,6 +124,11 @@ def validate_test_case(raw: RawTestCase) -> TestCase:
         raise MissingLayer(f"test case {tc.id!r}: road_level must not be blank")
     if not tc.evaluation_criteria:
         raise NoEvaluationCriteria(f"test case {tc.id!r} has no evaluation criteria")
+    if math.isinf(tc.scenario.nominal_duration):
+        raise TestCaseError(
+            f"test case {tc.id!r}: nominal_duration must be finite, "
+            f"got {tc.scenario.nominal_duration}"
+        )
     if not (tc.scenario.nominal_duration > 0):
         raise NonPositiveDuration(
             f"test case {tc.id!r}: nominal_duration must be > 0, "

@@ -6,13 +6,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from benchlattice.assignment import (
     AdmissibilityReport,
     Assignment,
+    AssignmentPlan,
     CapacityBudget,
     ReasonCode,
+    UnassignableCase,
     Violation,
     check_admissibility,
     estimate_cost,
@@ -255,12 +258,70 @@ def reference_candidates(
     return collected
 
 
+def reference_greedy(
+    suite: list[TestCase],
+    benches: Iterable[TestBench],
+    budget: CapacityBudget | None,
+    overrides: Mapping[str, StageOverrides],
+    collected: list | None = None,
+) -> AssignmentPlan:
+    """The greedy rule scanned over the full candidate lists of
+    :func:`reference_candidates` (pass them as ``collected`` when already
+    computed): the reference the factored greedy is checked against.
+    Without a budget each test case takes its first candidate; with one,
+    test cases go in descending regret (second minus first candidate cost,
+    infinite with fewer than two candidates) and take the first candidate
+    whose bench still has time for it."""
+    if collected is None:
+        collected = reference_candidates(suite, benches, overrides)
+    cases = list(zip(suite, collected))
+    order = cases
+    if budget is not None:
+
+        def urgency(pair):
+            index, (_, (candidates, _)) = pair
+            if len(candidates) < 2:
+                return (0, Fraction(0), index)
+            regret = candidates[1].cost.monetary_cost - candidates[0].cost.monetary_cost
+            return (1, -regret, index)
+
+        order = [case for _, case in sorted(enumerate(cases), key=urgency)]
+
+    chosen: dict[str, Assignment] = {}
+    skipped: dict[str, UnassignableCase] = {}
+    used: dict[str, Fraction] = {}
+    for tc, (candidates, reports) in order:
+        for cand in candidates:
+            limit = budget.limit(cand.bench_id) if budget is not None else None
+            spent = used.get(cand.bench_id, Fraction(0))
+            if limit is None or spent + cand.cost.execution_time <= limit:
+                chosen[tc.id] = cand
+                used[cand.bench_id] = spent + cand.cost.execution_time
+                break
+        else:
+            reason = "bench-time-exhausted" if candidates else "no-admissible-configuration"
+            skipped[tc.id] = UnassignableCase(tc.id, reason, reports)
+
+    assignments = {tc.id: chosen[tc.id] for tc in suite if tc.id in chosen}
+    bench_time: dict[str, Fraction] = {}
+    for cand in assignments.values():
+        bench_time[cand.bench_id] = (
+            bench_time.get(cand.bench_id, Fraction(0)) + cand.cost.execution_time
+        )
+    return AssignmentPlan(
+        assignments=assignments,
+        unassignable=tuple(skipped[tc.id] for tc in suite if tc.id in skipped),
+        total_cost=sum((c.cost.monetary_cost for c in assignments.values()), Fraction(0)),
+        total_bench_time=bench_time,
+    )
+
+
 # --- randomized generation ---------------------------------------------------
 
 _RATES = (0.0, 5.0, 10.0, 25.0)
 _TIME_FACTORS = (0.25, 0.5, 1.0, 2.0)
 _SETUPS = (0.0, 1.0, 2.0)
-_PURPOSES = ("safety-validation", "endurance")
+PURPOSES = ("safety-validation", "endurance")
 
 
 def random_bench(
@@ -310,7 +371,7 @@ def random_bench(
     elements = []
     for leaf in leaves:
         for i in range(per_leaf[leaf]):
-            validated = {p for p in _PURPOSES if rng.random() < 0.8}
+            validated = {p for p in PURPOSES if rng.random() < 0.8}
             elements.append(
                 {
                     "id": f"{leaf}-e{i}",
@@ -417,7 +478,7 @@ def random_admissibility_instance(rng: random.Random):
         # in five, so most of its benches admit nothing; validate most
         # elements of most benches for every purpose.
         if rng.random() < 0.7:
-            everything = frozenset(_PURPOSES)
+            everything = frozenset(PURPOSES)
             bench = replace(
                 bench,
                 elements=tuple(
@@ -438,7 +499,7 @@ def random_admissibility_instance(rng: random.Random):
         case = make_test_case(
             f"case-{i}",
             duration=rng.choice((60.0, 360.0)),
-            purpose=rng.choice(_PURPOSES),
+            purpose=rng.choice(PURPOSES),
             movable=rng.randint(0, 2),
             conditions=("rain",) if rng.random() < 0.5 else (),
         )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from benchlattice import assignment
 from benchlattice.assignment import (
     CapacityBudget,
     ReasonCode,
@@ -15,7 +16,8 @@ from benchlattice.assignment import (
     check_admissibility,
     estimate_cost,
 )
-from benchlattice.configuration import enumerate_configurations
+from benchlattice.configuration import ConfigurationSpace, enumerate_configurations
+from benchlattice.data import fixture_path
 from benchlattice.errors import InstanceTooLarge
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
@@ -23,15 +25,19 @@ from benchlattice.taxonomy import (
     TestBench,
     leaf_dimensions,
 )
+from benchlattice.registry import load_budget, load_registry, load_suite
 from benchlattice.testcase import derive_requirement_profile
 from helpers import (
+    PURPOSES,
     make_element,
     make_test_case,
     random_admissibility_instance,
+    random_bench,
     random_instance,
     reference_admissibility,
     reference_candidates,
     reference_configurations,
+    reference_greedy,
     scale_cost_rates,
     uniform_bench,
 )
@@ -395,3 +401,201 @@ def test_collected_candidates_match_brute_force_reference():
             seen.update(report.admissible for report in reports.values())
     # The instances reach every reason, and benches with and without candidates.
     assert seen >= set(ReasonCode) | {True, False}
+
+
+# --- factored greedy against the reference scan -------------------------------
+
+
+def _binding_budget(rng, collected):
+    """Per-bench limits drawn from the execution times of the collected
+    reference candidates, so that most of them bind."""
+    times = {}
+    for candidates, _ in collected:
+        for cand in candidates:
+            times.setdefault(cand.bench_id, []).append(cand.cost.execution_time)
+    limits = {
+        bench_id: float(rng.choice(spans) * rng.choice((0.5, 1, 1, 2)))
+        for bench_id, spans in sorted(times.items())
+        if rng.random() < 0.8
+    }
+    return CapacityBudget(limits) if limits else None
+
+
+def _assert_greedy_matches_reference(
+    suite, benches, budget, overrides, label, collected=None
+):
+    plan = assign_greedy(suite, benches, budget, overrides=overrides)
+    assert plan == reference_greedy(suite, benches, budget, overrides, collected), label
+    return plan
+
+
+def _assert_regrets_match_reference(suite, benches, overrides, collected, label):
+    analysed = assignment._analyse(suite, benches, overrides, None)
+    for (_, options), (candidates, _) in zip(analysed, collected):
+        costs = [cand.cost.monetary_cost for cand in candidates[:2]]
+        expected = costs[1] - costs[0] if len(costs) == 2 else None
+        assert assignment._regret(options) == expected, label
+
+
+def test_greedy_matches_reference_on_admissibility_instances():
+    binding = 0
+    for seed in ADMISSIBILITY_SEEDS:
+        rng = random.Random(seed)
+        suite, benches, overrides = random_admissibility_instance(rng)
+        collected = reference_candidates(suite, benches, overrides)
+        _assert_regrets_match_reference(
+            suite, benches, overrides, collected, f"seed {seed}"
+        )
+        budget = _binding_budget(rng, collected)
+        plans = [
+            _assert_greedy_matches_reference(
+                suite, benches, limits, overrides, f"seed {seed}", collected
+            )
+            for limits in (None, budget)
+        ]
+        binding += plans[0] != plans[1]
+    assert binding >= 15
+
+
+_ODD_VALUES = (0.1, 0.3, 1e-3, 3.7)
+
+
+def _tie_instance(rng):
+    """Two random benches whose elements all pass, with zero-cost elements,
+    repeated prices and non-dyadic-looking floats, and a few test cases. One
+    bench in four charges no rate at all, so configurations of different
+    speeds tie."""
+    benches = []
+    for i in range(2):
+        bench = random_bench(rng, f"bench-{i}", count_cap=rng.choice((12, 40, 100)))
+        free = rng.random() < 0.25
+        elements = []
+        for elem in bench.elements:
+            c = replace(elem.characteristics, validated_for=frozenset(PURPOSES))
+            if free:
+                c = replace(c, cost_rate=0.0)
+            elif rng.random() < 0.3:
+                c = replace(c, cost_rate=0.0, setup_cost=0.0)
+            elif rng.random() < 0.2:
+                c = replace(
+                    c,
+                    cost_rate=rng.choice(_ODD_VALUES),
+                    time_factor=rng.choice(_ODD_VALUES),
+                )
+            elements.append(replace(elem, characteristics=c))
+        benches.append(replace(bench, elements=tuple(elements)))
+    suite = [
+        make_test_case(
+            f"case-{i}",
+            duration=rng.choice((60.0, 37.3, 360.0, 0.1)),
+            movable=rng.randint(0, 2),
+            conditions=("rain",) if rng.random() < 0.5 else (),
+        )
+        for i in range(rng.randint(2, 4))
+    ]
+    return suite, benches
+
+
+def test_greedy_matches_reference_with_ties_and_combinable_leaves():
+    zero_regrets = combinable_picks = binding = 0
+    for seed in range(40):
+        rng = random.Random(500 + seed)
+        suite, benches = _tie_instance(rng)
+        collected = reference_candidates(suite, benches, {})
+        _assert_regrets_match_reference(suite, benches, {}, collected, f"seed {seed}")
+        for candidates, _ in collected:
+            if len(candidates) >= 2:
+                zero_regrets += (
+                    candidates[0].cost.monetary_cost == candidates[1].cost.monetary_cost
+                )
+        plan = _assert_greedy_matches_reference(
+            suite, benches, None, {}, f"seed {seed}", collected
+        )
+        spaces = {bench.id: ConfigurationSpace(bench) for bench in benches}
+        for picked in plan.assignments.values():
+            space = spaces[picked.bench_id]
+            combinable_picks += any(
+                space.combinable[leaf_id] and len(space.available[leaf_id]) > 1
+                for leaf_id in space.leaf_ids
+            )
+        budget = _binding_budget(rng, collected)
+        budgeted = _assert_greedy_matches_reference(
+            suite, benches, budget, {}, f"seed {seed}", collected
+        )
+        binding += budgeted != plan
+    assert zero_regrets >= 10 and combinable_picks >= 10 and binding >= 10
+
+
+def test_greedy_matches_reference_on_fixtures():
+    suite = load_suite(fixture_path("demo_suite.suite.json"))
+    budget = load_budget(fixture_path("demo.budget.json"))
+    fleet = load_registry(fixture_path("fleet_bench.json"))
+    singles = [
+        load_registry(fixture_path(name))
+        for name in ("sil_bench.json", "test_vehicle_bench.json")
+    ]
+    for benches in [fleet, *singles]:
+        for limits in (None, budget):
+            _assert_greedy_matches_reference(
+                suite.test_cases, benches, limits, suite.overrides, str(limits)
+            )
+
+
+def test_greedy_matches_reference_on_criterion_6_instances():
+    for seed in range(200):
+        suite, benches, overrides, budget = random_instance(random.Random(10_000 + seed))
+        _assert_greedy_matches_reference(suite, benches, budget, overrides, f"seed {seed}")
+
+
+def test_greedy_builds_only_the_configurations_it_picks(monkeypatch):
+    suite = load_suite(fixture_path("demo_suite.suite.json"))
+    benches = load_registry(fixture_path("fleet_bench.json"))
+    budget = load_budget(fixture_path("demo.budget.json"))
+    expected = [
+        (limits, reference_greedy(suite.test_cases, benches, limits, suite.overrides))
+        for limits in (None, budget)
+    ]
+    real_cost = assignment._cost
+
+    def refuse_walk(self, usable):
+        raise AssertionError("greedy walked a configuration space")
+
+    monkeypatch.setattr(ConfigurationSpace, "walk", refuse_walk)
+    for limits, plan in expected:
+        picked = [a.configuration for a in plan.assignments.values()]
+        assert picked  # the check below must have something to let through
+
+        def cost_of_picked_only(space, config, tc, picked=picked):
+            if config not in picked:
+                raise AssertionError(f"greedy priced an unpicked configuration {config}")
+            return real_cost(space, config, tc)
+
+        monkeypatch.setattr(assignment, "_cost", cost_of_picked_only)
+        result = assign_greedy(suite.test_cases, benches, limits, overrides=suite.overrides)
+        assert result == plan
+
+
+def test_exact_guard_counts_candidates_without_walking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the guard walked or priced a configuration")
+
+    monkeypatch.setattr(ConfigurationSpace, "walk", refuse)
+    monkeypatch.setattr(assignment, "_cost", refuse)
+    bench = uniform_bench(
+        "wide",
+        combinable={"vehicle-dynamics": True},
+        skip_dimensions=("vehicle-dynamics",),
+        extra_elements=[
+            make_element(f"vd-{i}", "vehicle-dynamics", time_factor=1.0) for i in range(3)
+        ],
+    )
+    suite = [make_test_case(f"case-{i}") for i in range(5)]  # 5 * (2^3 - 1) = 35 > 32
+    message = "at most 32 candidate configurations in total, got 35"
+    with pytest.raises(InstanceTooLarge, match=message):
+        assign_exact(suite, [bench])
+
+
+@pytest.mark.parametrize("limit", [float("inf"), float("-inf"), float("nan")])
+def test_budget_rejects_non_finite_limits(limit):
+    with pytest.raises(ValueError, match="budget for bench 'sil' must be a finite number"):
+        CapacityBudget({"sil": limit})

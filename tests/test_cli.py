@@ -270,3 +270,28 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, kind, value, location):
     assert f"{location}: must be a finite number" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys):
+    # json.loads refuses integers of more than 4,300 digits with a plain
+    # ValueError rather than a JSONDecodeError.
+    path = tmp_path / "huge.bench.json"
+    text = Path(SIL).read_text()
+    doc = json.loads(text)
+    old = json.dumps(doc["benches"][0]["elements"][0]["cost_rate"])
+    key = '"cost_rate": ' + old
+    assert key in text
+    path.write_text(text.replace(key, '"cost_rate": ' + "7" * 5000, 1))
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: unreadable number" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_document_is_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "deep.bench.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: arrays or objects nested too deeply" in err
+    assert "Traceback" not in err

@@ -167,6 +167,43 @@ def test_walk_matches_filtered_reference(seed):
     assert list(ConfigurationSpace(bench).walk(usable.__contains__)) == expected
 
 
+def test_walk_lists_choices_once_per_space(monkeypatch):
+    bench = uniform_bench(
+        "wide",
+        combinable={"vehicle-dynamics": True},
+        skip_dimensions=("vehicle-dynamics",),
+        extra_elements=[make_element(f"vd-{i}", "vehicle-dynamics") for i in range(3)],
+    )
+    space = ConfigurationSpace(bench)
+    calls = []
+    real_choice = ConfigurationSpace._choice
+
+    def counting_choice(self, leaf_index, rank):
+        calls.append((leaf_index, rank))
+        return real_choice(self, leaf_index, rank)
+
+    monkeypatch.setattr(ConfigurationSpace, "_choice", counting_choice)
+    first = list(space.walk(lambda elem_id: True))
+    listed = sum(space.choice_counts)
+    assert len(calls) == listed and 7 in space.choice_counts
+    assert list(space.walk(lambda elem_id: True)) == first
+    assert list(space.walk(lambda elem_id: elem_id != "vd-0")) == [
+        (index, config) for index, config in first if "vd-0" not in config.selected_ids()
+    ]
+    assert len(calls) == listed
+
+
+def test_lookup_lists_no_choices():
+    bench = uniform_bench(
+        "wide",
+        skip_dimensions=("movable-objects",),
+        extra_elements=[make_element(f"m{i}", "movable-objects") for i in range(24)],
+    )
+    space = ConfigurationSpace(bench)
+    assert space.at(space.count - 1).selection["movable-objects"] == ("m23",)
+    assert "_choices" not in vars(space)
+
+
 def test_space_index_out_of_range():
     space = ConfigurationSpace(uniform_bench())
     assert space.count == 1

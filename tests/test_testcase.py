@@ -10,6 +10,7 @@ from benchlattice.errors import (
     MissingLayer,
     NoEvaluationCriteria,
     NonPositiveDuration,
+    TestCaseError,
 )
 from benchlattice.taxonomy import CANONICAL_DIMENSION_IDS, Stage
 from benchlattice.testcase import (
@@ -62,6 +63,12 @@ def test_non_positive_duration_rejected():
     raw["scenario"]["nominal_duration"] = 0.0
     with pytest.raises(NonPositiveDuration):
         validate_test_case(raw)
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("-inf")])
+def test_infinite_duration_rejected(duration):
+    with pytest.raises(TestCaseError, match="'cut-in': nominal_duration must be finite"):
+        validate_test_case(make_test_case(duration=duration))
 
 
 def test_missing_layer_rejected():
