@@ -11,6 +11,7 @@ deterministic enumeration order printed by ``enumerate``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from typing import Sequence
@@ -195,11 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first run, not at import; parsing leaves it unchanged, so
+    # every later call in the process reuses it.
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -3,7 +3,6 @@ bench-time budget."""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 __all__ = ["fixture_path", "FIXTURES"]
@@ -18,8 +17,8 @@ FIXTURES = (
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a shipped document."""
+    """Filesystem path of a shipped document: the packaged file itself, which
+    lives next to this module."""
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    with resources.as_file(resources.files(__name__).joinpath(name)) as path:
-        return Path(path)
+    return Path(__file__).with_name(name)

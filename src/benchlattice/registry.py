@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-import tempfile
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -59,23 +59,16 @@ class LoadedSuite:
 # --- primitives -------------------------------------------------------------
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; put it straight back.
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
-    partial document."""
+    partial document. The file gets the mode a plain create would give it:
+    the kernel applies the umask to 0666."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    tmp_name = str(path.parent / f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        # mkstemp creates the file 0600; give it the mode a plain open() would.
-        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -159,7 +152,11 @@ class _Checker:
                 return None
         return number
 
-    def known_fields(self, value: dict[str, Any], location: str, allowed: set[str]) -> None:
+    def known_fields(
+        self, value: dict[str, Any], location: str, allowed: set[str] | frozenset[str]
+    ) -> None:
+        if value.keys() <= allowed:
+            return
         for key in sorted(set(value) - allowed):
             self.add(f"{location}.{key}", "unknown field")
 
@@ -176,17 +173,41 @@ class _Checker:
 # --- bench registries --------------------------------------------------------
 
 _BENCH_FIELDS = {"id", "display_name", "substantiations", "combinable", "elements"}
-_ELEMENT_FIELDS = {
-    "id",
-    "display_name",
-    "dimension",
-    "stage",
-    "validated_for",
-    "cost_rate",
-    "time_factor",
-    "setup_cost",
-    "extra",
-}
+# Characteristics are never defaulted in documents; only display_name (falls
+# back to the id) and the reserved extra map may be omitted. In the format's
+# field order, so findings come out in a fixed order.
+_ELEMENT_REQUIRED = (
+    "id", "dimension", "stage", "validated_for", "cost_rate", "time_factor", "setup_cost",
+)
+_ELEMENT_REQUIRED_SET = frozenset(_ELEMENT_REQUIRED)
+_ELEMENT_FIELDS = _ELEMENT_REQUIRED_SET | {"display_name", "extra"}
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _clean_element(entry: object) -> bool:
+    """True only for an element in which :func:`_check_element` finds
+    nothing; the fast accept for well-formed documents."""
+    if type(entry) is not dict:
+        return False
+    keys = entry.keys()
+    if not (keys <= _ELEMENT_FIELDS and keys >= _ELEMENT_REQUIRED_SET):
+        return False
+    element_id, dimension, tags = entry["id"], entry["dimension"], entry["validated_for"]
+    cost_rate, time_factor, setup_cost = entry["cost_rate"], entry["time_factor"], entry["setup_cost"]
+    # type() is exact, so a bool is no number; an int past the largest float
+    # may not convert, so it takes the itemised checks.
+    return (
+        type(element_id) is str and _ID_RE.match(element_id) is not None
+        and type(dimension) is str and _ID_RE.match(dimension) is not None
+        and type(entry.get("display_name", "")) is str
+        and entry["stage"] in _STAGES
+        and type(tags) is list and all(type(tag) is str for tag in tags)
+        and type(cost_rate) in _NUMBER_TYPES and 0 <= cost_rate <= _FLOAT_MAX
+        and type(time_factor) in _NUMBER_TYPES and 0 < time_factor <= _FLOAT_MAX
+        and type(setup_cost) in _NUMBER_TYPES and 0 <= setup_cost <= _FLOAT_MAX
+        and type(entry.get("extra", {})) is dict
+    )
 
 
 def _check_element(check: _Checker, raw: object, location: str) -> None:
@@ -194,9 +215,7 @@ def _check_element(check: _Checker, raw: object, location: str) -> None:
     if entry is None:
         return
     check.known_fields(entry, location, _ELEMENT_FIELDS)
-    # Characteristics are never defaulted in documents; only display_name
-    # (falls back to the id) and the reserved extra map may be omitted.
-    for required in _ELEMENT_FIELDS - {"display_name", "extra"}:
+    for required in _ELEMENT_REQUIRED:
         if required not in entry:
             check.add(f"{location}.{required}", "required field missing")
     for key in ("id", "dimension"):
@@ -248,7 +267,8 @@ def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] 
             check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
     elements = check.array(bench.get("elements", []), f"{location}.elements")
     for i, entry in enumerate(elements or ()):
-        _check_element(check, entry, f"{location}.elements[{i}]")
+        if not _clean_element(entry):
+            _check_element(check, entry, f"{location}.elements[{i}]")
     return bench
 
 

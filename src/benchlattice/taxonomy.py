@@ -14,6 +14,7 @@ bench returns a new value.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -67,8 +68,8 @@ class Stage(Enum):
     @classmethod
     def from_name(cls, name: str) -> "Stage":
         try:
-            return cls(name)
-        except ValueError:
+            return _BY_NAME[name]
+        except (KeyError, TypeError):
             raise TaxonomyError(
                 f"unknown stage {name!r}; expected one of "
                 f"{', '.join(s.value for s in cls)}"
@@ -76,6 +77,8 @@ class Stage(Enum):
 
 
 _CHART_INDEX = {Stage.SIMULATED: 1, Stage.EMULATED: 2, Stage.REAL: 3}
+_BY_NAME = {stage.value: stage for stage in Stage}
+_FLOAT_MAX = sys.float_info.max
 
 
 class DimensionKind(Enum):
@@ -143,6 +146,14 @@ class Characteristics:
     def __post_init__(self) -> None:
         object.__setattr__(self, "validated_for", frozenset(self.validated_for))
         object.__setattr__(self, "extra", dict(self.extra))
+        # In range, the common case: nothing to report. NaN, infinities and
+        # ints past the float range fall through to the itemised checks.
+        if (
+            0 <= self.cost_rate <= _FLOAT_MAX
+            and 0 < self.time_factor <= _FLOAT_MAX
+            and 0 <= self.setup_cost <= _FLOAT_MAX
+        ):
+            return
         for name in ("cost_rate", "time_factor", "setup_cost"):
             if not math.isfinite(getattr(self, name)):
                 raise TaxonomyError(f"{name} must be finite, got {getattr(self, name)}")
@@ -234,6 +245,14 @@ def substantiate_dimension(
     sub-dimension inherits the parent's combinable flag. Depth is limited to
     one level.
     """
+    subs = _sub_dimensions(bench, parent, sub_names)
+    return replace(bench, dimension_tree=_canonical_tree_order(bench.dimension_tree + subs))
+
+
+def _sub_dimensions(
+    bench: TestBench, parent: str, sub_names: Sequence[str]
+) -> tuple[DimensionNode, ...]:
+    """The new nodes of :func:`substantiate_dimension`, after its checks."""
     if not sub_names:
         raise EmptySubNames(f"substantiating {parent!r} needs at least one name")
     parent_node = bench.node(parent)
@@ -266,7 +285,7 @@ def substantiate_dimension(
                 combinable=parent_node.combinable,
             )
         )
-    return replace(bench, dimension_tree=_canonical_tree_order(bench.dimension_tree + tuple(subs)))
+    return tuple(subs)
 
 
 def _canonical_tree_order(nodes: Iterable[DimensionNode]) -> tuple[DimensionNode, ...]:
@@ -287,9 +306,12 @@ def _canonical_tree_order(nodes: Iterable[DimensionNode]) -> tuple[DimensionNode
 def leaf_dimensions(bench: TestBench) -> tuple[DimensionNode, ...]:
     """The bench's leaves: canonical order, sub-dimensions replacing their
     parent in place (declaration order). Stable across runs."""
-    nodes = _canonical_tree_order(bench.dimension_tree)
-    parents_with_children = {node.parent for node in nodes if node.parent is not None}
-    return tuple(node for node in nodes if node.id not in parents_with_children)
+    return _leaves(_canonical_tree_order(bench.dimension_tree))
+
+
+def _leaves(ordered: tuple[DimensionNode, ...]) -> tuple[DimensionNode, ...]:
+    parents_with_children = {node.parent for node in ordered if node.parent is not None}
+    return tuple(node for node in ordered if node.id not in parents_with_children)
 
 
 def canonical_dimension_of(bench: TestBench, leaf_id: str) -> str:
@@ -324,7 +346,7 @@ def validate_bench(raw: RawBench) -> TestBench:
     nodes = _canonical_tree_order(bench.dimension_tree)
     _check_tree(bench.id, nodes)
 
-    leaf_ids = [node.id for node in leaf_dimensions(replace(bench, dimension_tree=nodes))]
+    leaf_ids = [node.id for node in _leaves(nodes)]
     leaf_rank = {dim_id: i for i, dim_id in enumerate(leaf_ids)}
     non_leaves = {node.id for node in nodes} - set(leaf_ids)
 
@@ -356,17 +378,9 @@ def validate_bench(raw: RawBench) -> TestBench:
             stacklevel=2,
         )
 
-    ordered_elements = tuple(
-        sorted(
-            enumerate(bench.elements),
-            key=lambda pair: (leaf_rank[pair[1].dimension], pair[0]),
-        )
-    )
-    return replace(
-        bench,
-        dimension_tree=nodes,
-        elements=tuple(elem for _, elem in ordered_elements),
-    )
+    # sorted() is stable: declaration order within each leaf.
+    elements = tuple(sorted(bench.elements, key=lambda elem: leaf_rank[elem.dimension]))
+    return replace(bench, dimension_tree=nodes, elements=elements)
 
 
 def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:
@@ -395,6 +409,8 @@ def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:
 
 
 def _build_from_mapping(raw: Mapping[str, object]) -> TestBench:
+    """A draft of the bench ``raw`` describes; its tree is left for
+    :func:`validate_bench` to put in canonical order."""
     bench_id = str(raw.get("id", ""))
     display_name = str(raw.get("display_name", bench_id))
     substantiations = raw.get("substantiations") or {}
@@ -404,23 +420,22 @@ def _build_from_mapping(raw: Mapping[str, object]) -> TestBench:
         k: bool(v) for k, v in combinable.items() if k in _CANONICAL_COMBINABLE
     }
     bench = new_bench(bench_id, display_name, combinable_overrides=canonical_overrides)
-    for parent, subs in substantiations.items():  # type: ignore[union-attr]
-        bench = substantiate_dimension(bench, str(parent), list(subs))  # type: ignore[arg-type]
+    for parent, names in substantiations.items():  # type: ignore[union-attr]
+        subs = _sub_dimensions(bench, str(parent), list(names))  # type: ignore[arg-type]
+        bench = replace(bench, dimension_tree=bench.dimension_tree + subs)
 
+    nodes = bench.dimension_tree
     sub_overrides = {k: v for k, v in combinable.items() if k not in canonical_overrides}
     if sub_overrides:
-        known = {node.id for node in bench.dimension_tree}
+        known = {node.id for node in nodes}
         unknown = sorted(set(sub_overrides) - known)
         if unknown:
             raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
-        bench = replace(
-            bench,
-            dimension_tree=tuple(
-                replace(node, combinable=bool(sub_overrides[node.id]))
-                if node.id in sub_overrides
-                else node
-                for node in bench.dimension_tree
-            ),
+        nodes = tuple(
+            replace(node, combinable=bool(sub_overrides[node.id]))
+            if node.id in sub_overrides
+            else node
+            for node in nodes
         )
 
     elements = []
@@ -443,4 +458,6 @@ def _build_from_mapping(raw: Mapping[str, object]) -> TestBench:
                 ),
             )
         )
-    return with_elements(bench, elements)
+    return TestBench(
+        id=bench_id, display_name=display_name, dimension_tree=nodes, elements=tuple(elements)
+    )

@@ -4,10 +4,13 @@ solver instances."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Mapping
 
 from benchlattice.assignment import (
     AdmissibilityReport,
@@ -21,6 +24,18 @@ from benchlattice.assignment import (
     estimate_cost,
 )
 from benchlattice.configuration import TestBenchConfiguration, classify_test_method
+from benchlattice.errors import (
+    BenchlatticeError,
+    BenchValidationWarning,
+    DuplicateId,
+    ElementOnNonLeaf,
+    EmptyLeaf,
+    SchemaError,
+    TaxonomyError,
+    UnknownDimension,
+    ValidationError,
+)
+from benchlattice.registry import FORMAT_VERSION, _ID_RE, _load_json
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
@@ -29,7 +44,10 @@ from benchlattice.taxonomy import (
     TestBench,
     elements_by_dimension,
     leaf_dimensions,
+    new_bench,
+    substantiate_dimension,
     validate_bench,
+    with_elements,
 )
 from benchlattice.testcase import (
     EvaluationCriterion,
@@ -513,3 +531,286 @@ def random_admissibility_instance(rng: random.Random):
         if narrowed:
             overrides[case.id] = narrowed
     return suite, benches, overrides
+
+
+# --- reference registry loader -------------------------------------------------
+#
+# The two-pass loader the package's lean one must agree with: every element
+# goes through every itemised schema check, and every bench is built through
+# the public draft operations (new_bench, substantiate_dimension with its
+# re-sort per call, with_elements), then validated with the tree sorted again
+# for its leaves. Kept independent of registry._Checker and of
+# taxonomy.validate_bench.
+
+_REF_STAGES = tuple(stage.value for stage in Stage)
+_REF_BENCH_FIELDS = {"id", "display_name", "substantiations", "combinable", "elements"}
+_REF_ELEMENT_REQUIRED = (
+    "id", "dimension", "stage", "validated_for", "cost_rate", "time_factor", "setup_cost",
+)
+_REF_ELEMENT_FIELDS = set(_REF_ELEMENT_REQUIRED) | {"display_name", "extra"}
+_REF_CANONICAL_RANK = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
+
+
+class _RefChecker:
+    def __init__(self) -> None:
+        self.issues: list[tuple[str, str]] = []
+
+    def add(self, location: str, message: str) -> None:
+        self.issues.append((location, message))
+
+    def obj(self, value: object, location: str) -> dict[str, Any] | None:
+        if not isinstance(value, dict):
+            self.add(location, f"expected an object, got {type(value).__name__}")
+            return None
+        return value
+
+    def array(self, value: object, location: str) -> list[Any] | None:
+        if not isinstance(value, list):
+            self.add(location, f"expected an array, got {type(value).__name__}")
+            return None
+        return value
+
+    def text(self, value: object, location: str, *, identifier: bool = False) -> str | None:
+        if not isinstance(value, str):
+            self.add(location, f"expected a string, got {type(value).__name__}")
+            return None
+        if identifier and not _ID_RE.match(value):
+            self.add(location, f"{value!r} is not a valid identifier")
+            return None
+        return value
+
+    def number(self, value: object, location: str, *, exclusive: bool = False) -> None:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            self.add(location, f"expected a number, got {type(value).__name__}")
+            return
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            self.add(location, f"must be a finite number, got {number}")
+        elif exclusive and not number > 0.0:
+            self.add(location, f"must be > 0.0, got {number}")
+        elif not exclusive and number < 0.0:
+            self.add(location, f"must be >= 0.0, got {number}")
+
+    def known_fields(self, value: dict[str, Any], location: str, allowed: set[str]) -> None:
+        for key in sorted(set(value) - allowed):
+            self.add(f"{location}.{key}", "unknown field")
+
+
+def _ref_check_element(check: _RefChecker, raw: object, location: str) -> None:
+    entry = check.obj(raw, location)
+    if entry is None:
+        return
+    check.known_fields(entry, location, _REF_ELEMENT_FIELDS)
+    for required in _REF_ELEMENT_REQUIRED:
+        if required not in entry:
+            check.add(f"{location}.{required}", "required field missing")
+    for key in ("id", "dimension"):
+        if key in entry:
+            check.text(entry[key], f"{location}.{key}", identifier=True)
+    if "display_name" in entry:
+        check.text(entry["display_name"], f"{location}.display_name")
+    if "stage" in entry and entry["stage"] not in _REF_STAGES:
+        check.add(
+            f"{location}.stage",
+            f"expected one of {list(_REF_STAGES)}, got {entry['stage']!r}",
+        )
+    if "validated_for" in entry:
+        tags = check.array(entry["validated_for"], f"{location}.validated_for")
+        for i, tag in enumerate(tags or ()):
+            check.text(tag, f"{location}.validated_for[{i}]")
+    for key in ("cost_rate", "time_factor", "setup_cost"):
+        if key in entry:
+            check.number(entry[key], f"{location}.{key}", exclusive=key == "time_factor")
+    if "extra" in entry:
+        check.obj(entry["extra"], f"{location}.extra")
+
+
+def _ref_check_bench(check: _RefChecker, raw: object, location: str) -> dict[str, Any] | None:
+    bench = check.obj(raw, location)
+    if bench is None:
+        return None
+    check.known_fields(bench, location, _REF_BENCH_FIELDS)
+    if "id" not in bench:
+        check.add(f"{location}.id", "required field missing")
+    else:
+        check.text(bench["id"], f"{location}.id", identifier=True)
+    if "display_name" in bench:
+        check.text(bench["display_name"], f"{location}.display_name")
+    subs = check.obj(bench.get("substantiations", {}), f"{location}.substantiations")
+    for parent, names in (subs or {}).items():
+        names_arr = check.array(names, f"{location}.substantiations.{parent}")
+        if names_arr is not None and not names_arr:
+            check.add(f"{location}.substantiations.{parent}", "must not be empty")
+        for i, name in enumerate(names_arr or ()):
+            check.text(name, f"{location}.substantiations.{parent}[{i}]")
+    flags = check.obj(bench.get("combinable", {}), f"{location}.combinable")
+    for dim, flag in (flags or {}).items():
+        if not isinstance(flag, bool):
+            check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
+    elements = check.array(bench.get("elements", []), f"{location}.elements")
+    for i, entry in enumerate(elements or ()):
+        _ref_check_element(check, entry, f"{location}.elements[{i}]")
+    return bench
+
+
+def _ref_tree_order(nodes) -> tuple:
+    nodes = list(nodes)
+    order = {node.id: i for i, node in enumerate(nodes)}
+
+    def key(node):
+        anchor = node.parent if node.parent is not None else node.id
+        rank = _REF_CANONICAL_RANK.get(anchor, len(_REF_CANONICAL_RANK))
+        return (rank, 1 if node.parent is not None else 0, order[node.id])
+
+    return tuple(sorted(nodes, key=key))
+
+
+def _ref_build(raw: Mapping[str, Any]) -> TestBench:
+    bench_id = str(raw.get("id", ""))
+    combinable = dict(raw.get("combinable") or {})
+    canonical = {k: bool(v) for k, v in combinable.items() if k in _REF_CANONICAL_RANK}
+    bench = new_bench(
+        bench_id, str(raw.get("display_name", bench_id)), combinable_overrides=canonical
+    )
+    for parent, subs in (raw.get("substantiations") or {}).items():
+        bench = substantiate_dimension(bench, str(parent), list(subs))
+    sub_overrides = {k: v for k, v in combinable.items() if k not in canonical}
+    if sub_overrides:
+        unknown = sorted(set(sub_overrides) - {node.id for node in bench.dimension_tree})
+        if unknown:
+            raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
+        bench = replace(
+            bench,
+            dimension_tree=tuple(
+                replace(node, combinable=bool(sub_overrides[node.id]))
+                if node.id in sub_overrides
+                else node
+                for node in bench.dimension_tree
+            ),
+        )
+    elements = []
+    for entry in raw.get("elements") or ():
+        try:
+            stage = Stage(str(entry["stage"]))
+        except ValueError:
+            raise TaxonomyError(
+                f"unknown stage {str(entry['stage'])!r}; expected one of "
+                f"{', '.join(_REF_STAGES)}"
+            ) from None
+        elements.append(
+            Element(
+                id=str(entry["id"]),
+                display_name=str(entry.get("display_name", entry["id"])),
+                dimension=str(entry["dimension"]),
+                stage=stage,
+                characteristics=Characteristics(
+                    validated_for=frozenset(entry.get("validated_for", ())),
+                    cost_rate=float(entry.get("cost_rate", 0.0)),
+                    time_factor=float(entry.get("time_factor", 1.0)),
+                    setup_cost=float(entry.get("setup_cost", 0.0)),
+                    extra=dict(entry.get("extra", {})),
+                ),
+            )
+        )
+    return with_elements(bench, elements)
+
+
+def reference_validate_bench(raw: Mapping[str, Any]) -> TestBench:
+    bench = _ref_build(raw)
+    nodes = _ref_tree_order(bench.dimension_tree)
+    seen: set[str] = set()
+    for node in nodes:
+        if node.id in seen:
+            raise DuplicateId(f"duplicate dimension id {node.id!r} in bench {bench.id!r}")
+        seen.add(node.id)
+    for dim_id in CANONICAL_DIMENSION_IDS:
+        if dim_id not in seen:
+            raise TaxonomyError(f"bench {bench.id!r} misses canonical dimension {dim_id!r}")
+    for node in nodes:
+        if node.parent is None:
+            continue
+        if node.parent not in _REF_CANONICAL_RANK:
+            raise TaxonomyError(
+                f"sub-dimension {node.id!r} hangs off non-canonical {node.parent!r}; "
+                "substantiation depth is one level"
+            )
+        if node.parent not in seen:
+            raise UnknownDimension(
+                f"sub-dimension {node.id!r} references missing parent {node.parent!r}"
+            )
+
+    ordered = _ref_tree_order(replace(bench, dimension_tree=nodes).dimension_tree)
+    parents = {node.parent for node in ordered if node.parent is not None}
+    leaf_ids = [node.id for node in ordered if node.id not in parents]
+    leaf_rank = {dim_id: i for i, dim_id in enumerate(leaf_ids)}
+    non_leaves = {node.id for node in nodes} - set(leaf_ids)
+    seen_elements: set[str] = set()
+    for elem in bench.elements:
+        if elem.id in seen_elements:
+            raise DuplicateId(f"duplicate element id {elem.id!r} in bench {bench.id!r}")
+        seen_elements.add(elem.id)
+        if elem.dimension in non_leaves:
+            raise ElementOnNonLeaf(
+                f"element {elem.id!r} sits on substantiated dimension {elem.dimension!r}"
+            )
+        if elem.dimension not in leaf_rank:
+            raise UnknownDimension(
+                f"element {elem.id!r} references unknown dimension {elem.dimension!r}"
+            )
+    populated = {elem.dimension for elem in bench.elements}
+    for leaf_id in leaf_ids:
+        if leaf_id not in populated:
+            raise EmptyLeaf(f"leaf dimension {leaf_id!r} of bench {bench.id!r} holds no element")
+    if any(node.parent == "test-object" for node in nodes):
+        warnings.warn(
+            f"bench {bench.id!r} substantiates the test-object dimension", BenchValidationWarning
+        )
+    ordered_elements = sorted(
+        enumerate(bench.elements), key=lambda pair: (leaf_rank[pair[1].dimension], pair[0])
+    )
+    return replace(
+        bench, dimension_tree=nodes, elements=tuple(elem for _, elem in ordered_elements)
+    )
+
+
+def reference_load_registry(path: str | Path) -> list[TestBench]:
+    """The registry loader with every element checked field by field and
+    every bench built by the public draft operations."""
+    doc = _load_json(path)
+    check = _RefChecker()
+    fragments: list[dict[str, Any]] = []
+    root = check.obj(doc, "$")
+    if root is not None:
+        check.known_fields(root, "$", {"format_version", "benches"})
+        version = root.get("format_version")
+        if version != FORMAT_VERSION:
+            check.add(
+                "format_version",
+                f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}",
+            )
+        seen_ids: set[str] = set()
+        for i, raw in enumerate(check.array(root.get("benches"), "benches") or ()):
+            fragment = _ref_check_bench(check, raw, f"benches[{i}]")
+            if fragment is None:
+                continue
+            bench_id = fragment.get("id")
+            if isinstance(bench_id, str):
+                if bench_id in seen_ids:
+                    check.add(f"benches[{i}].id", f"duplicate bench id {bench_id!r}")
+                seen_ids.add(bench_id)
+            fragments.append(fragment)
+    if check.issues:
+        raise SchemaError(check.issues)
+    loaded: list[TestBench] = []
+    problems: list[tuple[str, BenchlatticeError]] = []
+    for fragment in fragments:
+        try:
+            loaded.append(reference_validate_bench(fragment))
+        except BenchlatticeError as exc:
+            problems.append((str(fragment.get("id")), exc))
+    if problems:
+        raise ValidationError(problems)
+    return loaded

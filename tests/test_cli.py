@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import benchlattice
+from benchlattice import cli
 from benchlattice.cli import run
 from benchlattice.data import fixture_path
 from benchlattice.registry import LoadedSuite, save_registry, save_suite
@@ -125,6 +130,77 @@ def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["enumerate", SIL]) == 2  # --bench missing
     assert run(["frobnicate"]) == 2
+
+
+REUSE_SEQUENCES = {
+    "exact-then-greedy": [
+        ["assign", FLEET, SUITE, "--budget", BUDGET, "--exact", "-o", "{out}"],
+        ["assign", FLEET, SUITE, "-o", "{out}"],
+    ],
+    "configuration-then-bench-chart": [
+        ["chart", SIL, "--bench", "sil", "--config", "1", "-o", "{out}"],
+        ["chart", SIL, "--bench", "sil", "-o", "{out}"],
+    ],
+    "usage-error-then-valid": [
+        ["classify", SIL, "--bench", "sil"],
+        ["classify", SIL, "--bench", "sil", "--config", "1"],
+        ["chart", SIL, "--bench", "sil", "--config", "x", "-o", "{out}"],
+        ["chart", SIL, "--bench", "sil", "-o", "{out}"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_SEQUENCES))
+def test_reused_parser_matches_fresh_parsers(tmp_path, capsys, name):
+    out = tmp_path / "out.file"
+
+    def replay(fresh: bool) -> list:
+        out.unlink(missing_ok=True)
+        cli._parser.cache_clear()
+        results = []
+        for argv in REUSE_SEQUENCES[name]:
+            if fresh:
+                cli._parser.cache_clear()
+            code = run([arg.format(out=out) for arg in argv])
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    reused = replay(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert reused == replay(fresh=True)
+    assert [code for code, *_ in reused] == (
+        [2, 0, 2, 0] if name == "usage-error-then-valid" else [0, 0]
+    )
+
+
+def test_parser_built_on_first_run_not_on_import(tmp_path):
+    script = f"""
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import benchlattice, benchlattice.cli
+counts = [len(built)]
+for _ in range(3):
+    benchlattice.cli.run(["validate", {SIL!r}])
+    counts.append(len(built))
+print(json.dumps(counts), file=sys.stderr)
+"""
+    src = str(Path(benchlattice.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    on_import, first, second, third = json.loads(proc.stderr)
+    assert on_import == 0
+    assert first > 0  # the parser and its subcommand parsers
+    assert second == third == first
 
 
 def test_config_cap_env_var(monkeypatch, capsys):

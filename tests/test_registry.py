@@ -1,16 +1,27 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import random
 import stat
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import benchlattice
+import benchlattice.data
 from benchlattice.assignment import CapacityBudget, assign_greedy
 from benchlattice.chart import render_bench_chart
-from benchlattice.data import fixture_path
+from benchlattice.data import FIXTURES, fixture_path
 from benchlattice.errors import (
+    BenchlatticeError,
     DocumentSyntaxError,
     DuplicateId,
     SchemaError,
@@ -26,8 +37,8 @@ from benchlattice.registry import (
     save_suite,
     write_text_atomic,
 )
-from benchlattice.taxonomy import Stage
-from helpers import random_bench
+from benchlattice.taxonomy import CANONICAL_DIMENSION_IDS, Stage
+from helpers import random_bench, reference_load_registry
 
 
 def sil_raw():
@@ -163,6 +174,65 @@ def test_written_files_follow_the_umask(tmp_path, fleet, demo_suite):
     assert modes == {"fleet.bench.json": 0o644, "demo.plan.json": 0o644, "fleet.svg": 0o644}
 
 
+def test_written_files_never_touch_the_umask(tmp_path, fleet, demo_suite, monkeypatch):
+    # Reading the umask means setting it, which races with other threads
+    # creating files; the kernel applies it to the temp file's 0666 instead.
+    plan = assign_greedy(demo_suite.test_cases, fleet, overrides=demo_suite.overrides)
+    umask = os.umask
+    previous = umask(0o027)
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        save_registry(fleet, tmp_path / "fleet.bench.json")
+        save_plan(plan, tmp_path / "demo.plan.json")
+        write_text_atomic(tmp_path / "fleet.svg", render_bench_chart(fleet[0]))
+    finally:
+        umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"fleet.bench.json": 0o640, "demo.plan.json": 0o640, "fleet.svg": 0o640}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_path_is_the_packaged_file(name):
+    path = fixture_path(name)
+    assert path.is_file()
+    assert path.parent == Path(benchlattice.data.__file__).parent
+    if name.endswith(".suite.json"):
+        assert load_suite(path).test_cases
+    elif name.endswith(".budget.json"):
+        assert load_budget(path).max_bench_time
+    else:
+        assert load_registry(path)
+
+
+def test_missing_field_findings_do_not_depend_on_the_hash_seed(tmp_path):
+    doc = {
+        "format_version": "1",
+        "benches": [{"id": "b", "elements": [{"id": "e", "dimension": "scenery"}]}],
+    }
+    path = tmp_path / "sparse.bench.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(benchlattice.__file__).resolve().parents[1])
+    stderr = []
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "benchlattice", "validate", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        stderr.append(proc.stderr)
+    assert len(set(stderr)) == 1
+    missing = [
+        f"benches[0].elements[0].{key}: required field missing"
+        for key in ("stage", "validated_for", "cost_rate", "time_factor", "setup_cost")
+    ]
+    assert stderr[0] == "error: " + "; ".join(missing) + "\n"
+
+
 def test_load_demo_suite():
     suite = load_suite(fixture_path("demo_suite.suite.json"))
     assert [tc.id for tc in suite.test_cases] == [
@@ -243,3 +313,183 @@ def test_plan_serialization_deterministic(tmp_path, fleet, demo_suite):
     assert payload["assignments"]["cut-in-rain"]["bench"] == "sil"
     assert payload["assignments"]["cut-in-rain"]["monetary_cost"] == 1.75
     assert payload["total_bench_time_s"]["sil"] == 150.0
+
+
+# --- the lean loader against the two-pass reference -------------------------------
+
+_SHIPPED_REGISTRIES = ("sil_bench.json", "test_vehicle_bench.json", "fleet_bench.json")
+_SHIPPED_DOCS = {name: json.loads(fixture_path(name).read_text()) for name in _SHIPPED_REGISTRIES}
+_JUNK = (None, True, 0, -1, 1.5, "", "x y", [], {}, ["real"], {"k": 1})
+_NUMBERS = (
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 2**1024, -1, -0.0, 0,
+    1e-300, 2, 1.7e308, True, "1", None,
+)
+_STAGE_VALUES = ("virtual", "", "Real", "REAL", 1, None, ["real"], "emulated")
+_DIMENSIONS = (*CANONICAL_DIMENSION_IDS, "radar", "camera", "nope", "bad id!", "Scenery")
+_SUB_NAMES = (
+    [], ["A"], ["A", "a"], ["Scenery"], ["   "], ["x y"], ["radar"], [3], ["Radar", "Lidar"],
+)
+_IDS = ("-x", "a b", "", "\u00e4", "ok-id", "x.y_z")
+
+
+def _dicts(node):
+    """Every dict in a parsed document, outermost first."""
+    if isinstance(node, dict):
+        yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from _dicts(child)
+
+
+def _benches(doc):
+    benches = doc.get("benches") if isinstance(doc, dict) else None
+    return [b for b in benches if isinstance(b, dict)] if isinstance(benches, list) else []
+
+
+def _elements(doc):
+    return [
+        e
+        for b in _benches(doc)
+        if isinstance(b.get("elements"), list)
+        for e in b["elements"]
+        if isinstance(e, dict)
+    ]
+
+
+# Mutations that mostly break the schema, and mostly well-formed ones that may
+# break a domain invariant (drawn twice as often, so benches get built).
+_SCHEMA_MUTATIONS = (
+    "drop", "retype", "misspell", "number", "stage", "element-id", "validated-for",
+    "element-junk",
+)
+_DOMAIN_MUTATIONS = (
+    "duplicate-element", "duplicate-bench", "substantiation", "combinable", "dimension",
+    "empty-leaf", "test-object",
+)
+
+
+def _mutate(draw, doc) -> None:
+    """Apply one drawn mutation to ``doc`` in place (or none that fits)."""
+    kind = draw(st.sampled_from(_SCHEMA_MUTATIONS + 2 * _DOMAIN_MUTATIONS))
+    dicts, benches, elements = list(_dicts(doc)), _benches(doc), _elements(doc)
+    if kind in ("drop", "retype", "misspell"):
+        target = draw(st.sampled_from(dicts))
+        if not target:
+            return
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        elif kind == "retype":
+            target[key] = draw(st.sampled_from(_JUNK))
+        else:
+            target[draw(st.sampled_from([key + "s", key.upper(), key.replace("_", "-")]))] = (
+                target.pop(key)
+            )
+        return
+    if kind in ("number", "stage", "element-id", "dimension", "validated-for", "duplicate-element"):
+        if not elements:
+            return
+        element = draw(st.sampled_from(elements))
+        if kind == "number":
+            key = draw(st.sampled_from(["cost_rate", "time_factor", "setup_cost"]))
+            element[key] = draw(st.sampled_from(_NUMBERS))
+        elif kind == "stage":
+            element["stage"] = draw(st.sampled_from(_STAGE_VALUES))
+        elif kind == "element-id":
+            element["id"] = draw(st.sampled_from(_IDS))
+        elif kind == "dimension":
+            element["dimension"] = draw(st.sampled_from(_DIMENSIONS))
+        elif kind == "validated-for":
+            element["validated_for"] = draw(st.sampled_from(["safety", [1], [None], [], ["a", "a"]]))
+        else:
+            element["id"] = draw(st.sampled_from(elements)).get("id")
+        return
+    if not benches:
+        return
+    bench = draw(st.sampled_from(benches))
+    if kind == "duplicate-bench":
+        if draw(st.booleans()):
+            doc["benches"].append(copy.deepcopy(bench))
+        else:
+            bench["id"] = draw(st.sampled_from(benches)).get("id")
+    elif kind == "substantiation":
+        subs = bench.setdefault("substantiations", {})
+        if isinstance(subs, dict):
+            parent = draw(st.sampled_from(_DIMENSIONS))
+            subs[parent] = list(draw(st.sampled_from(_SUB_NAMES)))
+    elif kind == "combinable":
+        flags = bench.setdefault("combinable", {})
+        if isinstance(flags, dict):
+            flags[draw(st.sampled_from(_DIMENSIONS))] = draw(
+                st.sampled_from([True, False, "yes", 0, None])
+            )
+    elif kind == "test-object":  # well-formed, but warns
+        subs = bench.setdefault("substantiations", {})
+        if isinstance(subs, dict) and isinstance(bench.get("elements"), list):
+            subs["test-object"] = ["Planner"]
+            for element in bench["elements"]:
+                if isinstance(element, dict) and element.get("dimension") == "test-object":
+                    element["dimension"] = "planner"
+    elif kind == "empty-leaf":
+        if isinstance(bench.get("elements"), list):
+            dimension = draw(st.sampled_from(_DIMENSIONS))
+            bench["elements"] = [
+                e for e in bench["elements"]
+                if not (isinstance(e, dict) and e.get("dimension") == dimension)
+            ]
+    elif isinstance(bench.get("elements"), list) and bench["elements"]:  # element-junk
+        index = draw(st.integers(0, len(bench["elements"]) - 1))
+        bench["elements"][index] = draw(st.sampled_from(_JUNK))
+
+
+def _outcome(load, path):
+    """Loaded benches or the error (class, text, per-bench causes), plus
+    the warnings raised; anything but a BenchlatticeError propagates."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("loaded", load(path))
+        except BenchlatticeError as exc:
+            causes = []
+            if isinstance(exc, ValidationError):
+                causes = [(obj, type(err), str(err)) for obj, err in exc.issues]
+            result = ("error", type(exc), str(exc), causes)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _same_outcome(doc, tmp_path) -> None:
+    path = tmp_path / "mutated.bench.json"
+    path.write_text(json.dumps(doc))
+    assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["id", "display_name", "dimension", "stage", "validated_for", "cost_rate", "time_factor",
+     "setup_cost", "extra", "surprise"],
+)
+def test_lean_loader_matches_reference_field_by_field(tmp_path, field):
+    drop = object()
+    values = (*_JUNK, *_NUMBERS, *_STAGE_VALUES, *_IDS, *_DIMENSIONS, ["a", 1], {"k": [1]})
+    for value in (*values, drop):
+        doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
+        element = doc["benches"][0]["elements"][4]
+        if value is drop:
+            element.pop(field, None)
+        else:
+            element[field] = value
+        _same_outcome(doc, tmp_path)
+
+
+@settings(deadline=None, max_examples=250)
+@given(data=st.data())
+def test_lean_loader_matches_reference_on_mutated_registries(data):
+    doc = copy.deepcopy(_SHIPPED_DOCS[data.draw(st.sampled_from(_SHIPPED_REGISTRIES))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data.draw, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        _same_outcome(doc, Path(tmp))
