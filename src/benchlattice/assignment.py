@@ -3,11 +3,10 @@
 A configuration is admissible for a test case when the bench covers every
 required dimension and every selected element passes on its own: its stage
 is admissible for its dimension and it is validated for the test case's
-purpose. The rule is therefore decided once per element; assignment walks
-only the configurations composed of passing elements, and a bench with none
-reports its coverage violations plus every element's own. Costs use exact
-rational arithmetic (``fractions.Fraction``) so plans compare and scale
-without floating-point noise.
+purpose. The rule is therefore decided once per element, and a bench whose
+elements admit no configuration reports its coverage violations plus every
+element's own. Costs use exact rational arithmetic (``fractions.Fraction``)
+so plans compare and scale without floating-point noise.
 
 Two solvers produce assignment plans: a regret-guided greedy heuristic and
 an exhaustive oracle for small instances. Both minimise (number of
@@ -15,21 +14,26 @@ unassignable test cases, total cost) lexicographically, coverage before
 savings, and break ties identically (cost, then bench id, then
 configuration index), so plans are reproducible artifacts.
 
-The greedy never walks the configurations. A configuration whose slowest
+Neither solver walks the configurations. A configuration whose slowest
 element has time factor T costs the sum over its elements of
 ``duration·T·rate/3600 + setup``, so for each distinct time factor T of the
-usable elements it takes, on every leaf, the usable element with time
-factor <= T that minimises that term (the lowest declaration index on a
-tie) and sums them; the least (sum, configuration index) over all T is the
-cheapest configuration with the lowest index, because rates and setups are
-never negative. On a combinable leaf the pick is a singleton, since subset
-order puts ``(i)`` before every other subset of zero-cost elements. A
-bench-time limit caps T; the regret's runner-up comes from the same sweep
-with the cheapest configuration's choice left out on one leaf at a time.
-The work grows with leaves × elements × distinct time factors, and only
-the picked configurations are built. The oracle walks and prices every
-admissible configuration, so it stays an independent check, and refuses an
-instance by counting them in closed form before walking any.
+usable elements the search takes, on every leaf, the usable element with
+time factor <= T that minimises that term (the lowest declaration index on
+a tie) and sums them; the least (sum, configuration index) over all T is
+the cheapest configuration with the lowest index, because rates and setups
+are never negative. On a combinable leaf the pick is a singleton, since
+subset order puts ``(i)`` before every other subset of zero-cost elements.
+The strict improvements over ascending T form the bench's (time, cost)
+frontier: the configurations that no faster-or-equal one undercuts.
+A bench-time limit picks the last frontier point that fits; the regret's
+runner-up comes from the same sweep with the cheapest configuration's
+choice left out on one leaf at a time; the oracle searches every
+combination of frontier points, since a dominated configuration is never in
+its answer. The work grows with leaves × elements × distinct time factors,
+the sums are exact integers (see :class:`_Options`), and only the picked
+configurations are built. The oracle still refuses an instance by counting
+its admissible configurations in closed form. :func:`estimate_cost` prices a
+given configuration independently, from its elements.
 """
 
 from __future__ import annotations
@@ -257,11 +261,16 @@ class _Prices:
         }
 
 
+# A configuration found by the sweep: (value, index, time, per-leaf offsets),
+# in the integers of :class:`_Options`.
+_Point = tuple[int, int, int, tuple[int, ...]]
+
+
 class _Options:
     """One bench's admissible configurations for one test case, kept
-    factored: per leaf, the elements that pass on their own. The greedy's
-    queries sweep the time factors over them (see the module docstring)
-    without walking them; the oracle walks them.
+    factored: per leaf, the elements that pass on their own. Both solvers
+    query them by sweeping the time factors (see the module docstring),
+    never by walking them, and build only the configurations they pick.
 
     The sweep works on integers. With the duration dn/dd and an element's
     prices t/scale, r/scale, s/scale (see :class:`_Prices`), the value at
@@ -273,7 +282,6 @@ class _Options:
         space = prices.space
         self.space = space
         self.prices = prices
-        self.test_case = tc
         self.duration = tc.scenario.nominal_duration.as_integer_ratio()
         self.missing, self.own = _violations(space, profile)
         self.usable = tuple(
@@ -297,22 +305,19 @@ class _Options:
             violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
         )
 
-    def assignment(self, index: int, config: TestBenchConfiguration) -> Assignment:
+    def build(self, point: _Point) -> Assignment:
+        """The assignment of one frontier point, priced from its integers."""
+        value, index, time, _ = point
+        config = self.space.at(index)
         return Assignment(
             bench_id=self.space.bench.id,
             config_index=index,
             configuration=config,
-            cost=_cost(self.space, config, self.test_case),
+            cost=CostEstimate(
+                execution_time=self.seconds(time), monetary_cost=self.money(value)
+            ),
             method=self.space.classify(config),
         )
-
-    def walk(self) -> list[Assignment]:
-        """Every admissible configuration, built and priced (the oracle's
-        enumeration)."""
-        if not self.count:
-            return []
-        walk = self.space.walk(lambda elem_id: not self.own[elem_id])
-        return [self.assignment(index, config) for index, config in walk]
 
     @cached_property
     def _leaves(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
@@ -343,18 +348,33 @@ class _Options:
         floor = max(min(t for t, *_ in leaf) for leaf in self._leaves)
         return tuple(sorted({t for leaf in self._leaves for t, *_ in leaf if t >= floor}))
 
-    def _value(self, numerator: int) -> Fraction:
+    def money(self, numerator: int) -> Fraction:
+        """The monetary cost whose value numerator is ``numerator``."""
         dd = self.duration[1]
         return Fraction(numerator, SECONDS_PER_HOUR * dd * self.prices.scale**2)
 
-    def _sweep(self, until: int | None) -> tuple[int, int, int, tuple[int, ...]] | None:
-        """(value, index, time, per-leaf offsets) of the cheapest
+    def seconds(self, time: int) -> Fraction:
+        """The execution time at the time factor numerator ``time``."""
+        dn, dd = self.duration
+        return Fraction(dn * time, dd * self.prices.scale)
+
+    @cached_property
+    def frontier(self) -> tuple[_Point, ...]:
+        """Every admissible configuration that no other one dominates, by
+        ascending time: none runs in no more time with a smaller (cost,
+        index).
+
+        At each distinct time factor T the sweep finds the cheapest
         configuration, lowest index on a tie, among those whose time factors
-        are all <= ``until`` (a numerator; None for no limit)."""
-        best = None
+        are all <= T, priced at T. One that is faster than T was already
+        found, no dearer, at its own time, so each strict improvement of
+        (value, index) over ascending T runs at exactly T: the improvements
+        are the frontier, and the last is the cheapest configuration.
+        """
+        if not self.count:
+            return ()
+        points: list[_Point] = []
         for time in self._times:
-            if until is not None and time > until:
-                break
             value = 0
             offsets = []
             for leaf in self._leaves:
@@ -367,29 +387,22 @@ class _Options:
                 value += low
                 offsets.append(pick)
             index = sum(offsets)
-            if best is None or (value, index) < best[:2]:
-                best = (value, index, time, tuple(offsets))
-        return best
+            if not points or (value, index) < points[-1][:2]:
+                points.append((value, index, time, tuple(offsets)))
+        return tuple(points)
 
-    @cached_property
-    def _cheapest(self) -> tuple[int, int, int, tuple[int, ...]]:
-        # Ascending times with a strict improvement keep the first time that
-        # reaches the best: the cheapest configuration's own time factor.
-        return self._sweep(None)
-
-    def cheapest(self, room: Fraction | None = None) -> tuple[Fraction, int] | None:
-        """(cost, index) of the cheapest configuration, lowest index on a
-        tie, among those that run within ``room`` seconds (None: any)."""
-        best = self._cheapest
-        if room is not None:
-            # duration·t/scale <= room  <=>  t <= room·dd·scale/dn
-            dn, dd = self.duration
-            until = room * dd * self.prices.scale // dn
-            if best[2] > until:
-                best = self._sweep(until)
-                if best is None:
-                    return None
-        return self._value(best[0]), best[1]
+    def cheapest(self, room: Fraction | None = None) -> _Point | None:
+        """The frontier point of the cheapest configuration, lowest index on
+        a tie, among those that run within ``room`` seconds (None: any)."""
+        if room is None:
+            return self.frontier[-1]
+        # duration·t/scale <= room  <=>  t <= room·dd·scale/dn
+        dn, dd = self.duration
+        until = room * dd * self.prices.scale // dn
+        for point in reversed(self.frontier):
+            if point[2] <= until:
+                return point
+        return None
 
     def second_cost(self) -> Fraction | None:
         """The second-lowest cost (equal to the lowest on a tie); None with
@@ -407,7 +420,7 @@ class _Options:
         """
         if self.count < 2:
             return None
-        picks = self._cheapest[3]
+        picks = self.frontier[-1][3]
         best = None
         for time in self._times:
             total = 0
@@ -426,14 +439,13 @@ class _Options:
                     detour = other - low
             if detour is not None and (best is None or total + detour < best):
                 best = total + detour
-        return self._value(best)
+        return self.money(best)
 
 
 def _analyse(
     suite: Sequence[TestCase],
     benches: Sequence[TestBench],
     overrides: Mapping[str, StageOverrides] | None,
-    cap: int | None,
 ) -> list[tuple[TestCase, list[_Options]]]:
     """Per test case, its options on every bench in bench-id order."""
     overrides = overrides or {}
@@ -444,11 +456,9 @@ def _analyse(
     if len(set(bench_ids)) != len(bench_ids):
         raise ValueError(f"duplicate bench ids: {sorted(bench_ids)}")
 
-    spaces = [ConfigurationSpace(bench) for bench in sorted(benches, key=lambda b: b.id)]
-    for space in spaces:
-        space.require_within_cap(cap)
-    prices = [_Prices(space) for space in spaces]
-
+    prices = [
+        _Prices(ConfigurationSpace(bench)) for bench in sorted(benches, key=lambda b: b.id)
+    ]
     analysed = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
@@ -465,55 +475,17 @@ def _regret(options: Sequence[_Options]) -> Fraction | None:
     candidates over all benches; None when it has fewer than two."""
     if sum(opts.count for opts in options) < 2:
         return None
-    ranked = sorted((opts for opts in options if opts.count), key=lambda o: o.cheapest()[0])
-    lowest = ranked[0].cheapest()[0]
+    ranked = sorted(
+        ((opts.money(opts.cheapest()[0]), opts) for opts in options if opts.count),
+        key=lambda pair: pair[0],
+    )
+    lowest, cheapest = ranked[0]
     # The second-cheapest is on the cheapest bench or is another's cheapest.
-    seconds = [opts.cheapest()[0] for opts in ranked[1:2]]
-    second = ranked[0].second_cost()
+    seconds = [cost for cost, _ in ranked[1:2]]
+    second = cheapest.second_cost()
     if second is not None:
         seconds.append(second)
     return min(seconds) - lowest
-
-
-# --- candidate generation ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CaseCandidates:
-    test_case: TestCase
-    candidates: tuple[Assignment, ...]  # by (monetary cost, bench id, config index)
-    reports: Mapping[str, AdmissibilityReport]  # per bench: why (not) usable
-
-
-def _collect_candidates(
-    suite: Sequence[TestCase],
-    benches: Sequence[TestBench],
-    overrides: Mapping[str, StageOverrides] | None,
-    cap: int | None,
-    max_candidates: int | None = None,
-) -> list[_CaseCandidates]:
-    """Every test case's candidates, found by walking and pricing each
-    admissible configuration. Raises :class:`InstanceTooLarge` before any
-    walk when their number, counted in closed form, exceeds
-    ``max_candidates``."""
-    analysed = _analyse(suite, benches, overrides, cap)
-    if max_candidates is not None:
-        total = sum(opts.count for _, options in analysed for opts in options)
-        if total > max_candidates:
-            raise InstanceTooLarge(
-                f"exhaustive solver handles at most {max_candidates} candidate "
-                f"configurations in total, got {total}"
-            )
-    collected = []
-    for tc, options in analysed:
-        candidates = [cand for opts in options for cand in opts.walk()]
-        candidates.sort(key=lambda c: (c.cost.monetary_cost, c.bench_id, c.config_index))
-        collected.append(
-            _CaseCandidates(
-                test_case=tc, candidates=tuple(candidates), reports=_reports(options)
-            )
-        )
-    return collected
 
 
 # --- solvers -----------------------------------------------------------------
@@ -546,11 +518,10 @@ def _finish_plan(
     )
 
 
-def _skip(
-    tc: TestCase, admissible: bool, reports: Mapping[str, AdmissibilityReport]
-) -> UnassignableCase:
+def _skip(tc: TestCase, options: Sequence[_Options]) -> UnassignableCase:
+    admissible = any(opts.count for opts in options)
     reason = "bench-time-exhausted" if admissible else "no-admissible-configuration"
-    return UnassignableCase(test_case_id=tc.id, reason=reason, reports=reports)
+    return UnassignableCase(test_case_id=tc.id, reason=reason, reports=_reports(options))
 
 
 def assign_greedy(
@@ -559,7 +530,6 @@ def assign_greedy(
     budget: CapacityBudget | None = None,
     *,
     overrides: Mapping[str, StageOverrides] | None = None,
-    cap: int | None = None,
 ) -> AssignmentPlan:
     """Assign each test case to the cheapest admissible configuration.
 
@@ -571,9 +541,9 @@ def assign_greedy(
 
     The candidates are searched factored, per leaf and time factor (see
     the module docstring), never by walking the configurations; only the
-    picked ones are built, priced and classified.
+    picked ones are built and classified.
     """
-    cases = _analyse(suite, benches, overrides, cap)
+    cases = _analyse(suite, benches, overrides)
 
     if budget is None:
         order = cases
@@ -593,23 +563,25 @@ def assign_greedy(
     skipped: dict[str, UnassignableCase] = {}
     used: dict[str, Fraction] = {}
     for tc, options in order:
-        best: tuple[Fraction, int, _Options] | None = None
+        best: tuple[Fraction, _Point, _Options] | None = None
         for opts in options:
             if not opts.count:
                 continue
             bench_id = opts.space.bench.id
             limit = budget.limit(bench_id) if budget is not None else None
             room = None if limit is None else limit - used.get(bench_id, Fraction(0))
-            found = opts.cheapest(room)
+            point = opts.cheapest(room)
+            if point is None:
+                continue
+            cost = opts.money(point[0])
             # Benches come in id order, so only a strictly lower cost wins.
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (*found, opts)
+            if best is None or cost < best[0]:
+                best = (cost, point, opts)
         if best is None:
-            admissible = any(opts.count for opts in options)
-            skipped[tc.id] = _skip(tc, admissible, _reports(options))
+            skipped[tc.id] = _skip(tc, options)
         else:
-            _, index, opts = best
-            picked = opts.assignment(index, opts.space.at(index))
+            _, point, opts = best
+            picked = opts.build(point)
             chosen[tc.id] = picked
             used[picked.bench_id] = (
                 used.get(picked.bench_id, Fraction(0)) + picked.cost.execution_time
@@ -623,32 +595,58 @@ def assign_exact(
     budget: CapacityBudget | None = None,
     *,
     overrides: Mapping[str, StageOverrides] | None = None,
-    cap: int | None = None,
 ) -> AssignmentPlan:
     """Exhaustive oracle: the plan minimising (unassignable count, total
     cost) lexicographically over every candidate combination that respects
-    the budget.
+    the budget; the first such plan in (cost, bench id, configuration
+    index) order of each test case's candidates.
 
-    Guarded to |suite| <= 8 test cases and <= 32 candidate configurations in
-    total; larger instances raise :class:`InstanceTooLarge` before any
-    configuration is walked.
+    Guarded to |suite| <= 8 test cases and <= 32 admissible configurations
+    in total, counted in closed form; larger instances raise
+    :class:`InstanceTooLarge` before any configuration is built.
+
+    The search runs over each bench's frontier (:attr:`_Options.frontier`).
+    A configuration off it is dominated by one on the same bench that runs
+    in no more time at a smaller (cost, index): swapping it for that one
+    keeps a plan within budget, costs no more and comes earlier in the
+    search, so it is never in the plan returned. Only the picks are built.
     """
     if len(suite) > EXACT_MAX_SUITE:
         raise InstanceTooLarge(
             f"exhaustive solver handles at most {EXACT_MAX_SUITE} test cases, "
             f"got {len(suite)}"
         )
-    cases = _collect_candidates(suite, benches, overrides, cap, EXACT_MAX_CANDIDATES)
+    cases = _analyse(suite, benches, overrides)
+    total = sum(opts.count for _, options in cases for opts in options)
+    if total > EXACT_MAX_CANDIDATES:
+        raise InstanceTooLarge(
+            f"exhaustive solver handles at most {EXACT_MAX_CANDIDATES} candidate "
+            f"configurations in total, got {total}"
+        )
+    # Per test case: (cost, bench id, index, time, options, point) of every
+    # frontier point, in search order.
+    candidates = [
+        sorted(
+            (
+                (opts.money(point[0]), opts.space.bench.id, point[1],
+                 opts.seconds(point[2]), opts, point)
+                for opts in options
+                for point in opts.frontier
+            ),
+            key=lambda cand: cand[:3],
+        )
+        for _, options in cases
+    ]
 
     n = len(cases)
-    best: tuple[int, Fraction, tuple[Assignment | None, ...]] | None = None
+    best: tuple[int, Fraction, tuple[tuple | None, ...]] | None = None
 
     def dfs(
         index: int,
         skipped_count: int,
         cost: Fraction,
         used: dict[str, Fraction],
-        picks: list[Assignment | None],
+        picks: list[tuple | None],
     ) -> None:
         nonlocal best
         if best is not None and (
@@ -659,16 +657,17 @@ def assign_exact(
             if best is None or (skipped_count, cost) < (best[0], best[1]):
                 best = (skipped_count, cost, tuple(picks))
             return
-        for cand in cases[index].candidates:
-            limit = budget.limit(cand.bench_id) if budget is not None else None
-            spent = used.get(cand.bench_id, Fraction(0))
-            if limit is not None and spent + cand.cost.execution_time > limit:
+        for cand in candidates[index]:
+            money, bench_id, _, seconds, _, _ = cand
+            limit = budget.limit(bench_id) if budget is not None else None
+            spent = used.get(bench_id, Fraction(0))
+            if limit is not None and spent + seconds > limit:
                 continue
-            used[cand.bench_id] = spent + cand.cost.execution_time
+            used[bench_id] = spent + seconds
             picks.append(cand)
-            dfs(index + 1, skipped_count, cost + cand.cost.monetary_cost, used, picks)
+            dfs(index + 1, skipped_count, cost + money, used, picks)
             picks.pop()
-            used[cand.bench_id] = spent
+            used[bench_id] = spent
         picks.append(None)
         dfs(index + 1, skipped_count + 1, cost, used, picks)
         picks.pop()
@@ -678,11 +677,10 @@ def assign_exact(
 
     chosen: dict[str, Assignment] = {}
     skipped: dict[str, UnassignableCase] = {}
-    for case, pick in zip(cases, best[2]):
+    for (tc, options), pick in zip(cases, best[2]):
         if pick is None:
-            skipped[case.test_case.id] = _skip(
-                case.test_case, bool(case.candidates), case.reports
-            )
+            skipped[tc.id] = _skip(tc, options)
         else:
-            chosen[case.test_case.id] = pick
+            opts, point = pick[4:]
+            chosen[tc.id] = opts.build(point)
     return _finish_plan(suite, chosen, skipped)

@@ -10,11 +10,10 @@ index), so configuration indices are stable, reportable handles.
 Each bench's structure is derived once into a :class:`ConfigurationSpace`,
 which counts configurations in closed form and computes configuration *i*
 directly from its index. Looking up one configuration therefore works for
-any index in range, whatever the enumeration cap. Listing every
-configuration (:func:`enumerate_configurations`) is capped, and so is
-assignment, which builds only the configurations it picks (the exhaustive
-oracle: only the admissible ones) but still refuses a bench whose full
-count exceeds the cap.
+any index in range, whatever the enumeration cap. Only listing every
+configuration (:func:`enumerate_configurations`) is capped; assignment
+searches the configurations factored and builds only those it picks, so it
+runs on a bench of any size.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ bench returns a new value.
 
 from __future__ import annotations
 
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -155,8 +154,11 @@ class Characteristics:
         ):
             return
         for name in ("cost_rate", "time_factor", "setup_cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise TaxonomyError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # False for NaN; ints past the float range are not finite floats.
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                shown = value if isinstance(value, float) else "a number past the float range"
+                raise TaxonomyError(f"{name} must be finite, got {shown}")
         if self.cost_rate < 0:
             raise TaxonomyError(f"cost_rate must be >= 0, got {self.cost_rate}")
         if self.time_factor <= 0:

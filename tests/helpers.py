@@ -319,7 +319,76 @@ def reference_greedy(
         else:
             reason = "bench-time-exhausted" if candidates else "no-admissible-configuration"
             skipped[tc.id] = UnassignableCase(tc.id, reason, reports)
+    return _reference_plan(suite, chosen, skipped)
 
+
+def reference_exact(
+    suite: list[TestCase],
+    benches: Iterable[TestBench],
+    budget: CapacityBudget | None,
+    overrides: Mapping[str, StageOverrides],
+    collected: list | None = None,
+) -> AssignmentPlan:
+    """The exhaustive search run over the full candidate lists of
+    :func:`reference_candidates` (pass them as ``collected`` when already
+    computed): the reference the frontier oracle is checked against. A
+    depth-first search tries each test case's candidates in (cost, bench
+    id, configuration index) order, then leaving it unassigned, and keeps
+    the first plan with the least (unassignable count, total cost)."""
+    if collected is None:
+        collected = reference_candidates(suite, benches, overrides)
+    n = len(collected)
+    best: tuple[int, Fraction, tuple[Assignment | None, ...]] | None = None
+
+    def dfs(
+        index: int,
+        skipped_count: int,
+        cost: Fraction,
+        used: dict[str, Fraction],
+        picks: list[Assignment | None],
+    ) -> None:
+        nonlocal best
+        if best is not None and (
+            skipped_count > best[0] or (skipped_count == best[0] and cost > best[1])
+        ):
+            return
+        if index == n:
+            if best is None or (skipped_count, cost) < (best[0], best[1]):
+                best = (skipped_count, cost, tuple(picks))
+            return
+        for cand in collected[index][0]:
+            limit = budget.limit(cand.bench_id) if budget is not None else None
+            spent = used.get(cand.bench_id, Fraction(0))
+            if limit is not None and spent + cand.cost.execution_time > limit:
+                continue
+            used[cand.bench_id] = spent + cand.cost.execution_time
+            picks.append(cand)
+            dfs(index + 1, skipped_count, cost + cand.cost.monetary_cost, used, picks)
+            picks.pop()
+            used[cand.bench_id] = spent
+        picks.append(None)
+        dfs(index + 1, skipped_count + 1, cost, used, picks)
+        picks.pop()
+
+    dfs(0, 0, Fraction(0), {}, [])
+    assert best is not None  # the all-skipped combination always exists
+
+    chosen: dict[str, Assignment] = {}
+    skipped: dict[str, UnassignableCase] = {}
+    for tc, (candidates, reports), pick in zip(suite, collected, best[2]):
+        if pick is None:
+            reason = "bench-time-exhausted" if candidates else "no-admissible-configuration"
+            skipped[tc.id] = UnassignableCase(tc.id, reason, reports)
+        else:
+            chosen[tc.id] = pick
+    return _reference_plan(suite, chosen, skipped)
+
+
+def _reference_plan(
+    suite: list[TestCase],
+    chosen: Mapping[str, Assignment],
+    skipped: Mapping[str, UnassignableCase],
+) -> AssignmentPlan:
     assignments = {tc.id: chosen[tc.id] for tc in suite if tc.id in chosen}
     bench_time: dict[str, Fraction] = {}
     for cand in assignments.values():

@@ -10,7 +10,6 @@ from benchlattice import assignment
 from benchlattice.assignment import (
     CapacityBudget,
     ReasonCode,
-    _collect_candidates,
     assign_exact,
     assign_greedy,
     check_admissibility,
@@ -37,6 +36,7 @@ from helpers import (
     reference_admissibility,
     reference_candidates,
     reference_configurations,
+    reference_exact,
     reference_greedy,
     scale_cost_rates,
     uniform_bench,
@@ -387,20 +387,101 @@ def test_check_admissibility_matches_per_configuration_rule():
                     ), f"seed {seed}"
 
 
-def test_collected_candidates_match_brute_force_reference():
+def _frontier(candidates):
+    """The candidates, of one bench and in (cost, index) order, that no other
+    one dominates: none runs in no more time at a smaller (cost, index)."""
+    return [
+        cand
+        for i, cand in enumerate(candidates)
+        if all(d.cost.execution_time > cand.cost.execution_time for d in candidates[:i])
+    ]
+
+
+def test_frontier_hand_derived():
+    # No element charges a rate, so a configuration costs its setups at any
+    # speed. On vehicle-dynamics, the only leaf with a choice:
+    #   vd-0  time factor 2.0   setup 1
+    #   vd-1  time factor 0.5   setup 1
+    #   vd-2  time factor 0.25  setup 3
+    #   vd-3  time factor 4.0   setup 1   (vd-0 is as cheap, earlier, faster)
+    # At 0.25 only vd-2 runs; 0.5 adds vd-1, cheaper; 2.0 adds vd-0, as
+    # cheap at a lower index; 4.0 adds nothing better.
+    speeds = {"vd-0": (2.0, 1.0), "vd-1": (0.5, 1.0), "vd-2": (0.25, 3.0), "vd-3": (4.0, 1.0)}
+    bench = uniform_bench(
+        "rig",
+        skip_dimensions=("vehicle-dynamics",),
+        extra_elements=[
+            make_element(eid, "vehicle-dynamics", cost_rate=0.0, time_factor=t, setup_cost=s)
+            for eid, (t, s) in speeds.items()
+        ],
+        cost_rate=0.0,
+        time_factor=0.25,
+    )
+    tc = make_test_case("a", duration=100.0)
+    [(_, [opts])] = assignment._analyse([tc], [bench], {})
+    assert [
+        (index, opts.seconds(time), opts.money(value))
+        for value, index, time, _ in opts.frontier
+    ] == [(2, 25, 3), (1, 50, 1), (0, 200, 1)]
+
+    def picks(suite, limit=None):
+        budget = None if limit is None else CapacityBudget({"rig": limit})
+        plans = [
+            solver(suite, [bench], budget, overrides={})
+            for solver in (assign_greedy, assign_exact)
+        ]
+        assert plans[0] == plans[1]
+        assignments = plans[1].assignments
+        return [assignments[t.id].config_index for t in suite if t.id in assignments]
+
+    assert picks([tc]) == [0]
+    assert picks([tc], 100.0) == [1]
+    assert picks([tc], 30.0) == [2]
+    assert picks([tc], 20.0) == []
+    assert picks([tc, make_test_case("b", duration=100.0)], 75.0) == [1, 2]
+
+
+def _assert_frontier_matches_reference(suite, benches, overrides, label):
+    """Checks every (test case, bench) frontier and report against the
+    reference; returns the reference's (candidates, reports) per test case
+    and how many frontiers of two or more points left candidates off."""
+    expected = reference_candidates(suite, benches, overrides)
+    analysed = assignment._analyse(suite, benches, overrides)
+    pruned = 0
+    for (_, options), (candidates, reports) in zip(analysed, expected):
+        assert assignment._reports(options) == reports, label
+        for opts in options:
+            on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
+            assert opts.count == len(on_bench), label
+            built = sorted(
+                (opts.build(point) for point in opts.frontier),
+                key=lambda c: (c.cost.monetary_cost, c.config_index),
+            )
+            assert built == _frontier(on_bench), label
+            times = [point[2] for point in opts.frontier]
+            assert times == sorted(set(times)), label
+            pruned += len(on_bench) > len(built) > 1
+    return expected, pruned
+
+
+def test_frontier_matches_brute_force_reference():
     seen = set()
     for seed in ADMISSIBILITY_SEEDS:
         suite, benches, overrides = random_admissibility_instance(random.Random(seed))
-        collected = _collect_candidates(suite, benches, overrides, None)
-        expected = reference_candidates(suite, benches, overrides)
-        assert [(case.candidates, case.reports) for case in collected] == expected, (
-            f"seed {seed}"
+        expected, _ = _assert_frontier_matches_reference(
+            suite, benches, overrides, f"seed {seed}"
         )
         for _, reports in expected:
             seen.update(v.reason for report in reports.values() for v in report.violations)
             seen.update(report.admissible for report in reports.values())
     # The instances reach every reason, and benches with and without candidates.
     assert seen >= set(ReasonCode) | {True, False}
+
+    pruned = 0
+    for seed in range(40):
+        suite, benches = _tie_instance(random.Random(500 + seed))
+        pruned += _assert_frontier_matches_reference(suite, benches, {}, f"seed {seed}")[1]
+    assert pruned >= 10
 
 
 # --- factored greedy against the reference scan -------------------------------
@@ -430,7 +511,7 @@ def _assert_greedy_matches_reference(
 
 
 def _assert_regrets_match_reference(suite, benches, overrides, collected, label):
-    analysed = assignment._analyse(suite, benches, overrides, None)
+    analysed = assignment._analyse(suite, benches, overrides)
     for (_, options), (candidates, _) in zip(analysed, collected):
         costs = [cand.cost.monetary_cost for cand in candidates[:2]]
         expected = costs[1] - costs[0] if len(costs) == 2 else None
@@ -545,6 +626,163 @@ def test_greedy_matches_reference_on_criterion_6_instances():
     for seed in range(200):
         suite, benches, overrides, budget = random_instance(random.Random(10_000 + seed))
         _assert_greedy_matches_reference(suite, benches, budget, overrides, f"seed {seed}")
+
+
+# --- frontier oracle against the exhaustive reference --------------------------
+
+
+def _assert_exact_matches_reference(
+    suite, benches, budget, overrides, label, collected=None
+):
+    plan = assign_exact(suite, benches, budget, overrides=overrides)
+    assert plan == reference_exact(suite, benches, budget, overrides, collected), label
+    return plan
+
+
+def test_exact_matches_reference_on_fixtures():
+    suite = load_suite(fixture_path("demo_suite.suite.json"))
+    budget = load_budget(fixture_path("demo.budget.json"))
+    for name in ("fleet_bench.json", "sil_bench.json", "test_vehicle_bench.json"):
+        benches = load_registry(fixture_path(name))
+        for limits in (None, budget):
+            _assert_exact_matches_reference(
+                suite.test_cases, benches, limits, suite.overrides, f"{name} {limits}"
+            )
+
+
+def test_exact_matches_reference_on_criterion_6_instances():
+    for seed in range(200):
+        suite, benches, overrides, budget = random_instance(random.Random(10_000 + seed))
+        _assert_exact_matches_reference(suite, benches, budget, overrides, f"seed {seed}")
+
+
+def test_exact_matches_reference_on_admissibility_instances(monkeypatch):
+    # The search, not the guard, is under test, so the guard is raised past
+    # 32; not further than 200, because the reference tries every branch of
+    # equal cost and takes seconds on the few larger instances.
+    monkeypatch.setattr(assignment, "EXACT_MAX_CANDIDATES", 200)
+    binding = searched = 0
+    for seed in ADMISSIBILITY_SEEDS:
+        rng = random.Random(seed)
+        suite, benches, overrides = random_admissibility_instance(rng)
+        collected = reference_candidates(suite, benches, overrides)
+        budget = _binding_budget(rng, collected)
+        if sum(len(candidates) for candidates, _ in collected) > 200:
+            with pytest.raises(InstanceTooLarge):
+                assign_exact(suite, benches, budget, overrides=overrides)
+            continue
+        plans = [
+            _assert_exact_matches_reference(
+                suite, benches, limits, overrides, f"seed {seed}", collected
+            )
+            for limits in (None, budget)
+        ]
+        searched += 1
+        binding += plans[0] != plans[1]
+    assert searched >= 50 and binding >= 10
+
+
+# Per bench: cost rates, setup costs and time factors. As in perfbench's
+# fleet-assign workload the levels do not overlap, and the cheapest bench
+# runs every case at its nominal duration.
+_FLEET_PRICES = (
+    ((0.0, 1.0, 2.0, 5.0), (0.0, 0.5, 1.0), (1.0,)),
+    ((5.0, 10.0, 25.0), (10.0, 15.0, 20.0), (0.5, 1.0, 2.0)),
+    ((25.0, 50.0, 100.0), (40.0, 60.0, 80.0), (1.0, 2.0)),
+)
+
+
+def _fleet_shaped_instance(rng):
+    """Two test cases over three benches priced like perfbench's fleet-assign,
+    with a budget of the longer case's duration on the cheapest bench, which
+    therefore always binds; small enough for the oracle's guard. The middle
+    bench gets the shorter case's duration, so the case that moves there
+    often has to run faster than its cheapest configuration there allows."""
+    benches = []
+    for i, (rates, setups, factors) in enumerate(_FLEET_PRICES):
+        plain = [d for d in CANONICAL_DIMENSION_IDS if d not in ("scenery", "movable-objects")]
+        wide = rng.sample(plain, k=2)
+        extra = [
+            make_element(
+                f"{dim}-{j}",
+                dim,
+                rng.choice((Stage.SIMULATED, Stage.REAL)),
+                cost_rate=rng.choice(rates),
+                time_factor=rng.choice(factors),
+                setup_cost=rng.choice(setups),
+            )
+            for dim in wide
+            for j in range(2)
+        ]
+        # The gate: one scenery element of two is validated for the purpose.
+        extra += [
+            make_element(
+                f"scenery-{j}",
+                "scenery",
+                validated_for=PURPOSES if j == 0 else PURPOSES[1:],
+                cost_rate=rates[0],
+                time_factor=factors[0],
+            )
+            for j in range(2)
+        ]
+        benches.append(
+            uniform_bench(
+                f"fleet-{i}",
+                skip_dimensions=(*wide, "scenery"),
+                extra_elements=extra,
+                cost_rate=rates[0],
+                time_factor=factors[0],
+                setup_cost=setups[0],
+            )
+        )
+    suite = [
+        make_test_case(f"case-{j}", duration=rng.choice((120.0, 240.0, 360.0)))
+        for j in range(2)
+    ]
+    durations = sorted(tc.scenario.nominal_duration for tc in suite)
+    return suite, benches, CapacityBudget({"fleet-0": durations[-1], "fleet-1": durations[0]})
+
+
+def test_exact_matches_reference_on_fleet_shaped_instances():
+    split = slowed = 0
+    for seed in range(40):
+        suite, benches, budget = _fleet_shaped_instance(random.Random(700 + seed))
+        collected = reference_candidates(suite, benches, {})
+        for limits in (None, budget):
+            plan = _assert_exact_matches_reference(
+                suite, benches, limits, {}, f"seed {seed}", collected
+            )
+        split += len({a.bench_id for a in plan.assignments.values()}) == 2
+        # A pick dearer than its bench's cheapest is a frontier point other
+        # than the last.
+        for (candidates, _), tc in zip(collected, suite):
+            picked = plan.assignments.get(tc.id)
+            if picked is not None:
+                low = min(
+                    c.cost.monetary_cost for c in candidates if c.bench_id == picked.bench_id
+                )
+                slowed += picked.cost.monetary_cost > low
+    assert split >= 20 and slowed >= 5
+
+
+def test_solvers_never_price_through_cost(monkeypatch):
+    suite = load_suite(fixture_path("demo_suite.suite.json"))
+    budget = load_budget(fixture_path("demo.budget.json"))
+    benches = load_registry(fixture_path("fleet_bench.json"))
+    solvers = ((assign_greedy, reference_greedy), (assign_exact, reference_exact))
+    expected = [
+        (limits, solver, reference(suite.test_cases, benches, limits, suite.overrides))
+        for limits in (None, budget)
+        for solver, reference in solvers
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a solver priced a configuration through _cost")
+
+    monkeypatch.setattr(assignment, "_cost", refuse)
+    for limits, solver, plan in expected:
+        assert plan.assignments
+        assert solver(suite.test_cases, benches, limits, overrides=suite.overrides) == plan
 
 
 def test_greedy_builds_only_the_configurations_it_picks(monkeypatch):

@@ -11,11 +11,21 @@ import pytest
 
 import benchlattice
 from benchlattice import cli
+from benchlattice.assignment import estimate_cost
 from benchlattice.cli import run
+from benchlattice.configuration import ConfigurationSpace
 from benchlattice.data import fixture_path
-from benchlattice.registry import LoadedSuite, save_registry, save_suite
+from benchlattice.registry import (
+    LoadedSuite,
+    load_budget,
+    load_registry,
+    load_suite,
+    save_plan,
+    save_registry,
+    save_suite,
+)
 from benchlattice.taxonomy import Stage
-from helpers import make_element, make_test_case, uniform_bench
+from helpers import make_element, make_test_case, reference_greedy, uniform_bench
 
 FLEET = str(fixture_path("fleet_bench.json"))
 SIL = str(fixture_path("sil_bench.json"))
@@ -272,6 +282,38 @@ def test_lookup_out_of_range_past_the_cap(wide_registry, tmp_path, capsys, index
     assert f"has {2**24 - 1} configurations" in capsys.readouterr().err
     assert run(["chart", wide_registry, *argv, "-o", str(tmp_path / "x.svg")]) == 1
     assert f"has {2**24 - 1} configurations" in capsys.readouterr().err
+
+
+def test_assign_past_the_cap(wide_registry, tmp_path, capsys):
+    suite_path = tmp_path / "wide.suite.json"
+    cases = (make_test_case("long"), make_test_case("short", duration=60.0))
+    save_suite(LoadedSuite(test_cases=cases, overrides={}), suite_path)
+    out = tmp_path / "plan.json"
+    assert run(["assign", wide_registry, str(suite_path), "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "cap" not in captured.err
+    # Every singleton costs the same, so each case takes configuration 0.
+    bench = load_registry(wide_registry)[0]
+    config = ConfigurationSpace(bench).at(0)
+    payload = json.loads(out.read_text())
+    for tc in cases:
+        entry = payload["assignments"][tc.id]
+        assert (entry["config_index"], entry["method"]) == (0, "test-vehicle")
+        assert entry["monetary_cost"] == float(estimate_cost(config, bench, tc).monetary_cost)
+    # The oracle refuses it by its candidate count, not by the cap.
+    assert run(["assign", wide_registry, str(suite_path), "--exact", "-o", str(out)]) == 2
+    assert f"got {2 * (2**24 - 1)}" in capsys.readouterr().err
+
+
+def test_assign_ignores_the_cap(monkeypatch, tmp_path):
+    monkeypatch.setenv("BENCHLATTICE_CONFIG_CAP", "1")
+    suite = load_suite(SUITE)
+    benches = load_registry(FLEET)
+    out, expected = tmp_path / "plan.json", tmp_path / "expected.json"
+    for flags, budget in (([], None), (["--budget", BUDGET], load_budget(BUDGET))):
+        assert run(["assign", FLEET, SUITE, *flags, "-o", str(out)]) in (0, 1)
+        save_plan(reference_greedy(suite.test_cases, benches, budget, suite.overrides), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_validate_warns_on_test_object_substantiation(tmp_path, capsys):

@@ -217,6 +217,15 @@ def test_characteristics_must_be_finite(name, value):
         Characteristics(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["cost_rate", "time_factor", "setup_cost"])
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), 10**5000], ids=["huge", "negative", "past-digit-limit"]
+)
+def test_characteristics_reject_integers_past_the_float_range(name, value):
+    with pytest.raises(TaxonomyError, match=f"{name} must be finite, got a number past"):
+        Characteristics(**{name: value})
+
+
 def test_elements_sorted_into_spoke_order(sil_bench):
     ranks = {leaf.id: i for i, leaf in enumerate(leaf_dimensions(sil_bench))}
     positions = [ranks[e.dimension] for e in sil_bench.elements]
