@@ -649,13 +649,12 @@ def assign_exact(
         picks: list[tuple | None],
     ) -> None:
         nonlocal best
-        if best is not None and (
-            skipped_count > best[0] or (skipped_count == best[0] and cost > best[1])
-        ):
+        # Neither count nor cost falls along a branch: a tie is cut, so the first
+        # optimum found is kept and a branch reaching the end beats the best.
+        if best is not None and (skipped_count, cost) >= best[:2]:
             return
         if index == n:
-            if best is None or (skipped_count, cost) < (best[0], best[1]):
-                best = (skipped_count, cost, tuple(picks))
+            best = (skipped_count, cost, tuple(picks))
             return
         for cand in candidates[index]:
             money, bench_id, _, seconds, _, _ = cand

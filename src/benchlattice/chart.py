@@ -187,9 +187,15 @@ def render_configuration_chart(
     polygon visits one vertex per leaf in spoke order. Unselected elements
     are omitted unless ``style.show_unselected`` is set.
     """
-    style = style or ChartStyle()
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
+    return _configuration_chart(space, config, style or ChartStyle())
+
+
+def _configuration_chart(
+    space: ConfigurationSpace, config: TestBenchConfiguration, style: ChartStyle
+) -> str:
+    """:func:`render_configuration_chart` of a configuration of ``space``."""
     layout = _Layout(space, style)
     selected = {eid for ids in config.selection.values() for eid in ids}
 

@@ -17,8 +17,8 @@ import warnings
 from typing import Sequence
 
 from .assignment import AssignmentPlan, assign_exact, assign_greedy
-from .chart import render_bench_chart, render_configuration_chart
-from .configuration import ConfigurationSpace, classify_test_method
+from .chart import ChartStyle, _configuration_chart, render_bench_chart
+from .configuration import ConfigurationSpace
 from .errors import BenchlatticeError, InstanceTooLarge
 from .registry import (
     load_budget,
@@ -84,9 +84,8 @@ def cmd_chart(args: argparse.Namespace) -> int:
     if args.config is None:
         svg = render_bench_chart(bench)
     else:
-        svg = render_configuration_chart(
-            ConfigurationSpace(bench).at(args.config), bench
-        )
+        space = ConfigurationSpace(bench)
+        svg = _configuration_chart(space, space.at(args.config), ChartStyle())
     write_text_atomic(args.output, svg)
     print(f"wrote {args.output}")
     return 0
@@ -95,8 +94,8 @@ def cmd_chart(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     bench = _find_bench(benches, args.bench)
-    config = ConfigurationSpace(bench).at(args.config)
-    print(classify_test_method(config, bench).value)
+    space = ConfigurationSpace(bench)
+    print(space.classify(space.at(args.config)).value)
     return 0
 
 

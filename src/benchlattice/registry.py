@@ -3,7 +3,10 @@
 All documents are JSON with an explicit ``format_version``. Loading checks
 the schema first and reports *every* finding with a path-like location
 (``benches[0].elements[3].stage``) before raising; registries are written by
-hand, so one round of fixes should suffice. Serialization is canonical
+hand, so one round of fixes should suffice. A registry's elements are built
+in that schema pass, each once, where the checks accept it; the domain
+checks of :func:`~benchlattice.taxonomy.validate_bench` (tree, duplicates,
+empty leaves) still follow, for every bench. Serialization is canonical
 (sorted keys, two-space indent, trailing newline) and writes are atomic via
 temp file + rename, so no partial files survive a failure.
 """
@@ -26,7 +29,9 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .taxonomy import DimensionKind, Stage, TestBench, validate_bench
+from .taxonomy import (
+    Characteristics, DimensionKind, Element, Stage, TestBench, _from_checked, validate_bench,
+)
 from .testcase import StageOverrides, TestCase, validate_test_case
 
 __all__ = [
@@ -45,7 +50,8 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_STAGES = tuple(stage.value for stage in Stage)
+_STAGE_OF = {stage.value: stage for stage in Stage}
+_STAGES = tuple(_STAGE_OF)
 
 Issue = tuple[str, str]
 
@@ -185,28 +191,40 @@ _NUMBER_TYPES = (int, float)
 _FLOAT_MAX = sys.float_info.max
 
 
-def _clean_element(entry: object) -> bool:
-    """True only for an element in which :func:`_check_element` finds
-    nothing; the fast accept for well-formed documents."""
+def _element(entry: object) -> Element | None:
+    """The element a well-formed entry describes, built here once and for
+    good; None for an entry in which :func:`_check_element` may find
+    something. Integer numbers load as floats."""
     if type(entry) is not dict:
-        return False
+        return None
     keys = entry.keys()
     if not (keys <= _ELEMENT_FIELDS and keys >= _ELEMENT_REQUIRED_SET):
-        return False
-    element_id, dimension, tags = entry["id"], entry["dimension"], entry["validated_for"]
+        return None
+    element_id, dimension, stage = entry["id"], entry["dimension"], entry["stage"]
+    display_name, tags = entry.get("display_name", element_id), entry["validated_for"]
     cost_rate, time_factor, setup_cost = entry["cost_rate"], entry["time_factor"], entry["setup_cost"]
+    extra = entry.get("extra", {})
     # type() is exact, so a bool is no number; an int past the largest float
     # may not convert, so it takes the itemised checks.
-    return (
+    if not (
         type(element_id) is str and _ID_RE.match(element_id) is not None
         and type(dimension) is str and _ID_RE.match(dimension) is not None
-        and type(entry.get("display_name", "")) is str
-        and entry["stage"] in _STAGES
+        and type(display_name) is str
+        and type(stage) is str and stage in _STAGE_OF
         and type(tags) is list and all(type(tag) is str for tag in tags)
         and type(cost_rate) in _NUMBER_TYPES and 0 <= cost_rate <= _FLOAT_MAX
         and type(time_factor) in _NUMBER_TYPES and 0 < time_factor <= _FLOAT_MAX
         and type(setup_cost) in _NUMBER_TYPES and 0 <= setup_cost <= _FLOAT_MAX
-        and type(entry.get("extra", {})) is dict
+        and type(extra) is dict
+    ):
+        return None
+    characteristics = _from_checked(
+        Characteristics, validated_for=frozenset(tags), cost_rate=float(cost_rate),
+        time_factor=float(time_factor), setup_cost=float(setup_cost), extra=dict(extra),
+    )
+    return _from_checked(
+        Element, id=element_id, display_name=display_name, dimension=dimension,
+        stage=_STAGE_OF[stage], characteristics=characteristics,
     )
 
 
@@ -266,10 +284,15 @@ def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] 
         if not isinstance(flag, bool):
             check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
     elements = check.array(bench.get("elements", []), f"{location}.elements")
+    built: list[object] = []
     for i, entry in enumerate(elements or ()):
-        if not _clean_element(entry):
+        element = _element(entry)
+        if element is None:
             _check_element(check, entry, f"{location}.elements[{i}]")
-    return bench
+        # An entry the itemised checks pass after all (an int that rounds down to
+        # the largest float) stays raw for validate_bench to build.
+        built.append(entry if element is None else element)
+    return {**bench, "elements": built}
 
 
 def load_registry(path: str | Path) -> list[TestBench]:

@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     AlreadySubstantiated,
@@ -78,34 +78,12 @@ class Stage(Enum):
 _CHART_INDEX = {Stage.SIMULATED: 1, Stage.EMULATED: 2, Stage.REAL: 3}
 _BY_NAME = {stage.value: stage for stage in Stage}
 _FLOAT_MAX = sys.float_info.max
+_T = TypeVar("_T")
 
 
 class DimensionKind(Enum):
     CANONICAL = "canonical"
     SUB_DIMENSION = "sub-dimension"
-
-
-# Canonical dimensions in their fixed presentation order. Only movable
-# objects defaults to combinable: mixing real, emulated and simulated traffic
-# objects in one run is the established practice; other dimensions pick
-# exactly one element unless a bench overrides the flag.
-_CANONICAL: tuple[tuple[str, str, bool], ...] = (
-    ("test-object", "Test object", False),
-    ("driver-user-behavior", "Driver / user behavior", False),
-    ("vehicle-dynamics", "Vehicle dynamics", False),
-    ("environment-sensor-system", "Environment sensor system", False),
-    ("scenery", "Scenery", False),
-    ("movable-objects", "Movable objects", True),
-    ("environmental-conditions", "Environmental conditions", False),
-    ("localization-sensor-system", "Localization sensor system", False),
-    ("v2x-communication", "V2X communication", False),
-    ("residual-vehicle", "Residual vehicle", False),
-)
-
-CANONICAL_DIMENSION_IDS: tuple[str, ...] = tuple(d[0] for d in _CANONICAL)
-
-_CANONICAL_ORDER = {dim_id: i for i, (dim_id, _, _) in enumerate(_CANONICAL)}
-_CANONICAL_COMBINABLE = {dim_id: flag for dim_id, _, flag in _CANONICAL}
 
 
 @dataclass(frozen=True)
@@ -121,6 +99,33 @@ class DimensionNode:
             raise TaxonomyError(f"sub-dimension {self.id!r} needs a parent")
         if self.kind is DimensionKind.CANONICAL and self.parent is not None:
             raise TaxonomyError(f"canonical dimension {self.id!r} cannot have a parent")
+
+
+# Canonical dimensions in their fixed presentation order. Only movable
+# objects defaults to combinable: mixing real, emulated and simulated traffic
+# objects in one run is the established practice; other dimensions pick
+# exactly one element unless a bench overrides the flag. Built once: frozen
+# values of str, bool and enum fields, shared by every bench that keeps the
+# default flag.
+_CANONICAL_NODES: tuple[DimensionNode, ...] = tuple(
+    DimensionNode(id=dim_id, display_name=label, kind=DimensionKind.CANONICAL, combinable=flag)
+    for dim_id, label, flag in (
+        ("test-object", "Test object", False),
+        ("driver-user-behavior", "Driver / user behavior", False),
+        ("vehicle-dynamics", "Vehicle dynamics", False),
+        ("environment-sensor-system", "Environment sensor system", False),
+        ("scenery", "Scenery", False),
+        ("movable-objects", "Movable objects", True),
+        ("environmental-conditions", "Environmental conditions", False),
+        ("localization-sensor-system", "Localization sensor system", False),
+        ("v2x-communication", "V2X communication", False),
+        ("residual-vehicle", "Residual vehicle", False),
+    )
+)
+
+CANONICAL_DIMENSION_IDS: tuple[str, ...] = tuple(node.id for node in _CANONICAL_NODES)
+
+_CANONICAL_ORDER = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,20 @@ class Element:
     characteristics: Characteristics = Characteristics()
 
 
+def _from_checked(cls: type[_T], **fields: object) -> _T:
+    """A :class:`Characteristics` or :class:`Element` built from fields a
+    schema check has already accepted, without running the dataclass
+    ``__init__`` or ``__post_init__`` again. The caller's checks stand in
+    for :meth:`Characteristics.__post_init__`: ``validated_for`` is a
+    frozenset, ``extra`` a dict of its own, and the numbers are floats with
+    ``0 <= cost_rate``, ``0 < time_factor`` and ``0 <= setup_cost``, none
+    past the largest float (``registry._element`` checks exactly this). The
+    public constructors keep every check."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 @dataclass(frozen=True)
 class TestBench:
     """A facility offering elements for every leaf dimension.
@@ -209,15 +228,9 @@ def new_bench(
     """Create an element-less draft bench with the canonical dimension tree."""
     overrides = dict(combinable_overrides or {})
     nodes = []
-    for dim_id, label, default in _CANONICAL:
-        nodes.append(
-            DimensionNode(
-                id=dim_id,
-                display_name=label,
-                kind=DimensionKind.CANONICAL,
-                combinable=overrides.pop(dim_id, default),
-            )
-        )
+    for node in _CANONICAL_NODES:
+        flag = overrides.pop(node.id, node.combinable)
+        nodes.append(node if flag is node.combinable else replace(node, combinable=flag))
     if overrides:
         raise UnknownDimension(
             f"combinable overrides for unknown dimensions: {sorted(overrides)}"
@@ -298,7 +311,7 @@ def _canonical_tree_order(nodes: Iterable[DimensionNode]) -> tuple[DimensionNode
 
     def key(node: DimensionNode) -> tuple[int, int, int]:
         anchor = node.parent if node.parent is not None else node.id
-        canonical_rank = _CANONICAL_ORDER.get(anchor, len(_CANONICAL))
+        canonical_rank = _CANONICAL_ORDER.get(anchor, len(_CANONICAL_NODES))
         is_sub = 1 if node.parent is not None else 0
         return (canonical_rank, is_sub, order[node.id])
 
@@ -419,7 +432,7 @@ def _build_from_mapping(raw: Mapping[str, object]) -> TestBench:
     combinable = dict(raw.get("combinable") or {})  # type: ignore[arg-type]
 
     canonical_overrides = {
-        k: bool(v) for k, v in combinable.items() if k in _CANONICAL_COMBINABLE
+        k: bool(v) for k, v in combinable.items() if k in _CANONICAL_ORDER
     }
     bench = new_bench(bench_id, display_name, combinable_overrides=canonical_overrides)
     for parent, names in substantiations.items():  # type: ignore[union-attr]

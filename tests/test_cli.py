@@ -316,6 +316,36 @@ def test_assign_ignores_the_cap(monkeypatch, tmp_path):
         assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--bench", "sil", "--config", "0"],
+        ["chart", "--bench", "sil", "--config", "0", "-o", "sil.svg"],
+        ["enumerate", "--bench", "sil", "--count-only"],
+    ],
+    ids=["classify", "chart", "enumerate"],
+)
+def test_commands_on_one_bench_reject_a_registry_with_another_invalid_bench(
+    tmp_path, capsys, argv
+):
+    # A registry is accepted or rejected as a whole: an empty leaf in the
+    # second bench fails lookups on the first.
+    doc = json.loads(Path(FLEET).read_text())
+    second = doc["benches"][1]
+    assert (doc["benches"][0]["id"], second["id"]) == ("sil", "test-vehicle")
+    second["elements"] = [e for e in second["elements"] if e["dimension"] != "scenery"]
+    registry = tmp_path / "broken.bench.json"
+    registry.write_text(json.dumps(doc))
+    argv = [argv[0], str(registry), *argv[1:]]
+    if "-o" in argv:
+        argv[-1] = str(tmp_path / argv[-1])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "test-vehicle: leaf dimension 'scenery'" in captured.err
+    assert not (tmp_path / "sil.svg").exists()
+
+
 def test_validate_warns_on_test_object_substantiation(tmp_path, capsys):
     registry = {
         "format_version": "1",

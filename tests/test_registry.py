@@ -493,3 +493,50 @@ def test_lean_loader_matches_reference_on_mutated_registries(data):
         _mutate(data.draw, doc)
     with tempfile.TemporaryDirectory() as tmp:
         _same_outcome(doc, Path(tmp))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in fixture_path("sil_bench.json").parent.glob("*.json"))
+)
+def test_loader_matches_reference_on_shipped_documents(name):
+    path = fixture_path(name)
+    assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
+
+
+def test_loader_matches_reference_on_random_registries(tmp_path):
+    rng = random.Random(2024)
+    for seed in range(20):
+        benches = [random_bench(rng, f"bench-{i}") for i in range(rng.randint(1, 3))]
+        path = tmp_path / f"random-{seed}.bench.json"
+        save_registry(benches, path)
+        assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
+        assert load_registry(path) == benches
+
+
+def test_integer_numbers_load_as_floats(tmp_path):
+    doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
+    for element in doc["benches"][0]["elements"]:
+        element.update(cost_rate=3, time_factor=2, setup_cost=0)
+    path = tmp_path / "integers.bench.json"
+    path.write_text(json.dumps(doc))
+    (bench,) = load_registry(path)
+    for element in bench.elements:
+        numbers = element.characteristics
+        assert (numbers.cost_rate, numbers.time_factor, numbers.setup_cost) == (3.0, 2.0, 0.0)
+        assert {type(numbers.cost_rate), type(numbers.time_factor), type(numbers.setup_cost)} == {
+            float
+        }
+    assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
+
+
+@pytest.mark.parametrize("field", ["cost_rate", "time_factor", "setup_cost"])
+def test_integer_just_past_the_largest_float_loads_rounded(tmp_path, field):
+    # Past the largest float, so not accepted at first sight, yet it rounds
+    # down to that float: the itemised checks pass it and it loads.
+    doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
+    doc["benches"][0]["elements"][4][field] = int(sys.float_info.max) + 1
+    path = tmp_path / "rounded.bench.json"
+    path.write_text(json.dumps(doc))
+    (bench,) = load_registry(path)
+    assert sys.float_info.max in [getattr(e.characteristics, field) for e in bench.elements]
+    assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)

@@ -20,6 +20,7 @@ from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
     DimensionKind,
+    DimensionNode,
     Stage,
     canonical_dimension_of,
     leaf_dimensions,
@@ -58,6 +59,42 @@ def test_combinable_override():
     bench = new_bench("draft", combinable_overrides={"scenery": True, "movable-objects": False})
     assert bench.node("scenery").combinable is True
     assert bench.node("movable-objects").combinable is False
+
+
+_LABELS = (
+    "Test object", "Driver / user behavior", "Vehicle dynamics", "Environment sensor system",
+    "Scenery", "Movable objects", "Environmental conditions", "Localization sensor system",
+    "V2X communication", "Residual vehicle",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        None,
+        {"scenery": True, "movable-objects": False},
+        {"movable-objects": True, "test-object": False},
+        {"scenery": 1, "movable-objects": 0},
+    ],
+    ids=["defaults", "flipped", "same-as-default", "non-bool"],
+)
+def test_new_bench_tree_equals_nodes_built_one_by_one(overrides):
+    flags = dict(overrides or {})
+    expected = tuple(
+        DimensionNode(
+            id=dim_id,
+            display_name=label,
+            kind=DimensionKind.CANONICAL,
+            combinable=flags.get(dim_id, dim_id == "movable-objects"),
+        )
+        for dim_id, label in zip(CANONICAL_DIMENSION_IDS, _LABELS)
+    )
+    tree = new_bench("draft", combinable_overrides=overrides).dimension_tree
+    assert tree == expected
+    # A non-bool flag is kept as given, not replaced by an equal bool.
+    assert [type(node.combinable) for node in tree] == [
+        type(node.combinable) for node in expected
+    ]
 
 
 def test_sil_fixture_shape(sil_bench):
