@@ -11,8 +11,10 @@ so plans compare and scale without floating-point noise.
 Two solvers produce assignment plans: a regret-guided greedy heuristic and
 an exhaustive oracle for small instances. Both minimise (number of
 unassignable test cases, total cost) lexicographically, coverage before
-savings, and break ties identically (cost, then bench id, then
-configuration index), so plans are reproducible artifacts.
+savings, and search one list per test case, ranked by cost, then bench id,
+then configuration index: the greedy takes the first candidate that fits
+the bench time left, the oracle searches combinations of the same lists.
+Ties therefore break identically and plans are reproducible artifacts.
 
 Neither solver walks the configurations. A configuration whose slowest
 element has time factor T costs the sum over its elements of
@@ -24,16 +26,17 @@ the cheapest configuration with the lowest index, because rates and setups
 are never negative. On a combinable leaf the pick is a singleton, since
 subset order puts ``(i)`` before every other subset of zero-cost elements.
 The strict improvements over ascending T form the bench's (time, cost)
-frontier: the configurations that no faster-or-equal one undercuts.
-A bench-time limit picks the last frontier point that fits; the regret's
-runner-up comes from the same sweep with the cheapest configuration's
-choice left out on one leaf at a time; the oracle searches every
-combination of frontier points, since a dominated configuration is never in
-its answer. The work grows with leaves × elements × distinct time factors,
-the sums are exact integers (see :class:`_Options`), and only the picked
-configurations are built. The oracle still refuses an instance by counting
-its admissible configurations in closed form. :func:`estimate_cost` prices a
-given configuration independently, from its elements.
+frontier: the configurations that no faster-or-equal one undercuts. The
+frontier points of every bench are a test case's candidates: on a bench,
+the first that fits a time limit is the last in time order that does, and
+a dominated configuration is never in the oracle's answer. The regret's
+runner-up is the second candidate or comes from the same sweep with the
+cheapest configuration's choice left out on one leaf at a time. The work
+grows with leaves × elements × distinct time factors, the sums are exact
+integers (see :class:`_Options`), and only the picked configurations are
+built. The oracle still refuses an instance by counting its admissible
+configurations in closed form. :func:`estimate_cost` prices a given
+configuration independently, from its elements.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge
@@ -391,19 +394,6 @@ class _Options:
                 points.append((value, index, time, tuple(offsets)))
         return tuple(points)
 
-    def cheapest(self, room: Fraction | None = None) -> _Point | None:
-        """The frontier point of the cheapest configuration, lowest index on
-        a tie, among those that run within ``room`` seconds (None: any)."""
-        if room is None:
-            return self.frontier[-1]
-        # duration·t/scale <= room  <=>  t <= room·dd·scale/dn
-        dn, dd = self.duration
-        until = room * dd * self.prices.scale // dn
-        for point in reversed(self.frontier):
-            if point[2] <= until:
-                return point
-        return None
-
     def second_cost(self) -> Fraction | None:
         """The second-lowest cost (equal to the lowest on a tie); None with
         fewer than two admissible configurations.
@@ -470,22 +460,54 @@ def _reports(options: Sequence[_Options]) -> dict[str, AdmissibilityReport]:
     return {opts.space.bench.id: opts.report() for opts in options}
 
 
-def _regret(options: Sequence[_Options]) -> Fraction | None:
-    """The cost gap between a test case's second-cheapest and cheapest
-    candidates over all benches; None when it has fewer than two."""
-    if sum(opts.count for opts in options) < 2:
-        return None
-    ranked = sorted(
-        ((opts.money(opts.cheapest()[0]), opts) for opts in options if opts.count),
-        key=lambda pair: pair[0],
+class _Candidate(NamedTuple):
+    """One frontier point of one bench for one test case, priced."""
+
+    cost: Fraction
+    bench_id: str
+    index: int
+    seconds: Fraction
+    options: _Options
+    point: _Point
+
+
+def _candidates(options: Sequence[_Options]) -> list[_Candidate]:
+    """Every frontier point of every bench, in the order both solvers
+    search them: cost, then bench id, then configuration index."""
+    return sorted(
+        (
+            _Candidate(opts.money(point[0]), opts.space.bench.id, point[1],
+                       opts.seconds(point[2]), opts, point)
+            for opts in options
+            for point in opts.frontier
+        ),
+        key=lambda cand: (cand.cost, cand.bench_id, cand.index),
     )
-    lowest, cheapest = ranked[0]
-    # The second-cheapest is on the cheapest bench or is another's cheapest.
-    seconds = [cost for cost, _ in ranked[1:2]]
-    second = cheapest.second_cost()
+
+
+def _fits(
+    candidate: _Candidate, budget: CapacityBudget | None, used: Mapping[str, Fraction]
+) -> bool:
+    """Whether the candidate's bench has time left for it."""
+    limit = budget.limit(candidate.bench_id) if budget is not None else None
+    return limit is None or used.get(candidate.bench_id, 0) + candidate.seconds <= limit
+
+
+def _regret(candidates: Sequence[_Candidate]) -> Fraction | None:
+    """The cost gap between a test case's second-cheapest and cheapest
+    admissible configurations over all benches; None when it has fewer than
+    two."""
+    if not candidates:
+        return None
+    # The second-cheapest is the next candidate, another bench's cheapest,
+    # or the cheapest bench's second cost, which no other point on that
+    # bench undercuts.
+    lowest = candidates[0]
+    seconds = [cand.cost for cand in candidates[1:2]]
+    second = lowest.options.second_cost()
     if second is not None:
         seconds.append(second)
-    return min(seconds) - lowest
+    return min(seconds) - lowest.cost if seconds else None
 
 
 # --- solvers -----------------------------------------------------------------
@@ -533,59 +555,40 @@ def assign_greedy(
 ) -> AssignmentPlan:
     """Assign each test case to the cheapest admissible configuration.
 
-    Without a budget every test case independently takes its globally
-    cheapest candidate (ties: bench id, then configuration index). With a
-    budget, test cases are processed in descending regret (the cost gap to
-    their second-cheapest candidate, infinite when there is no alternative)
-    and take the cheapest candidate whose bench still has time left.
-
-    The candidates are searched factored, per leaf and time factor (see
-    the module docstring), never by walking the configurations; only the
-    picked ones are built and classified.
+    Each test case takes the first of its candidates (:func:`_candidates`)
+    whose bench still has time for it. Without a budget that is its
+    globally cheapest configuration (ties: bench id, then configuration
+    index). With a budget, test cases are processed in descending regret
+    (the cost gap to their second-cheapest configuration, infinite when
+    there is no alternative). Only the picked configurations are built and
+    classified.
     """
-    cases = _analyse(suite, benches, overrides)
-
-    if budget is None:
-        order = cases
-    else:
+    cases = [
+        (tc, options, _candidates(options))
+        for tc, options in _analyse(suite, benches, overrides)
+    ]
+    if budget is not None:
         def urgency(
-            pair: tuple[int, tuple[TestCase, list[_Options]]]
+            pair: tuple[int, tuple[TestCase, list[_Options], list[_Candidate]]]
         ) -> tuple[int, Fraction, int]:
-            index, (_, options) = pair
-            regret = _regret(options)
+            index, (_, _, candidates) = pair
+            regret = _regret(candidates)
             if regret is None:
                 return (0, Fraction(0), index)
             return (1, -regret, index)
 
-        order = [case for _, case in sorted(enumerate(cases), key=urgency)]
+        cases = [case for _, case in sorted(enumerate(cases), key=urgency)]
 
     chosen: dict[str, Assignment] = {}
     skipped: dict[str, UnassignableCase] = {}
     used: dict[str, Fraction] = {}
-    for tc, options in order:
-        best: tuple[Fraction, _Point, _Options] | None = None
-        for opts in options:
-            if not opts.count:
-                continue
-            bench_id = opts.space.bench.id
-            limit = budget.limit(bench_id) if budget is not None else None
-            room = None if limit is None else limit - used.get(bench_id, Fraction(0))
-            point = opts.cheapest(room)
-            if point is None:
-                continue
-            cost = opts.money(point[0])
-            # Benches come in id order, so only a strictly lower cost wins.
-            if best is None or cost < best[0]:
-                best = (cost, point, opts)
-        if best is None:
+    for tc, options, candidates in cases:
+        pick = next((cand for cand in candidates if _fits(cand, budget, used)), None)
+        if pick is None:
             skipped[tc.id] = _skip(tc, options)
         else:
-            _, point, opts = best
-            picked = opts.build(point)
-            chosen[tc.id] = picked
-            used[picked.bench_id] = (
-                used.get(picked.bench_id, Fraction(0)) + picked.cost.execution_time
-            )
+            chosen[tc.id] = pick.options.build(pick.point)
+            used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds
     return _finish_plan(suite, chosen, skipped)
 
 
@@ -605,11 +608,12 @@ def assign_exact(
     in total, counted in closed form; larger instances raise
     :class:`InstanceTooLarge` before any configuration is built.
 
-    The search runs over each bench's frontier (:attr:`_Options.frontier`).
-    A configuration off it is dominated by one on the same bench that runs
-    in no more time at a smaller (cost, index): swapping it for that one
-    keeps a plan within budget, costs no more and comes earlier in the
-    search, so it is never in the plan returned. Only the picks are built.
+    The search runs over the greedy's candidates, each bench's frontier
+    points (:func:`_candidates`). A configuration off the frontier is
+    dominated by one on the same bench that runs in no more time at a
+    smaller (cost, index): swapping it for that one keeps a plan within
+    budget, costs no more and comes earlier in the search, so it is never in
+    the plan returned. Only the picks are built.
     """
     if len(suite) > EXACT_MAX_SUITE:
         raise InstanceTooLarge(
@@ -623,30 +627,17 @@ def assign_exact(
             f"exhaustive solver handles at most {EXACT_MAX_CANDIDATES} candidate "
             f"configurations in total, got {total}"
         )
-    # Per test case: (cost, bench id, index, time, options, point) of every
-    # frontier point, in search order.
-    candidates = [
-        sorted(
-            (
-                (opts.money(point[0]), opts.space.bench.id, point[1],
-                 opts.seconds(point[2]), opts, point)
-                for opts in options
-                for point in opts.frontier
-            ),
-            key=lambda cand: cand[:3],
-        )
-        for _, options in cases
-    ]
+    candidates = [_candidates(options) for _, options in cases]
 
     n = len(cases)
-    best: tuple[int, Fraction, tuple[tuple | None, ...]] | None = None
+    best: tuple[int, Fraction, tuple[_Candidate | None, ...]] | None = None
 
     def dfs(
         index: int,
         skipped_count: int,
         cost: Fraction,
         used: dict[str, Fraction],
-        picks: list[tuple | None],
+        picks: list[_Candidate | None],
     ) -> None:
         nonlocal best
         # Neither count nor cost falls along a branch: a tie is cut, so the first
@@ -657,16 +648,14 @@ def assign_exact(
             best = (skipped_count, cost, tuple(picks))
             return
         for cand in candidates[index]:
-            money, bench_id, _, seconds, _, _ = cand
-            limit = budget.limit(bench_id) if budget is not None else None
-            spent = used.get(bench_id, Fraction(0))
-            if limit is not None and spent + seconds > limit:
+            if not _fits(cand, budget, used):
                 continue
-            used[bench_id] = spent + seconds
+            spent = used.get(cand.bench_id, 0)
+            used[cand.bench_id] = spent + cand.seconds
             picks.append(cand)
-            dfs(index + 1, skipped_count, cost + money, used, picks)
+            dfs(index + 1, skipped_count, cost + cand.cost, used, picks)
             picks.pop()
-            used[bench_id] = spent
+            used[cand.bench_id] = spent
         picks.append(None)
         dfs(index + 1, skipped_count + 1, cost, used, picks)
         picks.pop()
@@ -680,6 +669,5 @@ def assign_exact(
         if pick is None:
             skipped[tc.id] = _skip(tc, options)
         else:
-            opts, point = pick[4:]
-            chosen[tc.id] = opts.build(point)
+            chosen[tc.id] = pick.options.build(pick.point)
     return _finish_plan(suite, chosen, skipped)

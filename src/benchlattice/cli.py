@@ -19,15 +19,16 @@ from typing import Sequence
 from .assignment import AssignmentPlan, assign_exact, assign_greedy
 from .chart import ChartStyle, _configuration_chart, render_bench_chart
 from .configuration import ConfigurationSpace
-from .errors import BenchlatticeError, InstanceTooLarge
+from .errors import BenchlatticeError, InstanceTooLarge, SchemaError
 from .registry import (
+    LoadedSuite,
     load_budget,
     load_registry,
     load_suite,
     save_plan,
     write_text_atomic,
 )
-from .taxonomy import TestBench
+from .taxonomy import CANONICAL_DIMENSION_IDS, TestBench
 
 __all__ = ["run", "main"]
 
@@ -134,9 +135,30 @@ def _print_summary(plan: AssignmentPlan) -> None:
         print(f"bench time: {spent}")
 
 
+def _check_overrides(suite: LoadedSuite, benches: Sequence[TestBench]) -> None:
+    """Refuse an override of a dimension that is neither canonical nor any
+    bench's: a misspelt key would otherwise require a dimension that every
+    bench lacks."""
+    known = set(CANONICAL_DIMENSION_IDS).union(
+        *({node.id for node in bench.dimension_tree} for bench in benches)
+    )
+    issues = [
+        (
+            f"test_cases[{i}].overrides.{dim}",
+            "unknown dimension: neither canonical nor a dimension of any bench in the registry",
+        )
+        for i, tc in enumerate(suite.test_cases)
+        for dim in suite.overrides.get(tc.id, {})
+        if dim not in known
+    ]
+    if issues:
+        raise SchemaError(issues)
+
+
 def cmd_assign(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     suite = load_suite(args.suite)
+    _check_overrides(suite, benches)
     budget = load_budget(args.budget) if args.budget else None
     solver = assign_exact if args.exact else assign_greedy
     try:

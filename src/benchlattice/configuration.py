@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
 from .taxonomy import (
@@ -101,7 +101,7 @@ class ConfigurationSpace:
     by index in O(leaves + elements) without materialising the others, so
     lookups work far past the enumeration cap. Callers build one space per
     bench and pass it along; the space never changes after construction,
-    except that :meth:`walk` lists each leaf's choices once, on first use.
+    except that iterating it lists each leaf's choices once, on first use.
     """
 
     def __init__(self, bench: TestBench) -> None:
@@ -180,33 +180,19 @@ class ConfigurationSpace:
         )
 
     @cached_property
-    def _choices(self) -> tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]:
-        """Each leaf's choices in enumeration order with their index offsets
-        (rank times weight), listed on first use."""
+    def _choices(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """Each leaf's choices in enumeration order, listed on first use."""
         return tuple(
-            tuple((rank * weight, self._choice(i, rank)) for rank in range(count))
-            for i, (weight, count) in enumerate(zip(self.weights, self.choice_counts))
+            tuple(self._choice(i, rank) for rank in range(count))
+            for i, count in enumerate(self.choice_counts)
         )
-
-    def walk(
-        self, usable: Callable[[str], bool]
-    ) -> Iterator[tuple[int, TestBenchConfiguration]]:
-        """Stream ``(index, configuration)`` in enumeration order for every
-        configuration whose selected element ids all pass ``usable``; each
-        leaf's choices are filtered first, so rejected ones are never built."""
-        options = [
-            [(offset, c) for offset, c in choices if all(map(usable, c))]
-            for choices in self._choices
-        ]
-        for combo in itertools.product(*options):
-            yield sum(offset for offset, _ in combo), TestBenchConfiguration(
-                bench_id=self.bench.id,
-                selection={leaf_id: c for leaf_id, (_, c) in zip(self.leaf_ids, combo)},
-            )
 
     def __iter__(self) -> Iterator[TestBenchConfiguration]:
         """Stream configurations in enumeration order, without a cap."""
-        return (config for _, config in self.walk(lambda elem_id: True))
+        for combo in itertools.product(*self._choices):
+            yield TestBenchConfiguration(
+                bench_id=self.bench.id, selection=dict(zip(self.leaf_ids, combo))
+            )
 
     def require_within_cap(self, cap: int | None = None) -> None:
         """Raise :class:`CombinatorialLimitExceeded` when the space has more

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -30,7 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .taxonomy import (
-    Characteristics, DimensionKind, Element, Stage, TestBench, _from_checked, validate_bench,
+    _BY_NAME, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage, TestBench,
+    _from_checked, validate_bench,
 )
 from .testcase import StageOverrides, TestCase, validate_test_case
 
@@ -50,8 +50,7 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_STAGE_OF = {stage.value: stage for stage in Stage}
-_STAGES = tuple(_STAGE_OF)
+_STAGES = tuple(_BY_NAME)
 
 Issue = tuple[str, str]
 
@@ -188,7 +187,6 @@ _ELEMENT_REQUIRED = (
 _ELEMENT_REQUIRED_SET = frozenset(_ELEMENT_REQUIRED)
 _ELEMENT_FIELDS = _ELEMENT_REQUIRED_SET | {"display_name", "extra"}
 _NUMBER_TYPES = (int, float)
-_FLOAT_MAX = sys.float_info.max
 
 
 def _element(entry: object) -> Element | None:
@@ -210,7 +208,7 @@ def _element(entry: object) -> Element | None:
         type(element_id) is str and _ID_RE.match(element_id) is not None
         and type(dimension) is str and _ID_RE.match(dimension) is not None
         and type(display_name) is str
-        and type(stage) is str and stage in _STAGE_OF
+        and type(stage) is str and stage in _BY_NAME
         and type(tags) is list and all(type(tag) is str for tag in tags)
         and type(cost_rate) in _NUMBER_TYPES and 0 <= cost_rate <= _FLOAT_MAX
         and type(time_factor) in _NUMBER_TYPES and 0 < time_factor <= _FLOAT_MAX
@@ -224,7 +222,7 @@ def _element(entry: object) -> Element | None:
     )
     return _from_checked(
         Element, id=element_id, display_name=display_name, dimension=dimension,
-        stage=_STAGE_OF[stage], characteristics=characteristics,
+        stage=_BY_NAME[stage], characteristics=characteristics,
     )
 
 

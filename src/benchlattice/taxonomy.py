@@ -150,14 +150,6 @@ class Characteristics:
     def __post_init__(self) -> None:
         object.__setattr__(self, "validated_for", frozenset(self.validated_for))
         object.__setattr__(self, "extra", dict(self.extra))
-        # In range, the common case: nothing to report. NaN, infinities and
-        # ints past the float range fall through to the itemised checks.
-        if (
-            0 <= self.cost_rate <= _FLOAT_MAX
-            and 0 < self.time_factor <= _FLOAT_MAX
-            and 0 <= self.setup_cost <= _FLOAT_MAX
-        ):
-            return
         for name in ("cost_rate", "time_factor", "setup_cost"):
             value = getattr(self, name)
             # False for NaN; ints past the float range are not finite floats.

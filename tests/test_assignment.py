@@ -515,7 +515,7 @@ def _assert_regrets_match_reference(suite, benches, overrides, collected, label)
     for (_, options), (candidates, _) in zip(analysed, collected):
         costs = [cand.cost.monetary_cost for cand in candidates[:2]]
         expected = costs[1] - costs[0] if len(costs) == 2 else None
-        assert assignment._regret(options) == expected, label
+        assert assignment._regret(assignment._candidates(options)) == expected, label
 
 
 def test_greedy_matches_reference_on_admissibility_instances():
@@ -605,6 +605,25 @@ def test_greedy_matches_reference_with_ties_and_combinable_leaves():
         )
         binding += budgeted != plan
     assert zero_regrets >= 10 and combinable_picks >= 10 and binding >= 10
+
+
+def test_equal_costs_on_two_benches_break_on_bench_id_before_index():
+    # Bench "a" has its cheapest configuration at index 1 and bench "b" at
+    # index 0, at the same cost: the lower bench id wins, whatever the index.
+    a = uniform_bench(
+        "a",
+        skip_dimensions=("vehicle-dynamics",),
+        extra_elements=[
+            make_element("vd-dear", "vehicle-dynamics", cost_rate=50.0),
+            make_element("vd-cheap", "vehicle-dynamics"),
+        ],
+    )
+    b = uniform_bench("b")
+    suite = [make_test_case()]
+    plans = [solver(suite, [b, a]) for solver in (assign_greedy, assign_exact)]
+    assert plans[0] == plans[1] == reference_greedy(suite, [b, a], None, {})
+    picked = plans[0].assignments["cut-in"]
+    assert (picked.bench_id, picked.config_index) == ("a", 1)
 
 
 def test_greedy_matches_reference_on_fixtures():
@@ -795,10 +814,10 @@ def test_greedy_builds_only_the_configurations_it_picks(monkeypatch):
     ]
     real_cost = assignment._cost
 
-    def refuse_walk(self, usable):
+    def refuse_walk(self):
         raise AssertionError("greedy walked a configuration space")
 
-    monkeypatch.setattr(ConfigurationSpace, "walk", refuse_walk)
+    monkeypatch.setattr(ConfigurationSpace, "__iter__", refuse_walk)
     for limits, plan in expected:
         picked = [a.configuration for a in plan.assignments.values()]
         assert picked  # the check below must have something to let through
@@ -817,7 +836,7 @@ def test_exact_guard_counts_candidates_without_walking(monkeypatch):
     def refuse(*args):
         raise AssertionError("the guard walked or priced a configuration")
 
-    monkeypatch.setattr(ConfigurationSpace, "walk", refuse)
+    monkeypatch.setattr(ConfigurationSpace, "__iter__", refuse)
     monkeypatch.setattr(assignment, "_cost", refuse)
     bench = uniform_bench(
         "wide",

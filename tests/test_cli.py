@@ -136,6 +136,39 @@ def test_exact_guard_refused_with_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_assign_refuses_a_misspelt_override(tmp_path, capsys):
+    text = Path(SUITE).read_text(encoding="utf-8")
+    assert text.count('"environment-sensor-system": [') == 1
+    suite_path = tmp_path / "typo.suite.json"
+    suite_path.write_text(
+        text.replace('"environment-sensor-system": [', '"enviroment-sensor-system": ['),
+        encoding="utf-8",
+    )
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, str(suite_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: test_cases[1].overrides.enviroment-sensor-system: unknown dimension: "
+        "neither canonical nor a dimension of any bench in the registry\n"
+    )
+    assert not out.exists()
+
+
+def test_assign_accepts_an_override_of_a_sub_dimension_one_bench_lacks(tmp_path, capsys):
+    # Only sil substantiates the environment sensors into radar and camera.
+    suite = LoadedSuite(
+        test_cases=(make_test_case("radar-check"),),
+        overrides={"radar-check": {"radar": frozenset({Stage.SIMULATED})}},
+    )
+    suite_path = tmp_path / "radar.suite.json"
+    save_suite(suite, suite_path)
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, str(suite_path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["assignments"]["radar-check"]["bench"] == "sil"
+    assert "error" not in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["enumerate", SIL]) == 2  # --bench missing

