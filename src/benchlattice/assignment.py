@@ -14,7 +14,8 @@ unassignable test cases, total cost) lexicographically, coverage before
 savings, and search one list per test case, ranked by cost, then bench id,
 then configuration index: the greedy takes the first candidate that fits
 the bench time left, the oracle searches combinations of the same lists.
-Ties therefore break identically and plans are reproducible artifacts.
+Ties therefore break identically, one plan builder turns either solver's
+picks into the plan, and plans are reproducible artifacts.
 
 Neither solver walks the configurations. A configuration whose slowest
 element has time factor T costs the sum over its elements of
@@ -27,7 +28,7 @@ are never negative. On a combinable leaf the pick is a singleton, since
 subset order puts ``(i)`` before every other subset of zero-cost elements.
 The strict improvements over ascending T form the bench's (time, cost)
 frontier: the configurations that no faster-or-equal one undercuts. The
-frontier points of every bench are a test case's candidates: on a bench,
+frontier points, priced once as found, are the candidates: on a bench,
 the first that fits a time limit is the last in time order that does, and
 a dominated configuration is never in the oracle's answer. The regret's
 runner-up is the second candidate or comes from the same sweep with the
@@ -50,7 +51,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge
-from .taxonomy import TestBench
+from .taxonomy import _FLOAT_MAX, TestBench
 from .testcase import (
     RequirementProfile,
     StageOverrides,
@@ -125,10 +126,13 @@ class CapacityBudget:
 
     def __post_init__(self) -> None:
         for bench_id, limit in self.max_bench_time.items():
-            if not (math.isfinite(limit) and limit > 0):
+            # False for NaN; ints past the float range are not finite floats.
+            if not 0 < limit <= _FLOAT_MAX:
+                in_range = isinstance(limit, float) or abs(limit) <= _FLOAT_MAX
+                shown = limit if in_range else "a number past the float range"
                 raise ValueError(
                     f"budget for bench {bench_id!r} must be a finite number > 0, "
-                    f"got {limit}"
+                    f"got {shown}"
                 )
 
     def limit(self, bench_id: str) -> Fraction | None:
@@ -264,9 +268,17 @@ class _Prices:
         }
 
 
-# A configuration found by the sweep: (value, index, time, per-leaf offsets),
-# in the integers of :class:`_Options`.
-_Point = tuple[int, int, int, tuple[int, ...]]
+class _Candidate(NamedTuple):
+    """One frontier point of one bench for one test case: its cost, bench
+    id, configuration index and execution time, the options it came from
+    and its per-leaf offsets (see :attr:`_Options.frontier`)."""
+
+    cost: Fraction
+    bench_id: str
+    index: int
+    seconds: Fraction
+    options: _Options
+    offsets: tuple[int, ...]
 
 
 class _Options:
@@ -308,16 +320,15 @@ class _Options:
             violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
         )
 
-    def build(self, point: _Point) -> Assignment:
-        """The assignment of one frontier point, priced from its integers."""
-        value, index, time, _ = point
-        config = self.space.at(index)
+    def build(self, candidate: _Candidate) -> Assignment:
+        """The assignment of one of this bench's frontier points."""
+        config = self.space.at(candidate.index)
         return Assignment(
-            bench_id=self.space.bench.id,
-            config_index=index,
+            bench_id=candidate.bench_id,
+            config_index=candidate.index,
             configuration=config,
             cost=CostEstimate(
-                execution_time=self.seconds(time), monetary_cost=self.money(value)
+                execution_time=candidate.seconds, monetary_cost=candidate.cost
             ),
             method=self.space.classify(config),
         )
@@ -362,7 +373,7 @@ class _Options:
         return Fraction(dn * time, dd * self.prices.scale)
 
     @cached_property
-    def frontier(self) -> tuple[_Point, ...]:
+    def frontier(self) -> tuple[_Candidate, ...]:
         """Every admissible configuration that no other one dominates, by
         ascending time: none runs in no more time with a smaller (cost,
         index).
@@ -376,7 +387,8 @@ class _Options:
         """
         if not self.count:
             return ()
-        points: list[_Point] = []
+        points: list[_Candidate] = []
+        last = None
         for time in self._times:
             value = 0
             offsets = []
@@ -390,8 +402,12 @@ class _Options:
                 value += low
                 offsets.append(pick)
             index = sum(offsets)
-            if not points or (value, index) < points[-1][:2]:
-                points.append((value, index, time, tuple(offsets)))
+            if last is None or (value, index) < last:
+                last = (value, index)
+                points.append(_Candidate(
+                    self.money(value), self.space.bench.id, index, self.seconds(time),
+                    self, tuple(offsets),
+                ))
         return tuple(points)
 
     def second_cost(self) -> Fraction | None:
@@ -410,7 +426,7 @@ class _Options:
         """
         if self.count < 2:
             return None
-        picks = self.frontier[-1][3]
+        picks = self.frontier[-1].offsets
         best = None
         for time in self._times:
             total = 0
@@ -460,27 +476,11 @@ def _reports(options: Sequence[_Options]) -> dict[str, AdmissibilityReport]:
     return {opts.space.bench.id: opts.report() for opts in options}
 
 
-class _Candidate(NamedTuple):
-    """One frontier point of one bench for one test case, priced."""
-
-    cost: Fraction
-    bench_id: str
-    index: int
-    seconds: Fraction
-    options: _Options
-    point: _Point
-
-
 def _candidates(options: Sequence[_Options]) -> list[_Candidate]:
     """Every frontier point of every bench, in the order both solvers
     search them: cost, then bench id, then configuration index."""
     return sorted(
-        (
-            _Candidate(opts.money(point[0]), opts.space.bench.id, point[1],
-                       opts.seconds(point[2]), opts, point)
-            for opts in options
-            for point in opts.frontier
-        ),
+        (cand for opts in options for cand in opts.frontier),
         key=lambda cand: (cand.cost, cand.bench_id, cand.index),
     )
 
@@ -513,25 +513,24 @@ def _regret(candidates: Sequence[_Candidate]) -> Fraction | None:
 # --- solvers -----------------------------------------------------------------
 
 
-def _finish_plan(
-    suite: Sequence[TestCase],
-    chosen: Mapping[str, Assignment],
-    skipped: Mapping[str, UnassignableCase],
+def _plan(
+    cases: Sequence[tuple[TestCase, Sequence[_Options]]],
+    picks: Mapping[str, _Candidate | None],
 ) -> AssignmentPlan:
+    """The plan that builds each test case's pick, in suite order, and
+    reports the test cases picked None as unassignable."""
     assignments: dict[str, Assignment] = {}
     unassignable: list[UnassignableCase] = []
     total_cost = Fraction(0)
     bench_time: dict[str, Fraction] = {}
-    for tc in suite:
-        if tc.id in chosen:
-            cand = chosen[tc.id]
-            assignments[tc.id] = cand
-            total_cost += cand.cost.monetary_cost
-            bench_time[cand.bench_id] = (
-                bench_time.get(cand.bench_id, Fraction(0)) + cand.cost.execution_time
-            )
-        else:
-            unassignable.append(skipped[tc.id])
+    for tc, options in cases:
+        pick = picks[tc.id]
+        if pick is None:
+            unassignable.append(_skip(tc, options))
+            continue
+        assignments[tc.id] = pick.options.build(pick)
+        total_cost += pick.cost
+        bench_time[pick.bench_id] = bench_time.get(pick.bench_id, Fraction(0)) + pick.seconds
     return AssignmentPlan(
         assignments=assignments,
         unassignable=tuple(unassignable),
@@ -563,33 +562,24 @@ def assign_greedy(
     there is no alternative). Only the picked configurations are built and
     classified.
     """
-    cases = [
-        (tc, options, _candidates(options))
-        for tc, options in _analyse(suite, benches, overrides)
-    ]
+    cases = _analyse(suite, benches, overrides)
+    candidates = {tc.id: _candidates(options) for tc, options in cases}
+    order = [tc for tc, _ in cases]
     if budget is not None:
-        def urgency(
-            pair: tuple[int, tuple[TestCase, list[_Options], list[_Candidate]]]
-        ) -> tuple[int, Fraction, int]:
-            index, (_, _, candidates) = pair
-            regret = _regret(candidates)
-            if regret is None:
-                return (0, Fraction(0), index)
-            return (1, -regret, index)
+        def urgency(tc: TestCase) -> tuple[int, Fraction]:
+            regret = _regret(candidates[tc.id])
+            return (0, Fraction(0)) if regret is None else (1, -regret)
 
-        cases = [case for _, case in sorted(enumerate(cases), key=urgency)]
+        order.sort(key=urgency)  # stable: ties keep suite order
 
-    chosen: dict[str, Assignment] = {}
-    skipped: dict[str, UnassignableCase] = {}
+    picks: dict[str, _Candidate | None] = {}
     used: dict[str, Fraction] = {}
-    for tc, options, candidates in cases:
-        pick = next((cand for cand in candidates if _fits(cand, budget, used)), None)
-        if pick is None:
-            skipped[tc.id] = _skip(tc, options)
-        else:
-            chosen[tc.id] = pick.options.build(pick.point)
+    for tc in order:
+        pick = next((cand for cand in candidates[tc.id] if _fits(cand, budget, used)), None)
+        picks[tc.id] = pick
+        if pick is not None:
             used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds
-    return _finish_plan(suite, chosen, skipped)
+    return _plan(cases, picks)
 
 
 def assign_exact(
@@ -663,11 +653,4 @@ def assign_exact(
     dfs(0, 0, Fraction(0), {}, [])
     assert best is not None  # the all-skipped combination always exists
 
-    chosen: dict[str, Assignment] = {}
-    skipped: dict[str, UnassignableCase] = {}
-    for (tc, options), pick in zip(cases, best[2]):
-        if pick is None:
-            skipped[tc.id] = _skip(tc, options)
-        else:
-            chosen[tc.id] = pick.options.build(pick.point)
-    return _finish_plan(suite, chosen, skipped)
+    return _plan(cases, {tc.id: pick for (tc, _), pick in zip(cases, best[2])})

@@ -150,30 +150,9 @@ def _dot(layout: _Layout, elem_id: str, selected: bool) -> str:
     )
 
 
-def _document(style: ChartStyle, body: list[str]) -> str:
-    size = style.size
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'  <rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
-
-
 def render_bench_chart(bench: TestBench, style: ChartStyle | None = None) -> str:
     """Radar chart of every element a bench provides."""
-    style = style or ChartStyle()
-    layout = _Layout(ConfigurationSpace(bench), style)
-    body = _ring_group(layout) + _spoke_groups(layout)
-    body.append('  <g id="elements">')
-    for leaf in layout.leaves:
-        for elem in layout.grouped[leaf.id]:
-            body.append(_dot(layout, elem.id, selected=False))
-    body.append("  </g>")
-    body.append('  <g id="composition">')
-    body.append("  </g>")
-    return _document(style, body)
+    return _chart(ConfigurationSpace(bench), None, style or ChartStyle())
 
 
 def render_configuration_chart(
@@ -189,37 +168,49 @@ def render_configuration_chart(
     """
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
-    return _configuration_chart(space, config, style or ChartStyle())
+    return _chart(space, config, style or ChartStyle())
 
 
-def _configuration_chart(
-    space: ConfigurationSpace, config: TestBenchConfiguration, style: ChartStyle
+def _chart(
+    space: ConfigurationSpace, config: TestBenchConfiguration | None, style: ChartStyle
 ) -> str:
-    """:func:`render_configuration_chart` of a configuration of ``space``."""
+    """:func:`render_configuration_chart` of a configuration of ``space``;
+    with no configuration, :func:`render_bench_chart`: every element drawn
+    unselected and an empty composition group."""
     layout = _Layout(space, style)
-    selected = {eid for ids in config.selection.values() for eid in ids}
-
+    selected = set() if config is None else {
+        eid for ids in config.selection.values() for eid in ids
+    }
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
     for leaf in layout.leaves:
         for elem in layout.grouped[leaf.id]:
             if elem.id in selected:
                 body.append(_dot(layout, elem.id, selected=True))
-            elif style.show_unselected:
+            elif config is None or style.show_unselected:
                 body.append(_dot(layout, elem.id, selected=False))
     body.append("  </g>")
 
-    vertices = []
-    for leaf in layout.leaves:
-        picked = config.selection[leaf.id]
-        xs = [layout.dot_position[eid][0] for eid in picked]
-        ys = [layout.dot_position[eid][1] for eid in picked]
-        vertices.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
     body.append('  <g id="composition">')
-    body.append(
-        f'    <polygon points="{points}" fill="none" '
-        f'stroke="{_attr(style.line_color)}" stroke-width="{_fmt(style.line_width)}"/>'
-    )
+    if config is not None:
+        vertices = []
+        for leaf in layout.leaves:
+            picked = config.selection[leaf.id]
+            xs = [layout.dot_position[eid][0] for eid in picked]
+            ys = [layout.dot_position[eid][1] for eid in picked]
+            vertices.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
+        body.append(
+            f'    <polygon points="{points}" fill="none" '
+            f'stroke="{_attr(style.line_color)}" stroke-width="{_fmt(style.line_width)}"/>'
+        )
     body.append("  </g>")
-    return _document(style, body)
+
+    size = style.size
+    head = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'  <rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    return "\n".join(head + body + ["</svg>"]) + "\n"

@@ -16,8 +16,8 @@ import sys
 import warnings
 from typing import Sequence
 
-from .assignment import AssignmentPlan, assign_exact, assign_greedy
-from .chart import ChartStyle, _configuration_chart, render_bench_chart
+from .assignment import AssignmentPlan, CapacityBudget, assign_exact, assign_greedy
+from .chart import ChartStyle, _chart
 from .configuration import ConfigurationSpace
 from .errors import BenchlatticeError, InstanceTooLarge, SchemaError
 from .registry import (
@@ -81,13 +81,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_chart(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
-    bench = _find_bench(benches, args.bench)
-    if args.config is None:
-        svg = render_bench_chart(bench)
-    else:
-        space = ConfigurationSpace(bench)
-        svg = _configuration_chart(space, space.at(args.config), ChartStyle())
-    write_text_atomic(args.output, svg)
+    space = ConfigurationSpace(_find_bench(benches, args.bench))
+    config = None if args.config is None else space.at(args.config)
+    write_text_atomic(args.output, _chart(space, config, ChartStyle()))
     print(f"wrote {args.output}")
     return 0
 
@@ -135,10 +131,14 @@ def _print_summary(plan: AssignmentPlan) -> None:
         print(f"bench time: {spent}")
 
 
-def _check_overrides(suite: LoadedSuite, benches: Sequence[TestBench]) -> None:
-    """Refuse an override of a dimension that is neither canonical nor any
-    bench's: a misspelt key would otherwise require a dimension that every
-    bench lacks."""
+def _check_references(
+    benches: Sequence[TestBench], suite: LoadedSuite, budget: CapacityBudget | None
+) -> None:
+    """Refuse a reference to the registry that names nothing in it: an
+    override of a dimension that is neither canonical nor any bench's (a
+    misspelt key would otherwise require a dimension every bench lacks), or
+    a budget for a bench the registry lacks (it would otherwise bound
+    nothing)."""
     known = set(CANONICAL_DIMENSION_IDS).union(
         *({node.id for node in bench.dimension_tree} for bench in benches)
     )
@@ -151,6 +151,13 @@ def _check_overrides(suite: LoadedSuite, benches: Sequence[TestBench]) -> None:
         for dim in suite.overrides.get(tc.id, {})
         if dim not in known
     ]
+    bench_ids = [bench.id for bench in benches]
+    available = ", ".join(bench_ids) or "none"
+    issues += [
+        (f"max_bench_time.{bench_id}", f"unknown bench (available: {available})")
+        for bench_id in (budget.max_bench_time if budget is not None else ())
+        if bench_id not in bench_ids
+    ]
     if issues:
         raise SchemaError(issues)
 
@@ -158,8 +165,8 @@ def _check_overrides(suite: LoadedSuite, benches: Sequence[TestBench]) -> None:
 def cmd_assign(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     suite = load_suite(args.suite)
-    _check_overrides(suite, benches)
     budget = load_budget(args.budget) if args.budget else None
+    _check_references(benches, suite, budget)
     solver = assign_exact if args.exact else assign_greedy
     try:
         plan = solver(

@@ -3,12 +3,14 @@
 All documents are JSON with an explicit ``format_version``. Loading checks
 the schema first and reports *every* finding with a path-like location
 (``benches[0].elements[3].stage``) before raising; registries are written by
-hand, so one round of fixes should suffice. A registry's elements are built
-in that schema pass, each once, where the checks accept it; the domain
-checks of :func:`~benchlattice.taxonomy.validate_bench` (tree, duplicates,
-empty leaves) still follow, for every bench. Serialization is canonical
-(sorted keys, two-space indent, trailing newline) and writes are atomic via
-temp file + rename, so no partial files survive a failure.
+hand, so one round of fixes should suffice. Registries and suites share
+one loader: the root, each item of its array and unique ids are checked,
+then every item is built. A registry's elements are built in the schema
+pass, each once, where the checks accept it; the domain checks of
+:func:`~benchlattice.taxonomy.validate_bench` (tree, duplicates, empty
+leaves) still follow, for every bench. Serialization is canonical (sorted
+keys, two-space indent, trailing newline) and writes are atomic via temp
+file + rename, so no partial files survive a failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
 from .errors import (
@@ -53,6 +55,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _STAGES = tuple(_BY_NAME)
 
 Issue = tuple[str, str]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,50 @@ class _Checker:
     def raise_if_found(self) -> None:
         if self.issues:
             raise SchemaError(self.issues)
+
+
+def _load_items(
+    path: str | Path,
+    key: str,
+    noun: str,
+    check_item: Callable[[_Checker, object, str], dict[str, Any] | None],
+    build: Callable[[dict[str, Any]], _T],
+) -> list[tuple[dict[str, Any], _T]]:
+    """Each item of the document's array ``key``, checked by ``check_item``,
+    as a (fragment, ``build(fragment)``) pair. Raises :class:`SchemaError`
+    with every finding, then :class:`ValidationError` with (item id, error)
+    pairs for every item ``build`` rejects."""
+    doc = _load_json(path)
+    check = _Checker()
+    root = check.obj(doc, "$")
+    fragments: list[dict[str, Any]] = []
+    if root is not None:
+        check.known_fields(root, "$", {"format_version", key})
+        check.version(root)
+        items = check.array(root.get(key), key)
+        seen: set[str] = set()
+        for i, raw in enumerate(items or ()):
+            fragment = check_item(check, raw, f"{key}[{i}]")
+            if fragment is None:
+                continue
+            item_id = fragment.get("id")
+            if isinstance(item_id, str):
+                if item_id in seen:
+                    check.add(f"{key}[{i}].id", f"duplicate {noun} id {item_id!r}")
+                seen.add(item_id)
+            fragments.append(fragment)
+    check.raise_if_found()
+
+    loaded: list[tuple[dict[str, Any], _T]] = []
+    problems: list[tuple[str, BenchlatticeError]] = []
+    for fragment in fragments:
+        try:
+            loaded.append((fragment, build(fragment)))
+        except BenchlatticeError as exc:
+            problems.append((str(fragment.get("id")), exc))
+    if problems:
+        raise ValidationError(problems)
+    return loaded
 
 
 # --- bench registries --------------------------------------------------------
@@ -301,37 +348,10 @@ def load_registry(path: str | Path) -> list[TestBench]:
     and :class:`ValidationError` with (bench id, error) pairs when benches
     violate the domain invariants.
     """
-    doc = _load_json(path)
-    check = _Checker()
-    root = check.obj(doc, "$")
-    fragments: list[dict[str, Any]] = []
-    if root is not None:
-        check.known_fields(root, "$", {"format_version", "benches"})
-        check.version(root)
-        benches = check.array(root.get("benches"), "benches")
-        seen_ids: set[str] = set()
-        for i, raw in enumerate(benches or ()):
-            fragment = _check_bench(check, raw, f"benches[{i}]")
-            if fragment is None:
-                continue
-            bench_id = fragment.get("id")
-            if isinstance(bench_id, str):
-                if bench_id in seen_ids:
-                    check.add(f"benches[{i}].id", f"duplicate bench id {bench_id!r}")
-                seen_ids.add(bench_id)
-            fragments.append(fragment)
-    check.raise_if_found()
-
-    loaded: list[TestBench] = []
-    problems: list[tuple[str, BenchlatticeError]] = []
-    for fragment in fragments:
-        try:
-            loaded.append(validate_bench(fragment))
-        except BenchlatticeError as exc:
-            problems.append((str(fragment.get("id")), exc))
-    if problems:
-        raise ValidationError(problems)
-    return loaded
+    return [
+        bench
+        for _, bench in _load_items(path, "benches", "bench", _check_bench, validate_bench)
+    ]
 
 
 def bench_to_raw(bench: TestBench) -> dict[str, Any]:
@@ -414,11 +434,10 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
             if "type" in entry:
                 check.text(entry["type"], f"{location}.scenario.movable_objects[{i}].type")
             if "count" in entry:
-                check.number(
-                    entry["count"],
-                    f"{location}.scenario.movable_objects[{i}].count",
-                    minimum=1,
-                )
+                count_location = f"{location}.scenario.movable_objects[{i}].count"
+                count = check.number(entry["count"], count_location, minimum=1)
+                if count is not None and not count.is_integer():
+                    check.add(count_location, f"must be a whole number, got {count}")
         conditions = check.array(
             scenario.get("environment_conditions", []),
             f"{location}.scenario.environment_conditions",
@@ -453,45 +472,16 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
 
 def load_suite(path: str | Path) -> LoadedSuite:
     """Load a test suite plus its per-test-case stage overrides."""
-    doc = _load_json(path)
-    check = _Checker()
-    root = check.obj(doc, "$")
-    fragments: list[dict[str, Any]] = []
-    if root is not None:
-        check.known_fields(root, "$", {"format_version", "test_cases"})
-        check.version(root)
-        cases = check.array(root.get("test_cases"), "test_cases")
-        seen: set[str] = set()
-        for i, raw in enumerate(cases or ()):
-            fragment = _check_case(check, raw, f"test_cases[{i}]")
-            if fragment is None:
-                continue
-            case_id = fragment.get("id")
-            if isinstance(case_id, str):
-                if case_id in seen:
-                    check.add(f"test_cases[{i}].id", f"duplicate test case id {case_id!r}")
-                seen.add(case_id)
-            fragments.append(fragment)
-    check.raise_if_found()
-
-    test_cases: list[TestCase] = []
-    overrides: dict[str, StageOverrides] = {}
-    problems: list[tuple[str, BenchlatticeError]] = []
-    for fragment in fragments:
-        try:
-            test_cases.append(validate_test_case(fragment))
-        except BenchlatticeError as exc:
-            problems.append((str(fragment.get("id")), exc))
-            continue
-        raw_overrides = fragment.get("overrides") or {}
-        if raw_overrides:
-            overrides[str(fragment["id"])] = {
-                dim: frozenset(Stage(s) for s in stages)
-                for dim, stages in raw_overrides.items()
-            }
-    if problems:
-        raise ValidationError(problems)
-    return LoadedSuite(test_cases=tuple(test_cases), overrides=overrides)
+    loaded = _load_items(path, "test_cases", "test case", _check_case, validate_test_case)
+    overrides: dict[str, StageOverrides] = {
+        tc.id: {
+            dim: frozenset(Stage(s) for s in stages)
+            for dim, stages in fragment["overrides"].items()
+        }
+        for fragment, tc in loaded
+        if fragment.get("overrides")
+    }
+    return LoadedSuite(test_cases=tuple(tc for _, tc in loaded), overrides=overrides)
 
 
 def save_suite(suite: LoadedSuite, path: str | Path) -> None:

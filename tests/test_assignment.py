@@ -420,8 +420,7 @@ def test_frontier_hand_derived():
     tc = make_test_case("a", duration=100.0)
     [(_, [opts])] = assignment._analyse([tc], [bench], {})
     assert [
-        (index, opts.seconds(time), opts.money(value))
-        for value, index, time, _ in opts.frontier
+        (cand.index, cand.seconds, cand.cost) for cand in opts.frontier
     ] == [(2, 25, 3), (1, 50, 1), (0, 200, 1)]
 
     def picks(suite, limit=None):
@@ -454,11 +453,11 @@ def _assert_frontier_matches_reference(suite, benches, overrides, label):
             on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
             assert opts.count == len(on_bench), label
             built = sorted(
-                (opts.build(point) for point in opts.frontier),
+                (opts.build(cand) for cand in opts.frontier),
                 key=lambda c: (c.cost.monetary_cost, c.config_index),
             )
             assert built == _frontier(on_bench), label
-            times = [point[2] for point in opts.frontier]
+            times = [cand.seconds for cand in opts.frontier]
             assert times == sorted(set(times)), label
             pruned += len(on_bench) > len(built) > 1
     return expected, pruned
@@ -852,7 +851,11 @@ def test_exact_guard_counts_candidates_without_walking(monkeypatch):
         assign_exact(suite, [bench])
 
 
-@pytest.mark.parametrize("limit", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "limit",
+    [float("inf"), float("-inf"), float("nan"), 10**400, -(10**400), 10**5000],
+    ids=["inf", "-inf", "nan", "10**400", "-10**400", "10**5000"],
+)
 def test_budget_rejects_non_finite_limits(limit):
     with pytest.raises(ValueError, match="budget for bench 'sil' must be a finite number"):
         CapacityBudget({"sil": limit})

@@ -155,6 +155,21 @@ def test_assign_refuses_a_misspelt_override(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_assign_refuses_a_budget_for_an_unknown_bench(tmp_path, capsys):
+    text = Path(BUDGET).read_text(encoding="utf-8")
+    assert text.count('"sil"') == 1
+    budget_path = tmp_path / "typo.budget.json"
+    budget_path.write_text(text.replace('"sil"', '"sill"'), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, SUITE, "--budget", str(budget_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: max_bench_time.sill: unknown bench (available: sil, test-vehicle)\n"
+    )
+    assert not out.exists()
+
+
 def test_assign_accepts_an_override_of_a_sub_dimension_one_bench_lacks(tmp_path, capsys):
     # Only sil substantiates the environment sensors into radar and camera.
     suite = LoadedSuite(

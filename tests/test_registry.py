@@ -277,6 +277,22 @@ def test_bad_override_stage(tmp_path):
     assert "test_cases[0].overrides.scenery[0]" in excinfo.value.locations()
 
 
+def test_movable_object_count_must_be_whole(tmp_path):
+    doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
+    objects = doc["test_cases"][1]["scenario"]["movable_objects"] = [{"type": "car"}]
+    path = tmp_path / "count.suite.json"
+    objects[0]["count"] = 2.0
+    path.write_text(json.dumps(doc))
+    assert load_suite(path).test_cases[1].scenario.movable_objects[0].count == 2
+    objects[0]["count"] = 1.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as excinfo:
+        load_suite(path)
+    assert excinfo.value.issues == (
+        ("test_cases[1].scenario.movable_objects[0].count", "must be a whole number, got 1.5"),
+    )
+
+
 def test_invalid_test_case_is_validation_error(tmp_path):
     doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
     doc["test_cases"][0]["evaluation_criteria"] = []
