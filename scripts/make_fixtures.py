@@ -8,11 +8,12 @@ from pathlib import Path
 from benchlattice.assignment import CapacityBudget
 from benchlattice.registry import (
     LoadedSuite,
+    bench_from_raw,
     save_budget,
     save_registry,
     save_suite,
 )
-from benchlattice.taxonomy import Stage, validate_bench
+from benchlattice.taxonomy import Stage
 from benchlattice.testcase import (
     EvaluationCriterion,
     ObjectDescriptor,
@@ -38,7 +39,7 @@ def element(eid, name, dimension, stage, rate, tf, setup=0.0):
 
 def sil_bench():
     sim = lambda eid, name, dim, rate=5.0, tf=0.25: element(eid, name, dim, "simulated", rate, tf)
-    return validate_bench(
+    return bench_from_raw(
         {
             "id": "sil",
             "display_name": "Software-in-the-loop test bench",
@@ -63,7 +64,7 @@ def sil_bench():
 
 def test_vehicle_bench():
     real = lambda eid, name, dim: element(eid, name, dim, "real", 72.0, 1.0, setup=10.0)
-    return validate_bench(
+    return bench_from_raw(
         {
             "id": "test-vehicle",
             "display_name": "Proving ground test vehicle",

@@ -1,16 +1,18 @@
 """File formats: bench registries, test suites, budgets and plans.
 
-All documents are JSON with an explicit ``format_version``. Loading checks
-the schema first and reports *every* finding with a path-like location
-(``benches[0].elements[3].stage``) before raising; registries are written by
-hand, so one round of fixes should suffice. Registries and suites share
-one loader: the root, each item of its array and unique ids are checked,
-then every item is built. A registry's elements are built in the schema
-pass, each once, where the checks accept it; the domain checks of
-:func:`~benchlattice.taxonomy.validate_bench` (tree, duplicates, empty
-leaves) still follow, for every bench. Serialization is canonical (sorted
-keys, two-space indent, trailing newline) and writes are atomic via temp
-file + rename, so no partial files survive a failure.
+The one module that reads documents and their fragments; the domain modules
+validate values only. All documents are UTF-8 JSON with an explicit
+``format_version``. Loading checks the schema first and reports *every*
+finding with a path-like location (``benches[0].elements[3].stage``) before
+raising; registries are written by hand, so one round of fixes should
+suffice. Registries and suites share one loader: the root, each item of its
+array and unique ids are checked, then every item is built from the
+accepted values and validated; :func:`bench_from_raw` and
+:func:`case_from_raw` do the same for one fragment. A registry's elements
+are built in the schema pass, each once, where the checks accept it.
+Serialization is canonical (sorted keys, two-space indent, trailing newline)
+and writes are atomic via temp file + rename, so no partial files survive a
+failure.
 """
 
 from __future__ import annotations
@@ -19,26 +21,29 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
 from .errors import (
-    BenchlatticeError,
-    DocumentSyntaxError,
-    SchemaError,
+    BenchlatticeError, DocumentSyntaxError, MissingLayer, SchemaError, UnknownDimension,
     ValidationError,
 )
 from .taxonomy import (
-    _BY_NAME, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage, TestBench,
-    _from_checked, validate_bench,
+    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage,
+    TestBench, _sub_dimensions, new_bench, validate_bench,
 )
-from .testcase import StageOverrides, TestCase, validate_test_case
+from .testcase import (
+    EvaluationCriterion, ObjectDescriptor, ScenarioLayers, StageOverrides, TestCase,
+    validate_test_case,
+)
 
 __all__ = [
     "FORMAT_VERSION",
     "LoadedSuite",
+    "bench_from_raw",
+    "case_from_raw",
     "load_registry",
     "save_registry",
     "load_suite",
@@ -92,9 +97,10 @@ def _dump(payload: Mapping[str, Any]) -> str:
 
 def _load_json(path: str | Path) -> Any:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(str(path), f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(str(path), str(exc)) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
@@ -222,6 +228,14 @@ def _load_items(
     return loaded
 
 
+def _from_raw(raw: object, check_item: Callable[..., Any], build: Callable[[Any], _T]) -> _T:
+    """``build`` of one fragment that ``check_item`` accepts from ``$``."""
+    check = _Checker()
+    fragment = check_item(check, raw, "$")
+    check.raise_if_found()
+    return build(fragment)
+
+
 # --- bench registries --------------------------------------------------------
 
 _BENCH_FIELDS = {"id", "display_name", "substantiations", "combinable", "elements"}
@@ -234,6 +248,18 @@ _ELEMENT_REQUIRED = (
 _ELEMENT_REQUIRED_SET = frozenset(_ELEMENT_REQUIRED)
 _ELEMENT_FIELDS = _ELEMENT_REQUIRED_SET | {"display_name", "extra"}
 _NUMBER_TYPES = (int, float)
+
+
+def _from_checked(cls: type[_T], **fields: object) -> _T:
+    """A :class:`Characteristics` or :class:`Element` of fields
+    :func:`_element` has accepted, without the dataclass ``__init__``. Its
+    checks stand in for :meth:`Characteristics.__post_init__`:
+    ``validated_for`` is a frozenset, ``extra`` a dict of its own, and the
+    numbers are floats with ``0 <= cost_rate``, ``0 < time_factor`` and
+    ``0 <= setup_cost``, none past the largest float."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def _element(entry: object) -> Element | None:
@@ -306,6 +332,7 @@ def _check_element(check: _Checker, raw: object, location: str) -> None:
 
 
 def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] | None:
+    """The bench fragment, its ``elements`` built; None for no object."""
     bench = check.obj(raw, location)
     if bench is None:
         return None
@@ -329,29 +356,71 @@ def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] 
         if not isinstance(flag, bool):
             check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
     elements = check.array(bench.get("elements", []), f"{location}.elements")
-    built: list[object] = []
+    built: list[Element] = []
     for i, entry in enumerate(elements or ()):
         element = _element(entry)
         if element is None:
+            found = len(check.issues)
             _check_element(check, entry, f"{location}.elements[{i}]")
-        # An entry the itemised checks pass after all (an int that rounds down to
-        # the largest float) stays raw for validate_bench to build.
-        built.append(entry if element is None else element)
+            if len(check.issues) > found:
+                continue
+            # The itemised checks pass it after all (an int that rounds down
+            # to the largest float): the public constructors build it.
+            numbers = (float(entry[key]) for key in ("cost_rate", "time_factor", "setup_cost"))
+            characteristics = Characteristics(
+                entry["validated_for"], *numbers, entry.get("extra", {})
+            )
+            element = Element(
+                entry["id"], entry.get("display_name", entry["id"]), entry["dimension"],
+                _BY_NAME[entry["stage"]], characteristics,
+            )
+        built.append(element)
     return {**bench, "elements": built}
+
+
+def _bench(fragment: dict[str, Any]) -> TestBench:
+    """The validated bench of a fragment :func:`_check_bench` has accepted:
+    canonical flags, substantiations in document order, then sub-dimension
+    flags; :func:`~benchlattice.taxonomy.validate_bench` orders the tree."""
+    flags = fragment.get("combinable", {})
+    bench = new_bench(
+        fragment["id"],
+        fragment.get("display_name"),
+        combinable_overrides={dim: f for dim, f in flags.items() if dim in _CANONICAL_ORDER},
+    )
+    for parent, names in fragment.get("substantiations", {}).items():
+        subs = _sub_dimensions(bench, parent, names)
+        bench = replace(bench, dimension_tree=bench.dimension_tree + subs)
+    sub_flags = {dim: f for dim, f in flags.items() if dim not in _CANONICAL_ORDER}
+    unknown = sorted(set(sub_flags) - {node.id for node in bench.dimension_tree})
+    if unknown:
+        raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
+    nodes = tuple(
+        replace(node, combinable=sub_flags[node.id]) if node.id in sub_flags else node
+        for node in bench.dimension_tree
+    )
+    return validate_bench(
+        replace(bench, dimension_tree=nodes, elements=tuple(fragment["elements"]))
+    )
+
+
+def bench_from_raw(raw: object) -> TestBench:
+    """The validated bench of one registry fragment (an item of
+    ``benches``), by the checks of :func:`load_registry`. Raises
+    :class:`SchemaError` with every finding, located from ``$``
+    (``$.elements[3].stage``), or the bench's domain error."""
+    return _from_raw(raw, _check_bench, _bench)
 
 
 def load_registry(path: str | Path) -> list[TestBench]:
     """Load and validate every bench in a registry file.
 
-    Raises :class:`DocumentSyntaxError` for malformed JSON,
+    Raises :class:`DocumentSyntaxError` for a file that is not UTF-8 JSON,
     :class:`SchemaError` with every located finding for schema violations,
     and :class:`ValidationError` with (bench id, error) pairs when benches
     violate the domain invariants.
     """
-    return [
-        bench
-        for _, bench in _load_items(path, "benches", "bench", _check_bench, validate_bench)
-    ]
+    return [bench for _, bench in _load_items(path, "benches", "bench", _check_bench, _bench)]
 
 
 def bench_to_raw(bench: TestBench) -> dict[str, Any]:
@@ -394,14 +463,14 @@ def save_registry(benches: Sequence[TestBench], path: str | Path) -> None:
 # --- suites -------------------------------------------------------------------
 
 _CASE_FIELDS = {"id", "purpose", "scenario", "evaluation_criteria", "overrides"}
-_SCENARIO_FIELDS = {
+_LAYERS = (
     "road_level",
     "traffic_infrastructure",
     "temporary_manipulation",
     "movable_objects",
     "environment_conditions",
-    "nominal_duration",
-}
+)
+_SCENARIO_FIELDS = {*_LAYERS, "nominal_duration"}
 
 
 def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] | None:
@@ -425,19 +494,19 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
             scenario.get("movable_objects", []), f"{location}.scenario.movable_objects"
         )
         for i, obj in enumerate(movable or ()):
-            entry = check.obj(obj, f"{location}.scenario.movable_objects[{i}]")
+            where = f"{location}.scenario.movable_objects[{i}]"
+            entry = check.obj(obj, where)
             if entry is None:
                 continue
-            check.known_fields(
-                entry, f"{location}.scenario.movable_objects[{i}]", {"type", "count"}
-            )
-            if "type" in entry:
-                check.text(entry["type"], f"{location}.scenario.movable_objects[{i}].type")
+            check.known_fields(entry, where, {"type", "count"})
+            if "type" not in entry:
+                check.add(f"{where}.type", "required field missing")
+            else:
+                check.text(entry["type"], f"{where}.type")
             if "count" in entry:
-                count_location = f"{location}.scenario.movable_objects[{i}].count"
-                count = check.number(entry["count"], count_location, minimum=1)
+                count = check.number(entry["count"], f"{where}.count", minimum=1)
                 if count is not None and not count.is_integer():
-                    check.add(count_location, f"must be a whole number, got {count}")
+                    check.add(f"{where}.count", f"must be a whole number, got {count}")
         conditions = check.array(
             scenario.get("environment_conditions", []),
             f"{location}.scenario.environment_conditions",
@@ -450,14 +519,13 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
         case.get("evaluation_criteria", []), f"{location}.evaluation_criteria"
     )
     for i, criterion in enumerate(criteria or ()):
-        entry = check.obj(criterion, f"{location}.evaluation_criteria[{i}]")
+        where = f"{location}.evaluation_criteria[{i}]"
+        entry = check.obj(criterion, where)
         if entry is None:
             continue
-        check.known_fields(
-            entry, f"{location}.evaluation_criteria[{i}]", {"name", "threshold"}
-        )
+        check.known_fields(entry, where, {"name", "threshold"})
         if "name" not in entry:
-            check.add(f"{location}.evaluation_criteria[{i}].name", "required field missing")
+            check.add(f"{where}.name", "required field missing")
     overrides = check.obj(case.get("overrides", {}), f"{location}.overrides")
     for dim, stages in (overrides or {}).items():
         stages_arr = check.array(stages, f"{location}.overrides.{dim}")
@@ -470,9 +538,52 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
     return case
 
 
+def _test_case(fragment: dict[str, Any]) -> TestCase:
+    """The validated test case of a fragment :func:`_check_case` has
+    accepted. Numbers load as floats and counts as ints (``2.0`` as 2);
+    criterion names and thresholds load as their ``str()``."""
+    case_id = fragment["id"]
+    scenario = fragment.get("scenario")
+    if scenario is None:
+        raise MissingLayer(f"test case {case_id!r} has no scenario")
+    for layer in _LAYERS:
+        if layer not in scenario:
+            raise MissingLayer(f"test case {case_id!r}: scenario layer {layer!r} missing")
+    return validate_test_case(
+        TestCase(
+            id=case_id,
+            scenario=ScenarioLayers(
+                road_level=scenario["road_level"],
+                traffic_infrastructure=scenario["traffic_infrastructure"],
+                temporary_manipulation=scenario["temporary_manipulation"],
+                movable_objects=tuple(
+                    ObjectDescriptor(type=obj["type"], count=int(obj.get("count", 1)))
+                    for obj in scenario["movable_objects"]
+                ),
+                environment_conditions=tuple(scenario["environment_conditions"]),
+                nominal_duration=float(scenario.get("nominal_duration", 0.0)),
+            ),
+            evaluation_criteria=tuple(
+                EvaluationCriterion(name=str(c["name"]), threshold=str(c.get("threshold", "")))
+                for c in fragment.get("evaluation_criteria", ())
+            ),
+            purpose=fragment.get("purpose", ""),
+        )
+    )
+
+
+def case_from_raw(raw: object) -> TestCase:
+    """The validated test case of one suite fragment (an item of
+    ``test_cases``), by the checks of :func:`load_suite`; ``overrides`` are
+    checked, not returned. Raises :class:`SchemaError` with every finding,
+    located from ``$`` (``$.scenario.movable_objects[0].count``), or the
+    test case's domain error."""
+    return _from_raw(raw, _check_case, _test_case)
+
+
 def load_suite(path: str | Path) -> LoadedSuite:
     """Load a test suite plus its per-test-case stage overrides."""
-    loaded = _load_items(path, "test_cases", "test case", _check_case, validate_test_case)
+    loaded = _load_items(path, "test_cases", "test case", _check_case, _test_case)
     overrides: dict[str, StageOverrides] = {
         tc.id: {
             dim: frozenset(Stage(s) for s in stages)

@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AlreadySubstantiated,
@@ -78,7 +78,6 @@ class Stage(Enum):
 _CHART_INDEX = {Stage.SIMULATED: 1, Stage.EMULATED: 2, Stage.REAL: 3}
 _BY_NAME = {stage.value: stage for stage in Stage}
 _FLOAT_MAX = sys.float_info.max
-_T = TypeVar("_T")
 
 
 class DimensionKind(Enum):
@@ -173,20 +172,6 @@ class Element:
     dimension: str
     stage: Stage
     characteristics: Characteristics = Characteristics()
-
-
-def _from_checked(cls: type[_T], **fields: object) -> _T:
-    """A :class:`Characteristics` or :class:`Element` built from fields a
-    schema check has already accepted, without running the dataclass
-    ``__init__`` or ``__post_init__`` again. The caller's checks stand in
-    for :meth:`Characteristics.__post_init__`: ``validated_for`` is a
-    frozenset, ``extra`` a dict of its own, and the numbers are floats with
-    ``0 <= cost_rate``, ``0 < time_factor`` and ``0 <= setup_cost``, none
-    past the largest float (``registry._element`` checks exactly this). The
-    public constructors keep every check."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
 
 
 @dataclass(frozen=True)
@@ -336,20 +321,13 @@ def elements_by_dimension(bench: TestBench) -> dict[str, tuple[Element, ...]]:
     return {dim: tuple(elems) for dim, elems in grouped.items()}
 
 
-RawBench = Union[Mapping[str, object], TestBench]
-
-
-def validate_bench(raw: RawBench) -> TestBench:
-    """Build and validate a test bench.
-
-    Accepts either an already-constructed :class:`TestBench` (possibly a
-    draft) or a parsed registry fragment with the keys ``id``,
-    ``display_name``, ``substantiations``, ``combinable`` and ``elements``.
-    Returns a bench in canonical ordering; validating a valid bench returns
-    an equal value.
+def validate_bench(bench: TestBench) -> TestBench:
+    """Check a bench value (possibly a draft) against the full invariants
+    and return it in canonical ordering; validating a valid bench returns an
+    equal value. A registry fragment goes through
+    :func:`benchlattice.registry.bench_from_raw` instead, which reads it
+    and then calls this.
     """
-    bench = _build_from_mapping(raw) if isinstance(raw, Mapping) else raw
-
     nodes = _canonical_tree_order(bench.dimension_tree)
     _check_tree(bench.id, nodes)
 
@@ -413,58 +391,3 @@ def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:
             raise UnknownDimension(
                 f"sub-dimension {node.id!r} references missing parent {node.parent!r}"
             )
-
-
-def _build_from_mapping(raw: Mapping[str, object]) -> TestBench:
-    """A draft of the bench ``raw`` describes; its tree is left for
-    :func:`validate_bench` to put in canonical order."""
-    bench_id = str(raw.get("id", ""))
-    display_name = str(raw.get("display_name", bench_id))
-    substantiations = raw.get("substantiations") or {}
-    combinable = dict(raw.get("combinable") or {})  # type: ignore[arg-type]
-
-    canonical_overrides = {
-        k: bool(v) for k, v in combinable.items() if k in _CANONICAL_ORDER
-    }
-    bench = new_bench(bench_id, display_name, combinable_overrides=canonical_overrides)
-    for parent, names in substantiations.items():  # type: ignore[union-attr]
-        subs = _sub_dimensions(bench, str(parent), list(names))  # type: ignore[arg-type]
-        bench = replace(bench, dimension_tree=bench.dimension_tree + subs)
-
-    nodes = bench.dimension_tree
-    sub_overrides = {k: v for k, v in combinable.items() if k not in canonical_overrides}
-    if sub_overrides:
-        known = {node.id for node in nodes}
-        unknown = sorted(set(sub_overrides) - known)
-        if unknown:
-            raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
-        nodes = tuple(
-            replace(node, combinable=bool(sub_overrides[node.id]))
-            if node.id in sub_overrides
-            else node
-            for node in nodes
-        )
-
-    elements = []
-    for entry in raw.get("elements") or ():  # type: ignore[union-attr]
-        if isinstance(entry, Element):
-            elements.append(entry)
-            continue
-        elements.append(
-            Element(
-                id=str(entry["id"]),
-                display_name=str(entry.get("display_name", entry["id"])),
-                dimension=str(entry["dimension"]),
-                stage=Stage.from_name(str(entry["stage"])),
-                characteristics=Characteristics(
-                    validated_for=frozenset(entry.get("validated_for", ())),
-                    cost_rate=float(entry.get("cost_rate", 0.0)),
-                    time_factor=float(entry.get("time_factor", 1.0)),
-                    setup_cost=float(entry.get("setup_cost", 0.0)),
-                    extra=dict(entry.get("extra", {})),
-                ),
-            )
-        )
-    return TestBench(
-        id=bench_id, display_name=display_name, dimension_tree=nodes, elements=tuple(elements)
-    )

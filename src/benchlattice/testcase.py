@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     ContradictoryOverride,
@@ -105,21 +105,10 @@ class RequirementProfile:
         return self.entries.get(canonical_id)
 
 
-RawTestCase = Union[Mapping[str, object], TestCase]
-
-_LAYER_FIELDS = (
-    "road_level",
-    "traffic_infrastructure",
-    "temporary_manipulation",
-    "movable_objects",
-    "environment_conditions",
-)
-
-
-def validate_test_case(raw: RawTestCase) -> TestCase:
-    """Build and validate a test case from a parsed suite fragment (or
-    re-check an existing value)."""
-    tc = _build_from_mapping(raw) if isinstance(raw, Mapping) else raw
+def validate_test_case(tc: TestCase) -> TestCase:
+    """Check a test case value against its invariants and return it. A
+    suite fragment goes through :func:`benchlattice.registry.case_from_raw`
+    instead, which reads it and then calls this."""
     if not tc.scenario.road_level.strip():
         raise MissingLayer(f"test case {tc.id!r}: road_level must not be blank")
     if not tc.evaluation_criteria:
@@ -137,44 +126,6 @@ def validate_test_case(raw: RawTestCase) -> TestCase:
     if not tc.purpose.strip():
         raise TestCaseError(f"test case {tc.id!r}: purpose must not be blank")
     return tc
-
-
-def _build_from_mapping(raw: Mapping[str, object]) -> TestCase:
-    scenario_raw = raw.get("scenario")
-    if not isinstance(scenario_raw, Mapping):
-        raise MissingLayer(f"test case {raw.get('id')!r} has no scenario")
-    for layer in _LAYER_FIELDS:
-        if layer not in scenario_raw:
-            raise MissingLayer(
-                f"test case {raw.get('id')!r}: scenario layer {layer!r} missing"
-            )
-    movable = tuple(
-        obj
-        if isinstance(obj, ObjectDescriptor)
-        else ObjectDescriptor(type=str(obj["type"]), count=int(obj.get("count", 1)))
-        for obj in scenario_raw["movable_objects"]  # type: ignore[index]
-    )
-    criteria = tuple(
-        c
-        if isinstance(c, EvaluationCriterion)
-        else EvaluationCriterion(name=str(c["name"]), threshold=str(c.get("threshold", "")))
-        for c in raw.get("evaluation_criteria", ())  # type: ignore[union-attr]
-    )
-    return TestCase(
-        id=str(raw.get("id", "")),
-        scenario=ScenarioLayers(
-            road_level=str(scenario_raw["road_level"]),
-            traffic_infrastructure=str(scenario_raw["traffic_infrastructure"]),
-            temporary_manipulation=str(scenario_raw["temporary_manipulation"]),
-            movable_objects=movable,
-            environment_conditions=tuple(
-                str(c) for c in scenario_raw["environment_conditions"]  # type: ignore[index]
-            ),
-            nominal_duration=float(scenario_raw.get("nominal_duration", 0.0)),
-        ),
-        evaluation_criteria=criteria,
-        purpose=str(raw.get("purpose", "")),
-    )
 
 
 def _normalize(text: str) -> str:

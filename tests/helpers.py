@@ -35,7 +35,7 @@ from benchlattice.errors import (
     UnknownDimension,
     ValidationError,
 )
-from benchlattice.registry import FORMAT_VERSION, _ID_RE, _load_json
+from benchlattice.registry import FORMAT_VERSION, _ID_RE, _load_json, bench_from_raw
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
@@ -101,13 +101,8 @@ def uniform_bench(
         for dim in CANONICAL_DIMENSION_IDS
         if dim not in set(skip_dimensions)
     ]
-    raw = {
-        "id": bench_id,
-        "display_name": bench_id,
-        "combinable": dict(combinable or {}),
-        "elements": elements + list(extra_elements),
-    }
-    return validate_bench(raw)
+    bench = new_bench(bench_id, combinable_overrides=combinable)
+    return validate_bench(with_elements(bench, elements + list(extra_elements)))
 
 
 def make_test_case(
@@ -470,7 +465,7 @@ def random_bench(
                     "setup_cost": rng.choice(_SETUPS),
                 }
             )
-    return validate_bench(
+    return bench_from_raw(
         {
             "id": bench_id,
             "display_name": bench_id,
@@ -515,7 +510,7 @@ def small_random_bench(rng: random.Random, bench_id: str) -> TestBench:
                     "setup_cost": rng.choice(_SETUPS),
                 }
             )
-    return validate_bench(
+    return bench_from_raw(
         {
             "id": bench_id,
             "display_name": bench_id,

@@ -484,6 +484,38 @@ def test_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["registry", "suite", "budget"])
+def test_document_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, kind):
+    paths = {"registry": SIL, "suite": SUITE, "budget": BUDGET}
+    text = Path(paths[kind]).read_text(encoding="utf-8")
+    paths[kind] = str(tmp_path / f"utf16.{kind}.json")
+    # UTF-16 with its byte-order mark, so the file starts with ff fe.
+    Path(paths[kind]).write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    out = tmp_path / "plan.json"
+    argv = ["assign", paths["registry"], paths["suite"], "--budget", paths["budget"]]
+    assert run([*argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {paths[kind]}: not UTF-8 text: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_assign_refuses_a_movable_object_without_type(tmp_path, capsys):
+    doc = json.loads(Path(SUITE).read_text(encoding="utf-8"))
+    del doc["test_cases"][0]["scenario"]["movable_objects"][0]["type"]
+    suite_path = tmp_path / "untyped.suite.json"
+    suite_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, str(suite_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: test_cases[0].scenario.movable_objects[0].type: required field missing\n"
+    )
+    assert not out.exists()
+
+
 def test_deeply_nested_document_is_a_syntax_error(tmp_path, capsys):
     path = tmp_path / "deep.bench.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

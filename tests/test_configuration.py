@@ -21,7 +21,14 @@ from benchlattice.errors import (
     ConfigurationError,
     ForeignConfiguration,
 )
-from benchlattice.taxonomy import Stage, leaf_dimensions, validate_bench
+from benchlattice.taxonomy import (
+    Stage,
+    leaf_dimensions,
+    new_bench,
+    substantiate_dimension,
+    validate_bench,
+    with_elements,
+)
 from helpers import make_element, random_bench, reference_configurations, uniform_bench
 
 
@@ -123,12 +130,11 @@ def test_space_matches_brute_force_reference(seed):
 
 
 def test_space_matches_reference_with_substantiated_combinable_leaf():
+    draft = substantiate_dimension(new_bench("subst"), "movable-objects", ["cars", "pedestrians"])
     bench = validate_bench(
-        {
-            "id": "subst",
-            "display_name": "subst",
-            "substantiations": {"movable-objects": ["cars", "pedestrians"]},
-            "elements": [
+        with_elements(
+            draft,
+            [
                 make_element(f"{dim}-el", dim)
                 for dim in (
                     "test-object",
@@ -144,7 +150,7 @@ def test_space_matches_reference_with_substantiated_combinable_leaf():
             + [make_element(f"vd-{i}", "vehicle-dynamics") for i in range(2)]
             + [make_element(f"car-{i}", "cars", Stage.REAL) for i in range(4)]
             + [make_element(f"ped-{i}", "pedestrians") for i in range(3)],
-        }
+        )
     )
     space = ConfigurationSpace(bench)
     assert [leaf.id for leaf in space.leaves if leaf.parent] == ["cars", "pedestrians"]

@@ -28,6 +28,8 @@ from benchlattice.errors import (
     ValidationError,
 )
 from benchlattice.registry import (
+    bench_from_raw,
+    case_from_raw,
     load_budget,
     load_registry,
     load_suite,
@@ -300,6 +302,97 @@ def test_invalid_test_case_is_validation_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_suite(path)
+
+
+def _bench_fragment(**changes):
+    fragment = copy.deepcopy(sil_raw()["benches"][0])
+    fragment.update(changes)
+    return fragment
+
+
+def _case_fragment(movable_object):
+    doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
+    fragment = doc["test_cases"][0]
+    fragment["scenario"]["movable_objects"] = [movable_object]
+    return fragment
+
+
+def _element_fragment(update=(), drop=()):
+    fragment = _bench_fragment()
+    element = fragment["elements"][0]
+    element.update(update)
+    for key in drop:
+        del element[key]
+    return fragment
+
+
+# Each fragment breaks one schema rule that no domain check covers.
+@pytest.mark.parametrize(
+    "from_raw, fragment, issues",
+    [
+        (
+            bench_from_raw,
+            _bench_fragment(combinable={"scenery": "false"}),
+            [("$.combinable.scenery", "expected a boolean, got 'false'")],
+        ),
+        (
+            bench_from_raw,
+            _element_fragment({"validated_for": "safety"}),
+            [("$.elements[0].validated_for", "expected an array, got str")],
+        ),
+        (
+            bench_from_raw,
+            _element_fragment(drop=["cost_rate", "time_factor"]),
+            [
+                ("$.elements[0].cost_rate", "required field missing"),
+                ("$.elements[0].time_factor", "required field missing"),
+            ],
+        ),
+        (bench_from_raw, _bench_fragment(id="a b"), [("$.id", "'a b' is not a valid identifier")]),
+        (
+            bench_from_raw,
+            _element_fragment({"extra": 5}),
+            [("$.elements[0].extra", "expected an object, got int")],
+        ),
+        (
+            case_from_raw,
+            _case_fragment({"type": "car", "count": 1.5}),
+            [("$.scenario.movable_objects[0].count", "must be a whole number, got 1.5")],
+        ),
+        (
+            case_from_raw,
+            _case_fragment({"type": "car", "count": -3}),
+            [("$.scenario.movable_objects[0].count", "must be >= 1, got -3.0")],
+        ),
+        (
+            case_from_raw,
+            _case_fragment({"count": 1}),
+            [("$.scenario.movable_objects[0].type", "required field missing")],
+        ),
+    ],
+    ids=[
+        "combinable-string", "validated-for-string", "missing-numbers", "bad-id", "extra-number",
+        "fractional-count", "negative-count", "untyped-object",
+    ],
+)
+def test_fragment_readers_refuse_what_the_loaders_refuse(from_raw, fragment, issues):
+    with pytest.raises(SchemaError) as excinfo:
+        from_raw(fragment)
+    assert excinfo.value.issues == tuple(issues)
+
+
+@pytest.mark.parametrize("name", ["sil_bench.json", "test_vehicle_bench.json", "fleet_bench.json"])
+def test_bench_from_raw_matches_load_registry(name):
+    path = fixture_path(name)
+    fragments = json.loads(path.read_text())["benches"]
+    assert [benchlattice.bench_from_raw(raw) for raw in fragments] == load_registry(path)
+
+
+def test_case_from_raw_matches_load_suite():
+    path = fixture_path("demo_suite.suite.json")
+    fragments = json.loads(path.read_text())["test_cases"]
+    cases = tuple(benchlattice.case_from_raw(raw) for raw in fragments)
+    assert cases == load_suite(path).test_cases
 
 
 def test_budget_round_trip(tmp_path):

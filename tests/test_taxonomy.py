@@ -178,13 +178,12 @@ def test_substantiate_sub_dimension_rejected():
 
 
 def test_element_on_substantiated_parent_rejected():
-    raw = {
-        "id": "b",
-        "substantiations": {"environment-sensor-system": ["radar", "camera"]},
-        "elements": [make_element(f"{d}-el", d) for d in CANONICAL_DIMENSION_IDS],
-    }
+    bench = substantiate_dimension(
+        new_bench("b"), "environment-sensor-system", ["radar", "camera"]
+    )
+    elements = [make_element(f"{d}-el", d) for d in CANONICAL_DIMENSION_IDS]
     with pytest.raises(ElementOnNonLeaf):
-        validate_bench(raw)
+        validate_bench(with_elements(bench, elements))
 
 
 def test_missing_leaf_element_rejected():
@@ -194,21 +193,21 @@ def test_missing_leaf_element_rejected():
         if d != "v2x-communication"
     ]
     with pytest.raises(EmptyLeaf):
-        validate_bench({"id": "b", "elements": elements})
+        validate_bench(with_elements(new_bench("b"), elements))
 
 
 def test_duplicate_element_id_rejected():
     elements = [make_element(f"{d}-el", d) for d in CANONICAL_DIMENSION_IDS]
     elements.append(make_element("scenery-el", "scenery"))
     with pytest.raises(DuplicateId):
-        validate_bench({"id": "b", "elements": elements})
+        validate_bench(with_elements(new_bench("b"), elements))
 
 
 def test_unknown_dimension_rejected():
     elements = [make_element(f"{d}-el", d) for d in CANONICAL_DIMENSION_IDS]
     elements.append(make_element("x", "holodeck"))
     with pytest.raises(UnknownDimension):
-        validate_bench({"id": "b", "elements": elements})
+        validate_bench(with_elements(new_bench("b"), elements))
 
 
 def test_validate_is_idempotent(sil_bench):

@@ -12,6 +12,7 @@ from benchlattice.errors import (
     NonPositiveDuration,
     TestCaseError,
 )
+from benchlattice.registry import case_from_raw
 from benchlattice.taxonomy import CANONICAL_DIMENSION_IDS, Stage
 from benchlattice.testcase import (
     ALWAYS_REQUIRED_DIMENSIONS,
@@ -44,7 +45,7 @@ def raw_case(**kwargs):
 
 
 def test_valid_cut_in_case():
-    tc = validate_test_case(raw_case())
+    tc = case_from_raw(raw_case())
     assert tc.id == "cut-in"
     assert tc.scenario.nominal_duration == 60.0
     assert len(tc.scenario.movable_objects) == 1
@@ -55,14 +56,14 @@ def test_valid_cut_in_case():
 
 def test_no_evaluation_criteria_rejected():
     with pytest.raises(NoEvaluationCriteria):
-        validate_test_case(raw_case(evaluation_criteria=[]))
+        case_from_raw(raw_case(evaluation_criteria=[]))
 
 
 def test_non_positive_duration_rejected():
     raw = raw_case()
     raw["scenario"]["nominal_duration"] = 0.0
     with pytest.raises(NonPositiveDuration):
-        validate_test_case(raw)
+        case_from_raw(raw)
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("-inf")])
@@ -75,18 +76,18 @@ def test_missing_layer_rejected():
     raw = raw_case()
     del raw["scenario"]["environment_conditions"]
     with pytest.raises(MissingLayer):
-        validate_test_case(raw)
+        case_from_raw(raw)
 
 
 def test_blank_road_level_rejected():
     raw = raw_case()
     raw["scenario"]["road_level"] = "  "
     with pytest.raises(MissingLayer):
-        validate_test_case(raw)
+        case_from_raw(raw)
 
 
 def test_default_profile_requirements():
-    profile = derive_requirement_profile(validate_test_case(raw_case()))
+    profile = derive_requirement_profile(case_from_raw(raw_case()))
     required = {dim for dim, entry in profile.entries.items() if entry.required}
     assert required == ALWAYS_REQUIRED_DIMENSIONS | {
         "scenery",
