@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration
 from .taxonomy import Element, TestBench
@@ -55,8 +54,15 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+# Local escapes rather than ``xml.sax.saxutils.escape``: importing saxutils
+# pulls in ``urllib.request`` and with it the network and email stacks, which
+# every command would pay for at start-up. Same replacements, ``&`` first.
+def _text(value: str) -> str:
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    return _text(value).replace('"', "&quot;")
 
 
 class _Layout:
@@ -132,7 +138,7 @@ def _spoke_groups(layout: _Layout) -> list[str]:
         )
         lines.append(
             f'    <text x="{_fmt(label[0])}" y="{_fmt(label[1])}" '
-            f'font-size="11" text-anchor="middle">{escape(leaf.display_name)}</text>'
+            f'font-size="11" text-anchor="middle">{_text(leaf.display_name)}</text>'
         )
         lines.append("  </g>")
     return lines

@@ -22,7 +22,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
@@ -72,12 +71,12 @@ class LoadedSuite:
 # --- primitives -------------------------------------------------------------
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
     partial document. The file gets the mode a plain create would give it:
     the kernel applies the umask to 0666."""
-    path = Path(path)
-    tmp_name = str(path.parent / f".{path.name}.{os.urandom(8).hex()}")
+    head, tail = os.path.split(os.fspath(path))
+    tmp_name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}")
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -95,18 +94,19 @@ def _dump(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _load_json(path: str | Path) -> Any:
-    path = Path(path)
+def _load_json(path: str | os.PathLike[str]) -> Any:
+    path = os.fspath(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
     except UnicodeDecodeError as exc:
-        raise DocumentSyntaxError(str(path), f"not UTF-8 text: {exc}") from exc
+        raise DocumentSyntaxError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(str(path), str(exc)) from exc
+        raise DocumentSyntaxError(path, str(exc)) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise DocumentSyntaxError(str(path), f"unreadable number: {exc}") from exc
+        raise DocumentSyntaxError(path, f"unreadable number: {exc}") from exc
     except RecursionError as exc:
-        raise DocumentSyntaxError(str(path), "arrays or objects nested too deeply") from exc
+        raise DocumentSyntaxError(path, "arrays or objects nested too deeply") from exc
 
 
 def _is_number(value: object) -> bool:
@@ -185,7 +185,7 @@ class _Checker:
 
 
 def _load_items(
-    path: str | Path,
+    path: str | os.PathLike[str],
     key: str,
     noun: str,
     check_item: Callable[[_Checker, object, str], dict[str, Any] | None],
@@ -412,7 +412,7 @@ def bench_from_raw(raw: object) -> TestBench:
     return _from_raw(raw, _check_bench, _bench)
 
 
-def load_registry(path: str | Path) -> list[TestBench]:
+def load_registry(path: str | os.PathLike[str]) -> list[TestBench]:
     """Load and validate every bench in a registry file.
 
     Raises :class:`DocumentSyntaxError` for a file that is not UTF-8 JSON,
@@ -451,7 +451,7 @@ def bench_to_raw(bench: TestBench) -> dict[str, Any]:
     }
 
 
-def save_registry(benches: Sequence[TestBench], path: str | Path) -> None:
+def save_registry(benches: Sequence[TestBench], path: str | os.PathLike[str]) -> None:
     """Write a canonical, byte-stable registry document."""
     payload = {
         "format_version": FORMAT_VERSION,
@@ -526,6 +526,10 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
         check.known_fields(entry, where, {"name", "threshold"})
         if "name" not in entry:
             check.add(f"{where}.name", "required field missing")
+        else:
+            check.text(entry["name"], f"{where}.name")
+        if "threshold" in entry:
+            check.text(entry["threshold"], f"{where}.threshold")
     overrides = check.obj(case.get("overrides", {}), f"{location}.overrides")
     for dim, stages in (overrides or {}).items():
         stages_arr = check.array(stages, f"{location}.overrides.{dim}")
@@ -540,8 +544,7 @@ def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] |
 
 def _test_case(fragment: dict[str, Any]) -> TestCase:
     """The validated test case of a fragment :func:`_check_case` has
-    accepted. Numbers load as floats and counts as ints (``2.0`` as 2);
-    criterion names and thresholds load as their ``str()``."""
+    accepted. Numbers load as floats and counts as ints (``2.0`` as 2)."""
     case_id = fragment["id"]
     scenario = fragment.get("scenario")
     if scenario is None:
@@ -564,7 +567,7 @@ def _test_case(fragment: dict[str, Any]) -> TestCase:
                 nominal_duration=float(scenario.get("nominal_duration", 0.0)),
             ),
             evaluation_criteria=tuple(
-                EvaluationCriterion(name=str(c["name"]), threshold=str(c.get("threshold", "")))
+                EvaluationCriterion(name=c["name"], threshold=c.get("threshold", ""))
                 for c in fragment.get("evaluation_criteria", ())
             ),
             purpose=fragment.get("purpose", ""),
@@ -581,7 +584,7 @@ def case_from_raw(raw: object) -> TestCase:
     return _from_raw(raw, _check_case, _test_case)
 
 
-def load_suite(path: str | Path) -> LoadedSuite:
+def load_suite(path: str | os.PathLike[str]) -> LoadedSuite:
     """Load a test suite plus its per-test-case stage overrides."""
     loaded = _load_items(path, "test_cases", "test case", _check_case, _test_case)
     overrides: dict[str, StageOverrides] = {
@@ -595,7 +598,7 @@ def load_suite(path: str | Path) -> LoadedSuite:
     return LoadedSuite(test_cases=tuple(tc for _, tc in loaded), overrides=overrides)
 
 
-def save_suite(suite: LoadedSuite, path: str | Path) -> None:
+def save_suite(suite: LoadedSuite, path: str | os.PathLike[str]) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "test_cases": [
@@ -631,7 +634,7 @@ def save_suite(suite: LoadedSuite, path: str | Path) -> None:
 # --- budgets -------------------------------------------------------------------
 
 
-def load_budget(path: str | Path) -> CapacityBudget:
+def load_budget(path: str | os.PathLike[str]) -> CapacityBudget:
     doc = _load_json(path)
     check = _Checker()
     root = check.obj(doc, "$")
@@ -650,7 +653,7 @@ def load_budget(path: str | Path) -> CapacityBudget:
     return CapacityBudget(max_bench_time=limits)
 
 
-def save_budget(budget: CapacityBudget, path: str | Path) -> None:
+def save_budget(budget: CapacityBudget, path: str | os.PathLike[str]) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "max_bench_time": dict(sorted(budget.max_bench_time.items())),
@@ -700,5 +703,5 @@ def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
     }
 
 
-def save_plan(plan: AssignmentPlan, path: str | Path) -> None:
+def save_plan(plan: AssignmentPlan, path: str | os.PathLike[str]) -> None:
     write_text_atomic(path, _dump(plan_to_raw(plan)))

@@ -55,6 +55,16 @@ class ObjectDescriptor:
     type: str
     count: int = 1
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.type, str) or not self.type.strip():
+            raise TestCaseError(
+                f"movable object type must be a non-blank string, got {self.type!r}"
+            )
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise TestCaseError(
+                f"movable object {self.type!r}: count must be an int >= 1, got {self.count!r}"
+            )
+
 
 @dataclass(frozen=True)
 class EvaluationCriterion:

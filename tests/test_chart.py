@@ -3,10 +3,19 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from benchlattice.chart import ChartStyle, render_bench_chart, render_configuration_chart
+from benchlattice.chart import (
+    ChartStyle,
+    _attr,
+    _text,
+    render_bench_chart,
+    render_configuration_chart,
+)
 from benchlattice.configuration import enumerate_configurations
 from benchlattice.errors import ForeignConfiguration
 from benchlattice.taxonomy import Stage, leaf_dimensions
@@ -202,6 +211,32 @@ def test_display_names_escaped():
     assert "Scenery &amp; &lt;friends&gt;" in svg
     assert "<friends>" not in svg
     parse(svg)  # still well-formed
+
+
+ADVERSARIAL_TEXT = [
+    "",
+    "plain",
+    "&amp;",
+    "&lt;already&gt; &quot;escaped&quot;",
+    "<>&\"'",
+    "&&<<>>\"\"",
+    "Fahrdynamik – Einspur <ä&ö>",
+    "雷达 & 摄像头 \"前\"",
+    "emoji 🚗 <car>",
+    "]]> <!-- -->",
+]
+
+
+@pytest.mark.parametrize("value", ADVERSARIAL_TEXT)
+def test_escapes_match_saxutils(value):
+    assert _text(value) == escape(value)
+    assert _attr(value) == escape(value, {'"': "&quot;"})
+
+
+@given(st.text())
+def test_escapes_match_saxutils_on_any_text(value):
+    assert _text(value) == escape(value)
+    assert _attr(value) == escape(value, {'"': "&quot;"})
 
 
 def test_style_invariants():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,19 @@ def test_assign_refuses_a_budget_for_an_unknown_bench(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_assign_refuses_a_criterion_name_that_is_not_text(tmp_path, capsys):
+    doc = json.loads(Path(SUITE).read_text(encoding="utf-8"))
+    doc["test_cases"][0]["evaluation_criteria"][0]["name"] = 5
+    suite_path = tmp_path / "numbered.suite.json"
+    suite_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, str(suite_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "test_cases[0].evaluation_criteria[0].name: expected a string, got int" in captured.err
+    assert not out.exists()
+
+
 def test_assign_accepts_an_override_of_a_sub_dimension_one_bench_lacks(tmp_path, capsys):
     # Only sil substantiates the environment sensors into radar and camera.
     suite = LoadedSuite(
@@ -259,6 +273,64 @@ print(json.dumps(counts), file=sys.stderr)
     assert on_import == 0
     assert first > 0  # the parser and its subcommand parsers
     assert second == third == first
+
+
+def test_cli_import_loads_no_network_or_markup_stack():
+    # -S keeps site-packages hooks out, so the module list is the package's own.
+    script = "import json, sys, benchlattice.cli; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(benchlattice.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "benchlattice.chart" in loaded
+    forbidden = {"xml", "urllib", "http", "email", "ssl", "socket"}
+    assert [name for name in loaded if name.split(".")[0] in forbidden] == []
+
+
+# sha256 of the bytes each command writes for the shipped fixtures. A change
+# here is a change of output format, not a refactoring.
+PINNED_OUTPUTS = {
+    "chart": (
+        ["chart", FLEET, "--bench", "sil"],
+        "12879f1149eb5262e6b4e6d6207efed81a48fc2aec39824d6fd41bc69053ecfd",
+    ),
+    "chart-config-0": (
+        ["chart", FLEET, "--bench", "sil", "--config", "0"],
+        "e20fa35a38a47016daae34e6f7f2fcb53993c0e1e33ebc3eea992dbc3ca4bf5c",
+    ),
+    "assign-greedy": (
+        ["assign", FLEET, SUITE],
+        "6d864ae576a11fe62882805bc0dd2013222ca7c38254d65e47ae888563c15562",
+    ),
+    "assign-exact": (
+        ["assign", FLEET, SUITE, "--exact"],
+        "6d864ae576a11fe62882805bc0dd2013222ca7c38254d65e47ae888563c15562",
+    ),
+    "assign-budget-exact": (
+        ["assign", FLEET, SUITE, "--budget", BUDGET, "--exact"],
+        "6f0fd4ca1a11afd77aedfcb07b93dc94de04be5fc8d5701de4bd0c57a451f740",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_written_outputs_pinned_on_shipped_fixtures(name, tmp_path, capsys):
+    argv, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "out"
+    assert run([*argv, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_enumerate_output_pinned_on_shipped_fixture(capsys):
+    assert run(["enumerate", FLEET, "--bench", "sil"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "3018b1ff82f03bc31fefdab2e32bcb13da56b84d95d82ef21a23344014bbaac8"
+    )
 
 
 def test_config_cap_env_var(monkeypatch, capsys):

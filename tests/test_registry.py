@@ -304,16 +304,29 @@ def test_invalid_test_case_is_validation_error(tmp_path):
         load_suite(path)
 
 
+def test_blank_movable_object_type_is_validation_error(tmp_path):
+    doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
+    doc["test_cases"][0]["scenario"]["movable_objects"] = [{"type": " ", "count": 1}]
+    path = tmp_path / "blank.suite.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as excinfo:
+        load_suite(path)
+    assert "movable object type must be a non-blank string" in str(excinfo.value)
+
+
 def _bench_fragment(**changes):
     fragment = copy.deepcopy(sil_raw()["benches"][0])
     fragment.update(changes)
     return fragment
 
 
-def _case_fragment(movable_object):
+def _case_fragment(movable_object=None, criterion=None):
     doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
     fragment = doc["test_cases"][0]
-    fragment["scenario"]["movable_objects"] = [movable_object]
+    if movable_object is not None:
+        fragment["scenario"]["movable_objects"] = [movable_object]
+    if criterion is not None:
+        fragment["evaluation_criteria"].append(criterion)
     return fragment
 
 
@@ -369,10 +382,26 @@ def _element_fragment(update=(), drop=()):
             _case_fragment({"count": 1}),
             [("$.scenario.movable_objects[0].type", "required field missing")],
         ),
+        (
+            case_from_raw,
+            _case_fragment(criterion={"name": 5}),
+            [("$.evaluation_criteria[1].name", "expected a string, got int")],
+        ),
+        (
+            case_from_raw,
+            _case_fragment(criterion={"name": None}),
+            [("$.evaluation_criteria[1].name", "expected a string, got NoneType")],
+        ),
+        (
+            case_from_raw,
+            _case_fragment(criterion={"name": "v2x-communication", "threshold": [1, 2]}),
+            [("$.evaluation_criteria[1].threshold", "expected a string, got list")],
+        ),
     ],
     ids=[
         "combinable-string", "validated-for-string", "missing-numbers", "bad-id", "extra-number",
-        "fractional-count", "negative-count", "untyped-object",
+        "fractional-count", "negative-count", "untyped-object", "numeric-criterion-name",
+        "null-criterion-name", "list-criterion-threshold",
     ],
 )
 def test_fragment_readers_refuse_what_the_loaders_refuse(from_raw, fragment, issues):

@@ -18,6 +18,7 @@ from benchlattice.testcase import (
     ALWAYS_REQUIRED_DIMENSIONS,
     CONDITIONAL_SENSOR_DIMENSIONS,
     EvaluationCriterion,
+    ObjectDescriptor,
     derive_requirement_profile,
     validate_test_case,
 )
@@ -128,6 +129,21 @@ def test_sensor_dimensions_required_via_criteria():
     assert profile.entries["v2x-communication"].required
     assert profile.entries["localization-sensor-system"].required
     assert not profile.entries["environment-sensor-system"].required
+
+
+def test_criterion_threshold_defaults_to_empty_text():
+    tc = case_from_raw(raw_case(evaluation_criteria=[{"name": "min-ttc"}]))
+    assert tc.evaluation_criteria == (EvaluationCriterion(name="min-ttc", threshold=""),)
+
+
+@pytest.mark.parametrize(
+    "object_type, count",
+    [("car", 0), ("car", -3), ("car", 1.5), ("car", True), ("car", "2"), ("", 1), ("  ", 1),
+     (None, 1)],
+)
+def test_object_descriptor_refuses_bad_counts_and_types(object_type, count):
+    with pytest.raises(TestCaseError, match="movable object"):
+        ObjectDescriptor(object_type, count)
 
 
 def test_sensor_dimension_required_via_override():
