@@ -50,8 +50,8 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
-from .errors import InstanceTooLarge
-from .taxonomy import _FLOAT_MAX, TestBench
+from .errors import InstanceTooLarge, SchemaError
+from .taxonomy import _FLOAT_MAX, CANONICAL_DIMENSION_IDS, TestBench
 from .testcase import (
     RequirementProfile,
     StageOverrides,
@@ -196,22 +196,39 @@ def _violations(
     profile order) and each element's own violations by element id (stage
     before purpose), in O(leaves + elements)."""
     missing = tuple(
-        Violation(dim_id, ReasonCode.MISSING_DIMENSION)
-        for dim_id, entry in profile.entries.items()
-        if entry.required and dim_id not in space.dimensions
+        Violation(dim_id, ReasonCode.MISSING_DIMENSION) for dim_id in _uncovered(space, profile)
     )
-    own: dict[str, tuple[Violation, ...]] = {}
+    own = {  # an element's dimension is its leaf
+        elem_id: tuple(Violation(space.elements[elem_id].dimension, r) for r in _REASONS[code])
+        for elem_id, code in _refusals(space, profile).items()
+    }
+    return missing, own
+
+
+def _uncovered(space: ConfigurationSpace, profile: RequirementProfile) -> list[str]:
+    """The required dimensions the bench lacks, in profile order (rule a)."""
+    entries = profile.entries.items()
+    return [dim for dim, entry in entries if entry.required and dim not in space.dimensions]
+
+
+_STAGE, _PURPOSE = ReasonCode.STAGE_NOT_ADMISSIBLE, ReasonCode.NOT_VALIDATED_FOR_PURPOSE
+_REASONS = ((), (_STAGE,), (_PURPOSE,), (_STAGE, _PURPOSE))  # by _refusals code
+
+
+def _refusals(space: ConfigurationSpace, profile: RequirementProfile) -> dict[str, int]:
+    """Each element's code by id, in leaf order: 0 when it passes on its own,
+    else 1 if the entry governing its leaf refuses its stage (rule b) plus 2
+    if it is not validated for the purpose (rule c)."""
+    purpose, elements = profile.purpose, space.elements
+    codes = {}
     for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
         entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
         for elem_id in elem_ids:
-            elem = space.elements[elem_id]
-            found = []
-            if entry is not None and elem.stage not in entry.admissible_stages:
-                found.append(Violation(leaf_id, ReasonCode.STAGE_NOT_ADMISSIBLE))
-            if profile.purpose not in elem.characteristics.validated_for:
-                found.append(Violation(leaf_id, ReasonCode.NOT_VALIDATED_FOR_PURPOSE))
-            own[elem_id] = tuple(found)
-    return missing, own
+            elem = elements[elem_id]
+            codes[elem_id] = (
+                entry is not None and elem.stage not in entry.admissible_stages
+            ) | (purpose not in elem.characteristics.validated_for) << 1
+    return codes
 
 
 def estimate_cost(
@@ -254,17 +271,19 @@ class _Prices:
 
     def __init__(self, space: ConfigurationSpace) -> None:
         ratios = {}
+        scale = 1
         for elem_id, elem in space.elements.items():
             c = elem.characteristics
-            ratios[elem_id] = [
-                value.as_integer_ratio()
-                for value in (c.time_factor, c.cost_rate, c.setup_cost)
-            ]
+            ratios[elem_id] = (_, td), (_, rd), (_, sd) = (
+                c.time_factor.as_integer_ratio(), c.cost_rate.as_integer_ratio(),
+                c.setup_cost.as_integer_ratio(),
+            )
+            scale = math.lcm(scale, td, rd, sd)
         self.space = space
-        self.scale = math.lcm(*(den for pairs in ratios.values() for _, den in pairs))
+        self.scale = scale
         self.of: dict[str, tuple[int, ...]] = {
-            elem_id: tuple(num * (self.scale // den) for num, den in pairs)
-            for elem_id, pairs in ratios.items()
+            elem_id: (t * (scale // td), r * (scale // rd), s * (scale // sd))
+            for elem_id, ((t, td), (r, rd), (s, sd)) in ratios.items()
         }
 
 
@@ -294,19 +313,30 @@ class _Options:
     """
 
     def __init__(self, prices: _Prices, tc: TestCase, profile: RequirementProfile) -> None:
-        space = prices.space
-        self.space = space
+        self.space = space = prices.space
         self.prices = prices
-        self.duration = tc.scenario.nominal_duration.as_integer_ratio()
-        self.missing, self.own = _violations(space, profile)
-        self.usable = tuple(
-            tuple(pos for pos, elem_id in enumerate(ids) if not self.own[elem_id])
-            for ids in space.ids_per_leaf
-        )
-        self.count = 0 if self.missing else math.prod(
-            (2 ** len(usable) - 1) if leaf.combinable else len(usable)
-            for leaf, usable in zip(space.leaves, self.usable)
-        )
+        self.profile = profile
+        self.duration = dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
+        fixed = SECONDS_PER_HOUR * dd * prices.scale
+        # Per leaf, each element that passes on its own as
+        # (t, dn·r, 3600·dd·scale·s, rank × weight); only report() builds violations.
+        leaves = []
+        count = 1
+        refused = _refusals(space, profile)
+        for leaf, ids, weight in zip(space.leaves, space.ids_per_leaf, space.weights):
+            n = len(ids)
+            entries = []
+            for pos, elem_id in enumerate(ids):
+                if not refused[elem_id]:
+                    t, r, s = prices.of[elem_id]
+                    # (pos) is the pos-th plain choice; on a combinable leaf the
+                    # 2^n - 2^(n-pos) subsets with a smaller first index precede it.
+                    rank = ((1 << n) - (1 << (n - pos))) if leaf.combinable else pos
+                    entries.append((t, dn * r, fixed * s, rank * weight))
+            count *= (2 ** len(entries) - 1) if leaf.combinable else len(entries)
+            leaves.append(tuple(entries))
+        self._leaves = tuple(leaves)
+        self.count = 0 if _uncovered(space, profile) else count
 
     def report(self) -> AdmissibilityReport:
         if self.count:
@@ -314,7 +344,8 @@ class _Options:
         # With nothing admissible, every configuration is rejected, and every
         # element is selected by one: the union of their violations is the
         # coverage violations plus every element's own.
-        union = set(self.missing).union(*self.own.values())
+        missing, own = _violations(self.space, self.profile)
+        union = set(missing).union(*own.values())
         return AdmissibilityReport(
             admissible=False,
             violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
@@ -334,33 +365,11 @@ class _Options:
         )
 
     @cached_property
-    def _leaves(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        """Per leaf, each usable element as (t, dn·r, 3600·dd·scale·s,
-        rank × weight of its singleton choice)."""
-        dn, dd = self.duration
-        fixed = SECONDS_PER_HOUR * dd * self.prices.scale
-        space = self.space
-        leaves = []
-        for leaf, ids, positions, weight in zip(
-            space.leaves, space.ids_per_leaf, self.usable, space.weights
-        ):
-            n = len(ids)
-            entries = []
-            for pos in positions:
-                t, r, s = self.prices.of[ids[pos]]
-                # (pos) is the pos-th plain choice; on a combinable leaf the
-                # 2^n - 2^(n-pos) subsets with a smaller first index precede it.
-                rank = ((1 << n) - (1 << (n - pos))) if leaf.combinable else pos
-                entries.append((t, dn * r, fixed * s, rank * weight))
-            leaves.append(tuple(entries))
-        return tuple(leaves)
-
-    @cached_property
     def _times(self) -> tuple[int, ...]:
         """The distinct usable time factors (numerators) at or above the
         least one every leaf can meet."""
-        floor = max(min(t for t, *_ in leaf) for leaf in self._leaves)
-        return tuple(sorted({t for leaf in self._leaves for t, *_ in leaf if t >= floor}))
+        floor = max(min(leaf)[0] for leaf in self._leaves)
+        return tuple(sorted({t for leaf in self._leaves for t, _, _, _ in leaf if t >= floor}))
 
     def money(self, numerator: int) -> Fraction:
         """The monetary cost whose value numerator is ``numerator``."""
@@ -485,11 +494,41 @@ def _candidates(options: Sequence[_Options]) -> list[_Candidate]:
     )
 
 
+def _check_references(
+    suite: Sequence[TestCase], benches: Sequence[TestBench], budget: CapacityBudget | None,
+    overrides: Mapping[str, StageOverrides] | None,
+) -> None:
+    """Raise :class:`SchemaError` for an override of a dimension neither
+    canonical nor any bench's (it would require a dimension every bench
+    lacks) or a budget for a bench not given (it would bound nothing). The
+    texts are the CLI's as they were; to a library caller "the registry" is
+    the benches passed."""
+    known = set(CANONICAL_DIMENSION_IDS).union(
+        *({node.id for node in bench.dimension_tree} for bench in benches)
+    )
+    unknown = "unknown dimension: neither canonical nor a dimension of any bench in the registry"
+    issues = [
+        (f"test_cases[{i}].overrides.{dim}", unknown)
+        for i, tc in enumerate(suite)
+        for dim in (overrides or {}).get(tc.id, {})
+        if dim not in known
+    ]
+    bench_ids = [bench.id for bench in benches]
+    available = ", ".join(bench_ids) or "none"
+    issues += [
+        (f"max_bench_time.{bench_id}", f"unknown bench (available: {available})")
+        for bench_id in (budget.max_bench_time if budget is not None else ())
+        if bench_id not in bench_ids
+    ]
+    if issues:
+        raise SchemaError(issues)
+
+
 def _fits(
-    candidate: _Candidate, budget: CapacityBudget | None, used: Mapping[str, Fraction]
+    candidate: _Candidate, limits: Mapping[str, Fraction], used: Mapping[str, Fraction]
 ) -> bool:
     """Whether the candidate's bench has time left for it."""
-    limit = budget.limit(candidate.bench_id) if budget is not None else None
+    limit = limits.get(candidate.bench_id)
     return limit is None or used.get(candidate.bench_id, 0) + candidate.seconds <= limit
 
 
@@ -560,8 +599,12 @@ def assign_greedy(
     index). With a budget, test cases are processed in descending regret
     (the cost gap to their second-cheapest configuration, infinite when
     there is no alternative). Only the picked configurations are built and
-    classified.
+    classified. An override or budget that names nothing given raises
+    :class:`~benchlattice.errors.SchemaError`.
     """
+    _check_references(suite, benches, budget, overrides)
+    # Each limit as a Fraction once per solve, not once per candidate tried.
+    limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
     cases = _analyse(suite, benches, overrides)
     candidates = {tc.id: _candidates(options) for tc, options in cases}
     order = [tc for tc, _ in cases]
@@ -575,7 +618,7 @@ def assign_greedy(
     picks: dict[str, _Candidate | None] = {}
     used: dict[str, Fraction] = {}
     for tc in order:
-        pick = next((cand for cand in candidates[tc.id] if _fits(cand, budget, used)), None)
+        pick = next((cand for cand in candidates[tc.id] if _fits(cand, limits, used)), None)
         picks[tc.id] = pick
         if pick is not None:
             used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds
@@ -594,7 +637,8 @@ def assign_exact(
     the budget; the first such plan in (cost, bench id, configuration
     index) order of each test case's candidates.
 
-    Guarded to |suite| <= 8 test cases and <= 32 admissible configurations
+    References are checked first, as :func:`assign_greedy` checks them. Then
+    it is guarded to |suite| <= 8 test cases and <= 32 admissible configurations
     in total, counted in closed form; larger instances raise
     :class:`InstanceTooLarge` before any configuration is built.
 
@@ -605,6 +649,8 @@ def assign_exact(
     budget, costs no more and comes earlier in the search, so it is never in
     the plan returned. Only the picks are built.
     """
+    _check_references(suite, benches, budget, overrides)
+    limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
     if len(suite) > EXACT_MAX_SUITE:
         raise InstanceTooLarge(
             f"exhaustive solver handles at most {EXACT_MAX_SUITE} test cases, "
@@ -638,7 +684,7 @@ def assign_exact(
             best = (skipped_count, cost, tuple(picks))
             return
         for cand in candidates[index]:
-            if not _fits(cand, budget, used):
+            if not _fits(cand, limits, used):
                 continue
             spent = used.get(cand.bench_id, 0)
             used[cand.bench_id] = spent + cand.seconds

@@ -16,19 +16,12 @@ import sys
 import warnings
 from typing import Sequence
 
-from .assignment import AssignmentPlan, CapacityBudget, assign_exact, assign_greedy
+from .assignment import AssignmentPlan, assign_exact, assign_greedy
 from .chart import ChartStyle, _chart
 from .configuration import ConfigurationSpace
-from .errors import BenchlatticeError, InstanceTooLarge, SchemaError
-from .registry import (
-    LoadedSuite,
-    load_budget,
-    load_registry,
-    load_suite,
-    save_plan,
-    write_text_atomic,
-)
-from .taxonomy import CANONICAL_DIMENSION_IDS, TestBench
+from .errors import BenchlatticeError, InstanceTooLarge
+from .registry import load_budget, load_registry, load_suite, save_plan, write_text_atomic
+from .taxonomy import TestBench
 
 __all__ = ["run", "main"]
 
@@ -131,42 +124,10 @@ def _print_summary(plan: AssignmentPlan) -> None:
         print(f"bench time: {spent}")
 
 
-def _check_references(
-    benches: Sequence[TestBench], suite: LoadedSuite, budget: CapacityBudget | None
-) -> None:
-    """Refuse a reference to the registry that names nothing in it: an
-    override of a dimension that is neither canonical nor any bench's (a
-    misspelt key would otherwise require a dimension every bench lacks), or
-    a budget for a bench the registry lacks (it would otherwise bound
-    nothing)."""
-    known = set(CANONICAL_DIMENSION_IDS).union(
-        *({node.id for node in bench.dimension_tree} for bench in benches)
-    )
-    issues = [
-        (
-            f"test_cases[{i}].overrides.{dim}",
-            "unknown dimension: neither canonical nor a dimension of any bench in the registry",
-        )
-        for i, tc in enumerate(suite.test_cases)
-        for dim in suite.overrides.get(tc.id, {})
-        if dim not in known
-    ]
-    bench_ids = [bench.id for bench in benches]
-    available = ", ".join(bench_ids) or "none"
-    issues += [
-        (f"max_bench_time.{bench_id}", f"unknown bench (available: {available})")
-        for bench_id in (budget.max_bench_time if budget is not None else ())
-        if bench_id not in bench_ids
-    ]
-    if issues:
-        raise SchemaError(issues)
-
-
 def cmd_assign(args: argparse.Namespace) -> int:
     benches = _load_benches(args.registry)
     suite = load_suite(args.suite)
     budget = load_budget(args.budget) if args.budget else None
-    _check_references(benches, suite, budget)
     solver = assign_exact if args.exact else assign_greedy
     try:
         plan = solver(

@@ -27,14 +27,7 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
-from .taxonomy import (
-    DimensionNode,
-    Element,
-    Stage,
-    TestBench,
-    elements_by_dimension,
-    leaf_dimensions,
-)
+from .taxonomy import DimensionNode, Element, Stage, TestBench, leaf_dimensions
 
 __all__ = [
     "DEFAULT_CONFIGURATION_CAP",
@@ -105,7 +98,6 @@ class ConfigurationSpace:
     """
 
     def __init__(self, bench: TestBench) -> None:
-        grouped = elements_by_dimension(bench)
         self.bench = bench
         self.leaves: tuple[DimensionNode, ...] = leaf_dimensions(bench)
         self.leaf_ids: tuple[str, ...] = tuple(leaf.id for leaf in self.leaves)
@@ -118,8 +110,11 @@ class ConfigurationSpace:
             self.canonical_of.values()
         )
         self.elements: dict[str, Element] = {e.id: e for e in bench.elements}
+        grouped: dict[str, list[str]] = {leaf_id: [] for leaf_id in self.leaf_ids}
+        for elem in bench.elements:  # a draft's elements off the leaves are left out
+            grouped.get(elem.dimension, []).append(elem.id)
         self.ids_per_leaf: tuple[tuple[str, ...], ...] = tuple(
-            tuple(e.id for e in grouped.get(leaf.id, ())) for leaf in self.leaves
+            tuple(grouped[leaf_id]) for leaf_id in self.leaf_ids
         )
         self.available: dict[str, frozenset[str]] = {
             leaf.id: frozenset(ids) for leaf, ids in zip(self.leaves, self.ids_per_leaf)

@@ -22,6 +22,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
@@ -57,6 +58,7 @@ FORMAT_VERSION = "1"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _STAGES = tuple(_BY_NAME)
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 Issue = tuple[str, str]
 _T = TypeVar("_T")
@@ -77,7 +79,10 @@ def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
     the kernel applies the umask to 0666."""
     head, tail = os.path.split(os.fspath(path))
     tmp_name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}")
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path as given, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -91,7 +96,46 @@ def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
 
 
 def _dump(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
+    and a newline, byte for byte, without the generators an indent costs."""
+    parts: list[str] = []
+    _write(payload, "\n", parts)
+    return "".join(parts) + "\n"
+
+
+def _write(value: object, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of ``value``, nested at the indent ``newline``
+    ends with. Keys are sorted as given, then written as strings."""
+    if not isinstance(value, (list, tuple, dict)):
+        parts.append(_scalar(value, "Object of type {} is not JSON serializable"))
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner, is_dict = newline + "  ", isinstance(value, dict)
+        parts.append("{" if is_dict else "[")
+        for key, item in sorted(value.items()) if is_dict else enumerate(value):
+            parts.append(inner)
+            if is_dict:
+                if not isinstance(key, str):
+                    key = _scalar(key, "keys must be str, int, float, bool or None, not {}")
+                parts += (encode_basestring(key), ": ")
+            _write(item, inner, parts)
+            parts.append(",")
+        parts[-1] = newline + ("}" if is_dict else "]")
+
+
+def _scalar(value: object, refusal: str) -> str:
+    """The JSON text ``json`` gives a string (by its C encoder), None, bool
+    or number; a TypeError with ``refusal`` naming the type otherwise."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return "NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value)
+    raise TypeError(refusal.format(value.__class__.__name__))
 
 
 def _load_json(path: str | os.PathLike[str]) -> Any:

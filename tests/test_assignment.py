@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlattice import assignment
 from benchlattice.assignment import (
+    EXACT_MAX_SUITE,
     CapacityBudget,
     ReasonCode,
     assign_exact,
@@ -17,7 +21,7 @@ from benchlattice.assignment import (
 )
 from benchlattice.configuration import ConfigurationSpace, enumerate_configurations
 from benchlattice.data import fixture_path
-from benchlattice.errors import InstanceTooLarge
+from benchlattice.errors import InstanceTooLarge, SchemaError
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Stage,
@@ -517,11 +521,29 @@ def _assert_regrets_match_reference(suite, benches, overrides, collected, label)
         assert assignment._regret(assignment._candidates(options)) == expected, label
 
 
+def _solvable(suite, benches, overrides):
+    """The overrides without the dimensions that neither are canonical nor
+    belong to any bench; both solvers refuse those, checked here first."""
+    known = set(CANONICAL_DIMENSION_IDS).union(
+        *({node.id for node in bench.dimension_tree} for bench in benches)
+    )
+    kept = {
+        case_id: {dim: stages for dim, stages in dims.items() if dim in known}
+        for case_id, dims in overrides.items()
+    }
+    if kept != overrides:
+        for solver in (assign_greedy, assign_exact):
+            with pytest.raises(SchemaError, match=r"overrides\.scenery-unknown"):
+                solver(suite, benches, overrides=overrides)
+    return kept
+
+
 def test_greedy_matches_reference_on_admissibility_instances():
     binding = 0
     for seed in ADMISSIBILITY_SEEDS:
         rng = random.Random(seed)
         suite, benches, overrides = random_admissibility_instance(rng)
+        overrides = _solvable(suite, benches, overrides)
         collected = reference_candidates(suite, benches, overrides)
         _assert_regrets_match_reference(
             suite, benches, overrides, collected, f"seed {seed}"
@@ -625,6 +647,13 @@ def test_equal_costs_on_two_benches_break_on_bench_id_before_index():
     assert (picked.bench_id, picked.config_index) == ("a", 1)
 
 
+def _budget_on(budget, benches):
+    """The budget's limits for the given benches; the solvers refuse a limit
+    for a bench they are not given."""
+    ids = {bench.id for bench in benches}
+    return CapacityBudget({b: t for b, t in budget.max_bench_time.items() if b in ids})
+
+
 def test_greedy_matches_reference_on_fixtures():
     suite = load_suite(fixture_path("demo_suite.suite.json"))
     budget = load_budget(fixture_path("demo.budget.json"))
@@ -634,7 +663,7 @@ def test_greedy_matches_reference_on_fixtures():
         for name in ("sil_bench.json", "test_vehicle_bench.json")
     ]
     for benches in [fleet, *singles]:
-        for limits in (None, budget):
+        for limits in (None, _budget_on(budget, benches)):
             _assert_greedy_matches_reference(
                 suite.test_cases, benches, limits, suite.overrides, str(limits)
             )
@@ -662,7 +691,7 @@ def test_exact_matches_reference_on_fixtures():
     budget = load_budget(fixture_path("demo.budget.json"))
     for name in ("fleet_bench.json", "sil_bench.json", "test_vehicle_bench.json"):
         benches = load_registry(fixture_path(name))
-        for limits in (None, budget):
+        for limits in (None, _budget_on(budget, benches)):
             _assert_exact_matches_reference(
                 suite.test_cases, benches, limits, suite.overrides, f"{name} {limits}"
             )
@@ -683,6 +712,7 @@ def test_exact_matches_reference_on_admissibility_instances(monkeypatch):
     for seed in ADMISSIBILITY_SEEDS:
         rng = random.Random(seed)
         suite, benches, overrides = random_admissibility_instance(rng)
+        overrides = _solvable(suite, benches, overrides)
         collected = reference_candidates(suite, benches, overrides)
         budget = _binding_budget(rng, collected)
         if sum(len(candidates) for candidates, _ in collected) > 200:
@@ -859,3 +889,92 @@ def test_exact_guard_counts_candidates_without_walking(monkeypatch):
 def test_budget_rejects_non_finite_limits(limit):
     with pytest.raises(ValueError, match="budget for bench 'sil' must be a finite number"):
         CapacityBudget({"sil": limit})
+
+
+# --- references the solvers refuse ------------------------------------------------
+
+
+_UNKNOWN_DIMENSION = (
+    "unknown dimension: neither canonical nor a dimension of any bench in the registry"
+)
+
+
+@pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
+def test_solvers_refuse_an_override_of_an_unknown_dimension(fleet, demo_suite, solver):
+    # Misspelt, the override used to require a dimension every bench lacks.
+    case = demo_suite.test_cases[1]
+    overrides = {case.id: {"enviroment-sensor-system": frozenset({Stage.REAL})}}
+    with pytest.raises(SchemaError) as caught:
+        solver(demo_suite.test_cases, fleet, overrides=overrides)
+    assert caught.value.issues == (
+        ("test_cases[1].overrides.enviroment-sensor-system", _UNKNOWN_DIMENSION),
+    )
+
+
+@pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
+def test_solvers_refuse_a_budget_for_an_unknown_bench(fleet, demo_suite, solver):
+    # It used to bound nothing.
+    budget = CapacityBudget({"nope": 1.0, "sil": 1.0})
+    with pytest.raises(SchemaError) as caught:
+        solver(demo_suite.test_cases, fleet, budget, overrides=demo_suite.overrides)
+    assert caught.value.issues == (
+        ("max_bench_time.nope", "unknown bench (available: sil, test-vehicle)"),
+    )
+
+
+def test_exact_refuses_a_reference_before_its_size_guard(sil_bench):
+    suite = [make_test_case(f"case-{i}") for i in range(EXACT_MAX_SUITE + 1)]
+    with pytest.raises(SchemaError, match=r"max_bench_time\.nope"):
+        assign_exact(suite, [sil_bench], CapacityBudget({"nope": 1.0}))
+    with pytest.raises(InstanceTooLarge):
+        assign_exact(suite, [sil_bench], CapacityBudget({"sil": 1.0}))
+
+
+# --- exact prices -----------------------------------------------------------------
+
+_PRICE = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 2.0**-1074 * 3, 1e-300, 2.0**60]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(_PRICE, _PRICE.filter(bool), _PRICE), min_size=1, max_size=6))
+def test_prices_scale_is_the_lcm_of_every_denominator(prices):
+    bench = uniform_bench(
+        "priced",
+        skip_dimensions=("vehicle-dynamics",),
+        extra_elements=[
+            make_element(f"vd-{i}", "vehicle-dynamics", cost_rate=r, time_factor=t, setup_cost=s)
+            for i, (r, t, s) in enumerate(prices)
+        ],
+    )
+    space = ConfigurationSpace(bench)
+    ratios = {
+        elem_id: [
+            value.as_integer_ratio()
+            for value in (e.characteristics.time_factor, e.characteristics.cost_rate,
+                          e.characteristics.setup_cost)
+        ]
+        for elem_id, e in space.elements.items()
+    }
+    scale = math.lcm(*(den for pairs in ratios.values() for _, den in pairs))
+    priced = assignment._Prices(space)
+    assert priced.scale == scale
+    assert priced.of == {
+        elem_id: tuple(num * (scale // den) for num, den in pairs)
+        for elem_id, pairs in ratios.items()
+    }
+
+
+def test_prices_take_the_lcm_of_denominators_that_are_not_powers_of_two(sil_bench):
+    element = sil_bench.elements[0]
+    thirds = replace(element.characteristics, cost_rate=Fraction(1, 3), setup_cost=Fraction(1, 5))
+    bench = replace(
+        sil_bench, elements=(replace(element, characteristics=thirds), *sil_bench.elements[1:])
+    )
+    priced = assignment._Prices(ConfigurationSpace(bench))
+    assert priced.scale % 15 == 0
+    _, rate, setup = priced.of[element.id]
+    assert Fraction(rate, priced.scale) == Fraction(1, 3)
+    assert Fraction(setup, priced.scale) == Fraction(1, 5)

@@ -12,7 +12,7 @@ import pytest
 
 import benchlattice
 from benchlattice import cli
-from benchlattice.assignment import estimate_cost
+from benchlattice.assignment import CapacityBudget, estimate_cost
 from benchlattice.cli import run
 from benchlattice.configuration import ConfigurationSpace
 from benchlattice.data import fixture_path
@@ -21,6 +21,7 @@ from benchlattice.registry import (
     load_budget,
     load_registry,
     load_suite,
+    save_budget,
     save_plan,
     save_registry,
     save_suite,
@@ -595,3 +596,34 @@ def test_deeply_nested_document_is_a_syntax_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: arrays or objects nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["assign", "chart"])
+def test_output_in_a_missing_directory_names_the_path_as_given(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "p.json")
+    argv = {
+        "assign": ["assign", FLEET, SUITE, "-o", out],
+        "chart": ["chart", SIL, "--bench", "sil", "-o", out],
+    }[command]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exact_refuses_an_unknown_budget_bench_before_its_size_guard(tmp_path, capsys):
+    suite = LoadedSuite(
+        test_cases=tuple(make_test_case(f"case-{i}") for i in range(9)), overrides={}
+    )
+    suite_path = tmp_path / "big.suite.json"
+    save_suite(suite, suite_path)
+    budget_path = tmp_path / "typo.budget.json"
+    save_budget(CapacityBudget({"sill": 10.0}), budget_path)
+    out = tmp_path / "plan.json"
+    argv = ["assign", SIL, str(suite_path), "--budget", str(budget_path), "--exact", "-o", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: max_bench_time.sill: unknown bench (available: sil)\n"
+    )
+    assert not out.exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import random
 import stat
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,8 @@ from benchlattice.errors import (
     ValidationError,
 )
 from benchlattice.registry import (
+    _dump,
+    bench_to_raw,
     bench_from_raw,
     case_from_raw,
     load_budget,
@@ -678,3 +682,88 @@ def test_integer_just_past_the_largest_float_loads_rounded(tmp_path, field):
     (bench,) = load_registry(path)
     assert sys.float_info.max in [getattr(e.characteristics, field) for e in bench.elements]
     assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
+
+
+# --- the plan and document writer ------------------------------------------------
+
+_SPECIAL_TEXT = "\ud800\udfff\u2028\u2029\x00\x1f\x7f\"\\/\u00e9"
+_TEXT = st.text(
+    st.one_of(st.characters(blacklist_categories=()), st.sampled_from(_SPECIAL_TEXT))
+)
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+)
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200).map(
+    lambda n: n if n % 2 else -n
+))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        # Non-str keys, one kind per map, then mixed kinds that json cannot sort.
+        st.dictionaries(st.one_of(_INTS, st.booleans(), st.none()), children, max_size=3),
+        st.dictionaries(_FLOATS, children, max_size=3),
+        st.dictionaries(st.one_of(_TEXT, _INTS, _FLOATS, st.none()), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _written(write, value):
+    """The text ``write`` gives ``value``, or the error it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(_JSON_VALUES)
+def test_dump_writes_the_bytes_json_writes(value):
+    assert _written(_dump, value) == _written(_json_dumps, value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": ()},
+        {1: "one", 2.5: "two and a half", None: "null", True: "yes"},
+        {math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4},
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**64 + 1, -(2**70)],
+        "\ud800 \udc00 \u2028 \x00 \x1f \u00e9",
+        {(1, 2): "tuple key"},
+        {"a": {1, 2}},
+        {1: "int", "a": "text"},
+        object(),
+    ],
+    ids=[
+        "empty-map", "empty-list", "empty-tuple", "empty-children", "scalar-keys",
+        "float-keys", "floats-and-big-ints", "surrogates-and-controls", "tuple-key",
+        "set-value", "mixed-keys", "object",
+    ],
+)
+def test_dump_matches_json_on_edge_values(value):
+    assert _written(_dump, value) == _written(_json_dumps, value)
+
+
+def test_registry_extra_with_non_text_keys_is_written_as_json_writes_it(tmp_path, sil_bench):
+    extra = {3: "three", 1.5: [None, math.inf], -1: {"nested": -0.0}}
+    element = sil_bench.elements[0]
+    characteristics = replace(element.characteristics, extra=extra)
+    bench = replace(
+        sil_bench,
+        elements=(replace(element, characteristics=characteristics), *sil_bench.elements[1:]),
+    )
+    path = tmp_path / "extra.bench.json"
+    save_registry([bench], path)
+    payload = {"format_version": "1", "benches": [bench_to_raw(bench)]}
+    assert path.read_text(encoding="utf-8") == _json_dumps(payload)
