@@ -498,16 +498,23 @@ def _check_references(
     suite: Sequence[TestCase], benches: Sequence[TestBench], budget: CapacityBudget | None,
     overrides: Mapping[str, StageOverrides] | None,
 ) -> None:
-    """Raise :class:`SchemaError` for an override of a dimension neither
+    """Raise :class:`SchemaError` for overrides of a test case not in the
+    suite (they would override nothing), an override of a dimension neither
     canonical nor any bench's (it would require a dimension every bench
     lacks) or a budget for a bench not given (it would bound nothing). The
     texts are the CLI's as they were; to a library caller "the registry" is
     the benches passed."""
+    case_ids = {tc.id for tc in suite}
+    issues = [
+        (f"overrides.{case_id}", "unknown test case: no test case in the suite has this id")
+        for case_id in overrides or ()
+        if case_id not in case_ids
+    ]
     known = set(CANONICAL_DIMENSION_IDS).union(
         *({node.id for node in bench.dimension_tree} for bench in benches)
     )
     unknown = "unknown dimension: neither canonical nor a dimension of any bench in the registry"
-    issues = [
+    issues += [
         (f"test_cases[{i}].overrides.{dim}", unknown)
         for i, tc in enumerate(suite)
         for dim in (overrides or {}).get(tc.id, {})

@@ -8,8 +8,11 @@ raising; registries are written by hand, so one round of fixes should
 suffice. Registries and suites share one loader: the root, each item of its
 array and unique ids are checked, then every item is built from the
 accepted values and validated; :func:`bench_from_raw` and
-:func:`case_from_raw` do the same for one fragment. A registry's elements
-are built in the schema pass, each once, where the checks accept it.
+:func:`case_from_raw` do the same for one fragment. A registry is loaded in
+one pass per bench: the schema check checks a bench's elements a column at
+a time and builds each once, and falls back to locating findings entry by
+entry only for a bench where some entry may hold one; the bench is then
+built in one step, its dimension tree sorted once by the validation.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and writes are atomic via temp file + rename, so no partial files survive a
 failure.
@@ -22,7 +25,9 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
@@ -32,7 +37,7 @@ from .errors import (
 )
 from .taxonomy import (
     _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage,
-    TestBench, _sub_dimensions, new_bench, validate_bench,
+    TestBench, _canonical_nodes, _sub_dimensions, validate_bench,
 )
 from .testcase import (
     EvaluationCriterion, ObjectDescriptor, ScenarioLayers, StageOverrides, TestCase,
@@ -56,7 +61,7 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # whole values only: fullmatch
 _STAGES = tuple(_BY_NAME)
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
@@ -76,23 +81,24 @@ class LoadedSuite:
 def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
     partial document. The file gets the mode a plain create would give it:
-    the kernel applies the umask to 0666."""
+    the kernel applies the umask to 0666. An OSError names ``path`` as
+    given, never the temp file, which is removed."""
     head, tail = os.path.split(os.fspath(path))
     tmp_name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the path as given, not the temp file
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _dump(payload: Mapping[str, Any]) -> str:
@@ -182,7 +188,7 @@ class _Checker:
         if not isinstance(value, str):
             self.add(location, f"expected a string, got {type(value).__name__}")
             return None
-        if identifier and not _ID_RE.match(value):
+        if identifier and not _ID_RE.fullmatch(value):
             self.add(location, f"{value!r} is not a valid identifier")
             return None
         return value
@@ -289,58 +295,59 @@ _BENCH_FIELDS = {"id", "display_name", "substantiations", "combinable", "element
 _ELEMENT_REQUIRED = (
     "id", "dimension", "stage", "validated_for", "cost_rate", "time_factor", "setup_cost",
 )
-_ELEMENT_REQUIRED_SET = frozenset(_ELEMENT_REQUIRED)
-_ELEMENT_FIELDS = _ELEMENT_REQUIRED_SET | {"display_name", "extra"}
-_NUMBER_TYPES = (int, float)
+_ELEMENT_FIELDS = frozenset(_ELEMENT_REQUIRED) | {"display_name", "extra"}
+_ELEMENT_COLUMNS = itemgetter(*_ELEMENT_REQUIRED)
 
 
-def _from_checked(cls: type[_T], **fields: object) -> _T:
-    """A :class:`Characteristics` or :class:`Element` of fields
-    :func:`_element` has accepted, without the dataclass ``__init__``. Its
-    checks stand in for :meth:`Characteristics.__post_init__`:
-    ``validated_for`` is a frozenset, ``extra`` a dict of its own, and the
-    numbers are floats with ``0 <= cost_rate``, ``0 < time_factor`` and
-    ``0 <= setup_cost``, none past the largest float."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
-
-
-def _element(entry: object) -> Element | None:
-    """The element a well-formed entry describes, built here once and for
-    good; None for an entry in which :func:`_check_element` may find
-    something. Integer numbers load as floats."""
-    if type(entry) is not dict:
+def _elements(entries: list[Any]) -> list[Element] | None:
+    """The elements of a bench's ``elements`` array, checked a column at a
+    time and built here once and for good; None when :func:`_check_element`
+    may find something in any entry. Integer numbers load as floats."""
+    if not entries:
+        return []
+    # type() is exact, so a bool is no number. A number column passes when
+    # its minimum is in range and its sum is at most the largest float: that
+    # fails for a NaN or an infinity anywhere (min() skips a NaN that is not
+    # first) and for ints past the float range (their sum is exact), and an
+    # int float() cannot convert raises OverflowError when summed with a
+    # float. Any int let through converts as the itemised checks convert it.
+    try:
+        if set(map(type, entries)) != {dict} or not all(map(_ELEMENT_FIELDS.issuperset, entries)):
+            return None
+        ids, dimensions, stages, tags, *numbers = zip(*map(_ELEMENT_COLUMNS, entries))
+        names = list(map(dict.get, entries, repeat("display_name"), ids))
+        extras = list(map(dict.get, entries, repeat("extra"), repeat({})))
+        if not (
+            set(map(type, chain(ids, dimensions, stages, names))) == {str}
+            and all(map(_ID_RE.fullmatch, ids)) and all(map(_ID_RE.fullmatch, set(dimensions)))
+            and _BY_NAME.keys() >= set(stages)
+            and set(map(type, tags)) == {list} and {str} >= set(map(type, chain(*tags)))
+            and set(map(type, extras)) == {dict}
+            and {int, float} >= set(map(type, chain(*numbers)))
+            and min(numbers[0]) >= 0 and min(numbers[1]) > 0 and min(numbers[2]) >= 0
+            and all(sum(column) <= _FLOAT_MAX for column in numbers)
+        ):
+            return None
+    except (KeyError, OverflowError):
         return None
-    keys = entry.keys()
-    if not (keys <= _ELEMENT_FIELDS and keys >= _ELEMENT_REQUIRED_SET):
-        return None
-    element_id, dimension, stage = entry["id"], entry["dimension"], entry["stage"]
-    display_name, tags = entry.get("display_name", element_id), entry["validated_for"]
-    cost_rate, time_factor, setup_cost = entry["cost_rate"], entry["time_factor"], entry["setup_cost"]
-    extra = entry.get("extra", {})
-    # type() is exact, so a bool is no number; an int past the largest float
-    # may not convert, so it takes the itemised checks.
-    if not (
-        type(element_id) is str and _ID_RE.match(element_id) is not None
-        and type(dimension) is str and _ID_RE.match(dimension) is not None
-        and type(display_name) is str
-        and type(stage) is str and stage in _BY_NAME
-        and type(tags) is list and all(type(tag) is str for tag in tags)
-        and type(cost_rate) in _NUMBER_TYPES and 0 <= cost_rate <= _FLOAT_MAX
-        and type(time_factor) in _NUMBER_TYPES and 0 < time_factor <= _FLOAT_MAX
-        and type(setup_cost) in _NUMBER_TYPES and 0 <= setup_cost <= _FLOAT_MAX
-        and type(extra) is dict
+    # Written straight into each frozen value: the checks above stand in
+    # for Characteristics.__post_init__.
+    new, built = object.__new__, []
+    costs, factors, setups = (map(float, column) for column in numbers)
+    for element_id, name, dimension, stage, purposes, cost, factor, setup, extra in zip(
+        ids, names, dimensions, stages, tags, costs, factors, setups, extras
     ):
-        return None
-    characteristics = _from_checked(
-        Characteristics, validated_for=frozenset(tags), cost_rate=float(cost_rate),
-        time_factor=float(time_factor), setup_cost=float(setup_cost), extra=dict(extra),
-    )
-    return _from_checked(
-        Element, id=element_id, display_name=display_name, dimension=dimension,
-        stage=_BY_NAME[stage], characteristics=characteristics,
-    )
+        characteristics, element = new(Characteristics), new(Element)
+        characteristics.__dict__.update(
+            validated_for=frozenset(purposes), cost_rate=cost, time_factor=factor,
+            setup_cost=setup, extra=dict(extra),
+        )
+        element.__dict__.update(
+            id=element_id, display_name=name, dimension=dimension, stage=_BY_NAME[stage],
+            characteristics=characteristics,
+        )
+        built.append(element)
+    return built
 
 
 def _check_element(check: _Checker, raw: object, location: str) -> None:
@@ -399,26 +406,22 @@ def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] 
     for dim, flag in (flags or {}).items():
         if not isinstance(flag, bool):
             check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
-    elements = check.array(bench.get("elements", []), f"{location}.elements")
-    built: list[Element] = []
-    for i, entry in enumerate(elements or ()):
-        element = _element(entry)
-        if element is None:
+    elements = check.array(bench.get("elements", []), f"{location}.elements") or []
+    built = _elements(elements)
+    if built is None:  # every entry takes the itemised checks
+        built = []
+        for i, entry in enumerate(elements):
             found = len(check.issues)
             _check_element(check, entry, f"{location}.elements[{i}]")
-            if len(check.issues) > found:
-                continue
-            # The itemised checks pass it after all (an int that rounds down
-            # to the largest float): the public constructors build it.
-            numbers = (float(entry[key]) for key in ("cost_rate", "time_factor", "setup_cost"))
-            characteristics = Characteristics(
-                entry["validated_for"], *numbers, entry.get("extra", {})
-            )
-            element = Element(
-                entry["id"], entry.get("display_name", entry["id"]), entry["dimension"],
-                _BY_NAME[entry["stage"]], characteristics,
-            )
-        built.append(element)
+            if len(check.issues) == found:
+                numbers = (float(entry[key]) for key in ("cost_rate", "time_factor", "setup_cost"))
+                characteristics = Characteristics(
+                    entry["validated_for"], *numbers, entry.get("extra", {})
+                )
+                built.append(Element(
+                    entry["id"], entry.get("display_name", entry["id"]), entry["dimension"],
+                    _BY_NAME[entry["stage"]], characteristics,
+                ))
     return {**bench, "elements": built}
 
 
@@ -426,25 +429,22 @@ def _bench(fragment: dict[str, Any]) -> TestBench:
     """The validated bench of a fragment :func:`_check_bench` has accepted:
     canonical flags, substantiations in document order, then sub-dimension
     flags; :func:`~benchlattice.taxonomy.validate_bench` orders the tree."""
-    flags = fragment.get("combinable", {})
-    bench = new_bench(
-        fragment["id"],
-        fragment.get("display_name"),
-        combinable_overrides={dim: f for dim, f in flags.items() if dim in _CANONICAL_ORDER},
-    )
+    bench_id, flags = fragment["id"], fragment.get("combinable", {})
+    nodes = _canonical_nodes(flags)
     for parent, names in fragment.get("substantiations", {}).items():
-        subs = _sub_dimensions(bench, parent, names)
-        bench = replace(bench, dimension_tree=bench.dimension_tree + subs)
-    sub_flags = {dim: f for dim, f in flags.items() if dim not in _CANONICAL_ORDER}
-    unknown = sorted(set(sub_flags) - {node.id for node in bench.dimension_tree})
-    if unknown:
-        raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
-    nodes = tuple(
-        replace(node, combinable=sub_flags[node.id]) if node.id in sub_flags else node
-        for node in bench.dimension_tree
-    )
+        nodes += _sub_dimensions(bench_id, nodes, parent, names)
+    sub_flags = flags.keys() - _CANONICAL_ORDER.keys()
+    if sub_flags:
+        unknown = sorted(sub_flags - {node.id for node in nodes})
+        if unknown:
+            raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
+        nodes = [
+            replace(node, combinable=flags[node.id]) if node.id in sub_flags else node
+            for node in nodes
+        ]
+    display_name = fragment.get("display_name", bench_id)
     return validate_bench(
-        replace(bench, dimension_tree=nodes, elements=tuple(fragment["elements"]))
+        TestBench(bench_id, display_name, tuple(nodes), tuple(fragment["elements"]))
     )
 
 

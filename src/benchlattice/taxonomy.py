@@ -17,6 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import gt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -190,10 +191,14 @@ class TestBench:
     elements: tuple[Element, ...] = ()
 
     def node(self, dim_id: str) -> DimensionNode:
-        for node in self.dimension_tree:
-            if node.id == dim_id:
-                return node
-        raise UnknownDimension(f"bench {self.id!r} has no dimension {dim_id!r}")
+        return _node(self.id, self.dimension_tree, dim_id)
+
+
+def _node(bench_id: str, nodes: Iterable[DimensionNode], dim_id: str) -> DimensionNode:
+    for node in nodes:
+        if node.id == dim_id:
+            return node
+    raise UnknownDimension(f"bench {bench_id!r} has no dimension {dim_id!r}")
 
 
 def new_bench(
@@ -203,20 +208,25 @@ def new_bench(
     combinable_overrides: Mapping[str, bool] | None = None,
 ) -> TestBench:
     """Create an element-less draft bench with the canonical dimension tree."""
-    overrides = dict(combinable_overrides or {})
-    nodes = []
-    for node in _CANONICAL_NODES:
-        flag = overrides.pop(node.id, node.combinable)
-        nodes.append(node if flag is node.combinable else replace(node, combinable=flag))
-    if overrides:
-        raise UnknownDimension(
-            f"combinable overrides for unknown dimensions: {sorted(overrides)}"
-        )
+    overrides = combinable_overrides or {}
+    unknown = sorted(overrides.keys() - _CANONICAL_ORDER.keys())
+    if unknown:
+        raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
     return TestBench(
         id=bench_id,
         display_name=display_name if display_name is not None else bench_id,
-        dimension_tree=tuple(nodes),
+        dimension_tree=tuple(_canonical_nodes(overrides)),
     )
+
+
+def _canonical_nodes(flags: Mapping[str, bool]) -> list[DimensionNode]:
+    """The canonical nodes, each shared unless ``flags`` changes its flag;
+    other keys of ``flags`` are not read."""
+    return [
+        node if flags.get(node.id, node.combinable) is node.combinable
+        else replace(node, combinable=flags[node.id])
+        for node in _CANONICAL_NODES
+    ]
 
 
 def with_elements(bench: TestBench, elements: Iterable[Element]) -> TestBench:
@@ -237,29 +247,31 @@ def substantiate_dimension(
     sub-dimension inherits the parent's combinable flag. Depth is limited to
     one level.
     """
-    subs = _sub_dimensions(bench, parent, sub_names)
+    subs = _sub_dimensions(bench.id, bench.dimension_tree, parent, sub_names, bench.elements)
     return replace(bench, dimension_tree=_canonical_tree_order(bench.dimension_tree + subs))
 
 
 def _sub_dimensions(
-    bench: TestBench, parent: str, sub_names: Sequence[str]
+    bench_id: str, nodes: Sequence[DimensionNode], parent: str, sub_names: Sequence[str],
+    elements: Iterable[Element] = (),
 ) -> tuple[DimensionNode, ...]:
-    """The new nodes of :func:`substantiate_dimension`, after its checks."""
+    """The new nodes of :func:`substantiate_dimension` on a bench of these
+    nodes and elements, after its checks."""
     if not sub_names:
         raise EmptySubNames(f"substantiating {parent!r} needs at least one name")
-    parent_node = bench.node(parent)
+    parent_node = _node(bench_id, nodes, parent)
     if parent_node.kind is not DimensionKind.CANONICAL:
         raise TaxonomyError(
             f"{parent!r} is a sub-dimension; only canonical dimensions can be substantiated"
         )
-    if any(node.parent == parent for node in bench.dimension_tree):
+    if any(node.parent == parent for node in nodes):
         raise AlreadySubstantiated(f"dimension {parent!r} already has sub-dimensions")
-    if any(elem.dimension == parent for elem in bench.elements):
+    if any(elem.dimension == parent for elem in elements):
         raise ParentHoldsElements(
             f"dimension {parent!r} holds elements; move them to sub-dimensions first"
         )
 
-    existing = {node.id for node in bench.dimension_tree}
+    existing = {node.id for node in nodes}
     subs = []
     for name in sub_names:
         sub_id = _slug(name)
@@ -336,6 +348,7 @@ def validate_bench(bench: TestBench) -> TestBench:
     non_leaves = {node.id for node in nodes} - set(leaf_ids)
 
     seen_elements: set[str] = set()
+    ranks: list[int] = []
     for elem in bench.elements:
         if elem.id in seen_elements:
             raise DuplicateId(f"duplicate element id {elem.id!r} in bench {bench.id!r}")
@@ -348,6 +361,7 @@ def validate_bench(bench: TestBench) -> TestBench:
             raise UnknownDimension(
                 f"element {elem.id!r} references unknown dimension {elem.dimension!r}"
             )
+        ranks.append(leaf_rank[elem.dimension])
 
     populated = {elem.dimension for elem in bench.elements}
     for leaf_id in leaf_ids:
@@ -363,9 +377,12 @@ def validate_bench(bench: TestBench) -> TestBench:
             stacklevel=2,
         )
 
-    # sorted() is stable: declaration order within each leaf.
-    elements = tuple(sorted(bench.elements, key=lambda elem: leaf_rank[elem.dimension]))
-    return replace(bench, dimension_tree=nodes, elements=elements)
+    # Leaf order, declaration order within each leaf: sorted() is stable.
+    elements = tuple(bench.elements)
+    if any(map(gt, ranks, ranks[1:])):
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        elements = tuple(map(elements.__getitem__, order))
+    return TestBench(bench.id, bench.display_name, nodes, elements)
 
 
 def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:

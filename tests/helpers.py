@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -35,7 +36,7 @@ from benchlattice.errors import (
     UnknownDimension,
     ValidationError,
 )
-from benchlattice.registry import FORMAT_VERSION, _ID_RE, _load_json, bench_from_raw
+from benchlattice.registry import FORMAT_VERSION, _load_json, bench_from_raw
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
@@ -613,6 +614,8 @@ _REF_ELEMENT_REQUIRED = (
 )
 _REF_ELEMENT_FIELDS = set(_REF_ELEMENT_REQUIRED) | {"display_name", "extra"}
 _REF_CANONICAL_RANK = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
+# An identifier, start to end of the value: \Z, unlike $, matches no final "\n".
+_REF_ID = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
 
 class _RefChecker:
@@ -638,7 +641,7 @@ class _RefChecker:
         if not isinstance(value, str):
             self.add(location, f"expected a string, got {type(value).__name__}")
             return None
-        if identifier and not _ID_RE.match(value):
+        if identifier and not _REF_ID.match(value):
             self.add(location, f"{value!r} is not a valid identifier")
             return None
         return value

@@ -912,6 +912,20 @@ def test_solvers_refuse_an_override_of_an_unknown_dimension(fleet, demo_suite, s
 
 
 @pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
+def test_solvers_refuse_overrides_of_an_unknown_test_case(fleet, demo_suite, solver):
+    # They used to be ignored, so every case was assigned as if unconstrained.
+    overrides = {
+        **demo_suite.overrides,
+        "no-such-case": {"vehicle-dynamics": frozenset({Stage.REAL})},
+    }
+    with pytest.raises(SchemaError) as caught:
+        solver(demo_suite.test_cases, fleet, overrides=overrides)
+    assert caught.value.issues == (
+        ("overrides.no-such-case", "unknown test case: no test case in the suite has this id"),
+    )
+
+
+@pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
 def test_solvers_refuse_a_budget_for_an_unknown_bench(fleet, demo_suite, solver):
     # It used to bound nothing.
     budget = CapacityBudget({"nope": 1.0, "sil": 1.0})

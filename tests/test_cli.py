@@ -612,6 +612,45 @@ def test_output_in_a_missing_directory_names_the_path_as_given(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["assign", "chart"])
+def test_output_that_is_a_directory_names_the_path_as_given(tmp_path, capsys, command):
+    # The temp file is written, but renaming it over a directory fails.
+    out = tmp_path / "adir" / "p.json"
+    out.mkdir(parents=True)
+    argv = {
+        "assign": ["assign", FLEET, SUITE, "-o", str(out)],
+        "chart": ["chart", SIL, "--bench", "sil", "-o", str(out)],
+    }[command]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert sorted(p.name for p in out.parent.iterdir()) == ["p.json"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("key", "shown"), [("benches", "'sil\\n'"), ("test_cases", "'cut-in-rain\\n'")]
+)
+def test_identifier_with_a_trailing_newline_is_refused(tmp_path, capsys, key, shown):
+    # In a pattern "$" also matches before a final newline; an id must not.
+    source = SIL if key == "benches" else SUITE
+    doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    doc[key][0]["id"] += "\n"
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    argv = (
+        ["validate", str(path)] if key == "benches"
+        else ["assign", SIL, str(path), "-o", str(out)]
+    )
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key}[0].id: {shown} is not a valid identifier\n"
+    assert not out.exists()
+
+
 def test_exact_refuses_an_unknown_budget_bench_before_its_size_guard(tmp_path, capsys):
     suite = LoadedSuite(
         test_cases=tuple(make_test_case(f"case-{i}") for i in range(9)), overrides={}

@@ -467,11 +467,13 @@ _NUMBERS = (
     1e-300, 2, 1.7e308, True, "1", None,
 )
 _STAGE_VALUES = ("virtual", "", "Real", "REAL", 1, None, ["real"], "emulated")
-_DIMENSIONS = (*CANONICAL_DIMENSION_IDS, "radar", "camera", "nope", "bad id!", "Scenery")
+_DIMENSIONS = (
+    *CANONICAL_DIMENSION_IDS, "radar", "camera", "nope", "bad id!", "Scenery", "scenery\n",
+)
 _SUB_NAMES = (
     [], ["A"], ["A", "a"], ["Scenery"], ["   "], ["x y"], ["radar"], [3], ["Radar", "Lidar"],
 )
-_IDS = ("-x", "a b", "", "\u00e4", "ok-id", "x.y_z")
+_IDS = ("-x", "a b", "", "\u00e4", "ok-id", "x.y_z", "ok-id\n", "a\nb", "\nx")
 
 
 def _dicts(node):
@@ -615,15 +617,35 @@ def _same_outcome(doc, tmp_path) -> None:
      "setup_cost", "extra", "surprise"],
 )
 def test_lean_loader_matches_reference_field_by_field(tmp_path, field):
+    # The first, a middle and the last element: the checks go by column.
     drop = object()
     values = (*_JUNK, *_NUMBERS, *_STAGE_VALUES, *_IDS, *_DIMENSIONS, ["a", 1], {"k": [1]})
-    for value in (*values, drop):
+    count = len(_SHIPPED_DOCS["sil_bench.json"]["benches"][0]["elements"])
+    for index in (0, 4, count - 1):
+        for value in (*values, drop):
+            doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
+            element = doc["benches"][0]["elements"][index]
+            if value is drop:
+                element.pop(field, None)
+            else:
+                element[field] = value
+            _same_outcome(doc, tmp_path)
+
+
+@pytest.mark.parametrize("field", ["cost_rate", "time_factor", "setup_cost"])
+@pytest.mark.parametrize("integers", [False, True], ids=["floats", "ints"])
+def test_lean_loader_matches_reference_on_bad_numbers_past_the_first(tmp_path, field, integers):
+    # min() skips a NaN that is not first, and summing an int past the float
+    # range with floats overflows: neither may let a column through.
+    bad = (float("nan"), float("inf"), 10**400, -(10**400), float("-inf"))
+    for values in (*((value,) for value in bad), bad[:3]):
         doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
-        element = doc["benches"][0]["elements"][4]
-        if value is drop:
-            element.pop(field, None)
-        else:
-            element[field] = value
+        elements = doc["benches"][0]["elements"]
+        if integers:
+            for element in elements:
+                element[field] = 2
+        for offset, value in enumerate(values):
+            elements[2 + 3 * offset][field] = value
         _same_outcome(doc, tmp_path)
 
 
@@ -673,8 +695,8 @@ def test_integer_numbers_load_as_floats(tmp_path):
 
 @pytest.mark.parametrize("field", ["cost_rate", "time_factor", "setup_cost"])
 def test_integer_just_past_the_largest_float_loads_rounded(tmp_path, field):
-    # Past the largest float, so not accepted at first sight, yet it rounds
-    # down to that float: the itemised checks pass it and it loads.
+    # Past the largest float, yet it rounds down to that float: it loads as
+    # that float, as the itemised checks would load it.
     doc = copy.deepcopy(_SHIPPED_DOCS["sil_bench.json"])
     doc["benches"][0]["elements"][4][field] = int(sys.float_info.max) + 1
     path = tmp_path / "rounded.bench.json"
