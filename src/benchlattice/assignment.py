@@ -43,7 +43,6 @@ configuration independently, from its elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -51,6 +50,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge, SchemaError
+from .frozen import Frozen
 from .taxonomy import _FLOAT_MAX, CANONICAL_DIMENSION_IDS, TestBench
 from .testcase import (
     RequirementProfile,
@@ -88,44 +88,51 @@ class ReasonCode(Enum):
     NOT_VALIDATED_FOR_PURPOSE = "NOT_VALIDATED_FOR_PURPOSE"
 
 
-@dataclass(frozen=True)
-class Violation:
-    dimension: str
-    reason: ReasonCode
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    violations: tuple[Violation, ...]
+class Violation(Frozen):
+    __slots__ = ("dimension", "reason")
 
-    def __post_init__(self) -> None:
-        if self.admissible != (not self.violations):
+    def __init__(self, dimension: str, reason: ReasonCode) -> None:
+        _set(self, "dimension", dimension)
+        _set(self, "reason", reason)
+
+
+class AdmissibilityReport(Frozen):
+    __slots__ = ("admissible", "violations")
+
+    def __init__(self, admissible: bool, violations: tuple[Violation, ...]) -> None:
+        if admissible != (not violations):
             raise ValueError("admissible must hold exactly when violations is empty")
+        _set(self, "admissible", admissible)
+        _set(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(Frozen):
     """Predicted wall-clock time (seconds) and money for one run."""
 
-    execution_time: Fraction
-    monetary_cost: Fraction
+    __slots__ = ("execution_time", "monetary_cost")
 
-    def __post_init__(self) -> None:
-        if not self.execution_time > 0:
-            raise ValueError(f"execution_time must be > 0, got {self.execution_time}")
-        if self.monetary_cost < 0:
-            raise ValueError(f"monetary_cost must be >= 0, got {self.monetary_cost}")
+    def __init__(self, execution_time: Fraction, monetary_cost: Fraction) -> None:
+        if not execution_time > 0:
+            raise ValueError(f"execution_time must be > 0, got {execution_time}")
+        if monetary_cost < 0:
+            raise ValueError(f"monetary_cost must be >= 0, got {monetary_cost}")
+        _set(self, "execution_time", execution_time)
+        _set(self, "monetary_cost", monetary_cost)
 
 
-@dataclass(frozen=True)
-class CapacityBudget:
-    """Optional per-bench time budgets in seconds; absent means unbounded."""
+class CapacityBudget(Frozen):
+    """Optional per-bench time budgets in seconds; absent means unbounded.
+    None stands for a new empty map."""
 
-    max_bench_time: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ("max_bench_time",)
 
-    def __post_init__(self) -> None:
-        for bench_id, limit in self.max_bench_time.items():
+    def __init__(self, max_bench_time: Mapping[str, float] | None = None) -> None:
+        if max_bench_time is None:
+            max_bench_time = {}
+        for bench_id, limit in max_bench_time.items():
             # False for NaN; ints past the float range are not finite floats.
             if not 0 < limit <= _FLOAT_MAX:
                 in_range = isinstance(limit, float) or abs(limit) <= _FLOAT_MAX
@@ -134,34 +141,51 @@ class CapacityBudget:
                     f"budget for bench {bench_id!r} must be a finite number > 0, "
                     f"got {shown}"
                 )
+        _set(self, "max_bench_time", max_bench_time)
 
     def limit(self, bench_id: str) -> Fraction | None:
         raw = self.max_bench_time.get(bench_id)
         return None if raw is None else Fraction(raw)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    bench_id: str
-    config_index: int
-    configuration: TestBenchConfiguration
-    cost: CostEstimate
-    method: TestMethodName
+class Assignment(Frozen):
+    __slots__ = ("bench_id", "config_index", "configuration", "cost", "method")
+
+    def __init__(
+        self, bench_id: str, config_index: int, configuration: TestBenchConfiguration,
+        cost: CostEstimate, method: TestMethodName,
+    ) -> None:
+        _set(self, "bench_id", bench_id)
+        _set(self, "config_index", config_index)
+        _set(self, "configuration", configuration)
+        _set(self, "cost", cost)
+        _set(self, "method", method)
 
 
-@dataclass(frozen=True)
-class UnassignableCase:
-    test_case_id: str
-    reason: str  # "no-admissible-configuration" | "bench-time-exhausted"
-    reports: Mapping[str, AdmissibilityReport]
+class UnassignableCase(Frozen):
+    __slots__ = ("test_case_id", "reason", "reports")
+
+    def __init__(
+        self, test_case_id: str,
+        reason: str,  # "no-admissible-configuration" | "bench-time-exhausted"
+        reports: Mapping[str, AdmissibilityReport],
+    ) -> None:
+        _set(self, "test_case_id", test_case_id)
+        _set(self, "reason", reason)
+        _set(self, "reports", reports)
 
 
-@dataclass(frozen=True)
-class AssignmentPlan:
-    assignments: Mapping[str, Assignment]
-    unassignable: tuple[UnassignableCase, ...]
-    total_cost: Fraction
-    total_bench_time: Mapping[str, Fraction]
+class AssignmentPlan(Frozen):
+    __slots__ = ("assignments", "unassignable", "total_cost", "total_bench_time")
+
+    def __init__(
+        self, assignments: Mapping[str, Assignment], unassignable: tuple[UnassignableCase, ...],
+        total_cost: Fraction, total_bench_time: Mapping[str, Fraction],
+    ) -> None:
+        _set(self, "assignments", assignments)
+        _set(self, "unassignable", unassignable)
+        _set(self, "total_cost", total_cost)
+        _set(self, "total_bench_time", total_bench_time)
 
 
 def check_admissibility(

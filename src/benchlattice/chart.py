@@ -16,38 +16,54 @@ documents, which makes the charts golden-testable. Stable group ids:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration
+from .frozen import Frozen
 from .taxonomy import Element, TestBench
 
 __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 
 
-@dataclass(frozen=True)
-class ChartStyle:
-    size: int = 520
-    stage_radii: Mapping[int, float] = field(
-        default_factory=lambda: {1: 0.32, 2: 0.55, 3: 0.78}
-    )
-    dot_color: str = "blue"
-    dot_radius: float = 4.0
-    line_color: str = "orange"
-    line_width: float = 2.0
-    offset_step: float = 4.0  # degrees, tangential fan per co-located element
-    label_radius: float = 0.88
-    show_unselected: bool = False  # configuration charts only
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
-        radii = [self.stage_radii[i] for i in (1, 2, 3)]
+
+class ChartStyle(Frozen):
+    """Chart geometry and colours. ``stage_radii`` maps each stage index to
+    its ring's radius; None stands for ``{1: 0.32, 2: 0.55, 3: 0.78}``."""
+
+    __slots__ = (
+        "size", "stage_radii", "dot_color", "dot_radius", "line_color", "line_width",
+        "offset_step", "label_radius", "show_unselected",
+    )
+
+    def __init__(
+        self, size: int = 520, stage_radii: Mapping[int, float] | None = None,
+        dot_color: str = "blue", dot_radius: float = 4.0, line_color: str = "orange",
+        line_width: float = 2.0,
+        offset_step: float = 4.0,  # degrees, tangential fan per co-located element
+        label_radius: float = 0.88,
+        show_unselected: bool = False,  # configuration charts only
+    ) -> None:
+        if stage_radii is None:
+            stage_radii = {1: 0.32, 2: 0.55, 3: 0.78}
+        radii = [stage_radii[i] for i in (1, 2, 3)]
         if not (0 < radii[0] < radii[1] < radii[2] <= 1):
             raise ValueError(
                 f"stage radii must increase strictly with the stage index "
                 f"and stay within the plot, got {radii}"
             )
-        if not self.offset_step > 0:
-            raise ValueError(f"offset_step must be > 0, got {self.offset_step}")
+        if not offset_step > 0:
+            raise ValueError(f"offset_step must be > 0, got {offset_step}")
+        _set(self, "size", size)
+        _set(self, "stage_radii", stage_radii)
+        _set(self, "dot_color", dot_color)
+        _set(self, "dot_radius", dot_radius)
+        _set(self, "line_color", line_color)
+        _set(self, "line_width", line_width)
+        _set(self, "offset_step", offset_step)
+        _set(self, "label_radius", label_radius)
+        _set(self, "show_unselected", show_unselected)
 
 
 def _fmt(value: float) -> str:

@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
+from .frozen import Frozen
 from .taxonomy import DimensionNode, Element, Stage, TestBench, leaf_dimensions
 
 __all__ = [
@@ -47,12 +47,17 @@ DEFAULT_CONFIGURATION_CAP = 10**6
 CAP_ENV_VAR = "BENCHLATTICE_CONFIG_CAP"
 
 
-@dataclass(frozen=True)
-class TestBenchConfiguration:
+_set = object.__setattr__
+
+
+class TestBenchConfiguration(Frozen):
     """One composition of a bench's elements, one entry per leaf."""
 
-    bench_id: str
-    selection: Mapping[str, tuple[str, ...]]
+    __slots__ = ("bench_id", "selection")
+
+    def __init__(self, bench_id: str, selection: Mapping[str, tuple[str, ...]]) -> None:
+        _set(self, "bench_id", bench_id)
+        _set(self, "selection", selection)
 
     def selected_ids(self) -> tuple[str, ...]:
         return tuple(eid for ids in self.selection.values() for eid in ids)

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -35,6 +34,7 @@ from .errors import (
     BenchlatticeError, DocumentSyntaxError, MissingLayer, SchemaError, UnknownDimension,
     ValidationError,
 )
+from .frozen import Frozen, replace
 from .taxonomy import (
     _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage,
     TestBench, _canonical_nodes, _sub_dimensions, validate_bench,
@@ -69,10 +69,17 @@ Issue = tuple[str, str]
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class LoadedSuite:
-    test_cases: tuple[TestCase, ...]
-    overrides: Mapping[str, StageOverrides]
+_set = object.__setattr__
+
+
+class LoadedSuite(Frozen):
+    __slots__ = ("test_cases", "overrides")
+
+    def __init__(
+        self, test_cases: tuple[TestCase, ...], overrides: Mapping[str, StageOverrides],
+    ) -> None:
+        _set(self, "test_cases", test_cases)
+        _set(self, "overrides", overrides)
 
 
 # --- primitives -------------------------------------------------------------
@@ -331,23 +338,34 @@ def _elements(entries: list[Any]) -> list[Element] | None:
     except (KeyError, OverflowError):
         return None
     # Written straight into each frozen value: the checks above stand in
-    # for Characteristics.__post_init__.
+    # for the Characteristics constructor's.
     new, built = object.__new__, []
     costs, factors, setups = (map(float, column) for column in numbers)
     for element_id, name, dimension, stage, purposes, cost, factor, setup, extra in zip(
         ids, names, dimensions, stages, tags, costs, factors, setups, extras
     ):
         characteristics, element = new(Characteristics), new(Element)
-        characteristics.__dict__.update(
-            validated_for=frozenset(purposes), cost_rate=cost, time_factor=factor,
-            setup_cost=setup, extra=dict(extra),
-        )
-        element.__dict__.update(
-            id=element_id, display_name=name, dimension=dimension, stage=_BY_NAME[stage],
-            characteristics=characteristics,
-        )
+        _set_validated_for(characteristics, frozenset(purposes))
+        _set_cost_rate(characteristics, cost)
+        _set_time_factor(characteristics, factor)
+        _set_setup_cost(characteristics, setup)
+        _set_extra(characteristics, dict(extra))
+        _set_id(element, element_id)
+        _set_display_name(element, name)
+        _set_dimension(element, dimension)
+        _set_stage(element, _BY_NAME[stage])
+        _set_characteristics(element, characteristics)
         built.append(element)
     return built
+
+
+# The slots' own setters, which bypass the values' refusal of assignment.
+_set_validated_for, _set_cost_rate, _set_time_factor, _set_setup_cost, _set_extra = (
+    Characteristics.__dict__[name].__set__ for name in Characteristics.__slots__
+)
+_set_id, _set_display_name, _set_dimension, _set_stage, _set_characteristics = (
+    Element.__dict__[name].__set__ for name in Element.__slots__
+)
 
 
 def _check_element(check: _Checker, raw: object, location: str) -> None:

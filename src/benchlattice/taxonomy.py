@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import gt
 from typing import Iterable, Mapping, Sequence
@@ -31,6 +30,7 @@ from .errors import (
     TaxonomyError,
     UnknownDimension,
 )
+from .frozen import Frozen, replace
 
 __all__ = [
     "Stage",
@@ -86,19 +86,25 @@ class DimensionKind(Enum):
     SUB_DIMENSION = "sub-dimension"
 
 
-@dataclass(frozen=True)
-class DimensionNode:
-    id: str
-    display_name: str
-    kind: DimensionKind
-    parent: str | None = None
-    combinable: bool = False
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
-        if self.kind is DimensionKind.SUB_DIMENSION and self.parent is None:
-            raise TaxonomyError(f"sub-dimension {self.id!r} needs a parent")
-        if self.kind is DimensionKind.CANONICAL and self.parent is not None:
-            raise TaxonomyError(f"canonical dimension {self.id!r} cannot have a parent")
+
+class DimensionNode(Frozen):
+    __slots__ = ("id", "display_name", "kind", "parent", "combinable")
+
+    def __init__(
+        self, id: str, display_name: str, kind: DimensionKind, parent: str | None = None,
+        combinable: bool = False,
+    ) -> None:
+        if kind is DimensionKind.SUB_DIMENSION and parent is None:
+            raise TaxonomyError(f"sub-dimension {id!r} needs a parent")
+        if kind is DimensionKind.CANONICAL and parent is not None:
+            raise TaxonomyError(f"canonical dimension {id!r} cannot have a parent")
+        _set(self, "id", id)
+        _set(self, "display_name", display_name)
+        _set(self, "kind", kind)
+        _set(self, "parent", parent)
+        _set(self, "combinable", combinable)
 
 
 # Canonical dimensions in their fixed presentation order. Only movable
@@ -128,8 +134,7 @@ CANONICAL_DIMENSION_IDS: tuple[str, ...] = tuple(node.id for node in _CANONICAL_
 _CANONICAL_ORDER = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
 
 
-@dataclass(frozen=True)
-class Characteristics:
+class Characteristics(Frozen):
     """Operational properties of one element.
 
     ``validated_for`` lists the purposes (free-form tags, compared by exact
@@ -138,45 +143,53 @@ class Characteristics:
     scales the scenario's nominal duration (< 1 runs faster than real time);
     ``setup_cost`` is charged once per run. ``extra`` is an open map reserved
     for further characteristics and is carried through serialization
-    untouched.
+    untouched; it is copied, and None stands for an empty map.
     """
 
-    validated_for: frozenset[str] = frozenset()
-    cost_rate: float = 0.0
-    time_factor: float = 1.0
-    setup_cost: float = 0.0
-    extra: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("validated_for", "cost_rate", "time_factor", "setup_cost", "extra")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "validated_for", frozenset(self.validated_for))
-        object.__setattr__(self, "extra", dict(self.extra))
-        for name in ("cost_rate", "time_factor", "setup_cost"):
-            value = getattr(self, name)
+    def __init__(
+        self, validated_for: Iterable[str] = frozenset(), cost_rate: float = 0.0,
+        time_factor: float = 1.0, setup_cost: float = 0.0,
+        extra: Mapping[str, object] | None = None,
+    ) -> None:
+        _set(self, "validated_for", frozenset(validated_for))
+        _set(self, "extra", {} if extra is None else dict(extra))
+        for name, value in (
+            ("cost_rate", cost_rate), ("time_factor", time_factor), ("setup_cost", setup_cost),
+        ):
             # False for NaN; ints past the float range are not finite floats.
             if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 shown = value if isinstance(value, float) else "a number past the float range"
                 raise TaxonomyError(f"{name} must be finite, got {shown}")
-        if self.cost_rate < 0:
-            raise TaxonomyError(f"cost_rate must be >= 0, got {self.cost_rate}")
-        if self.time_factor <= 0:
-            raise TaxonomyError(f"time_factor must be > 0, got {self.time_factor}")
-        if self.setup_cost < 0:
-            raise TaxonomyError(f"setup_cost must be >= 0, got {self.setup_cost}")
+        if cost_rate < 0:
+            raise TaxonomyError(f"cost_rate must be >= 0, got {cost_rate}")
+        if time_factor <= 0:
+            raise TaxonomyError(f"time_factor must be > 0, got {time_factor}")
+        if setup_cost < 0:
+            raise TaxonomyError(f"setup_cost must be >= 0, got {setup_cost}")
+        _set(self, "cost_rate", cost_rate)
+        _set(self, "time_factor", time_factor)
+        _set(self, "setup_cost", setup_cost)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """One concrete implementation of a leaf dimension at one stage."""
 
-    id: str
-    display_name: str
-    dimension: str
-    stage: Stage
-    characteristics: Characteristics = Characteristics()
+    __slots__ = ("id", "display_name", "dimension", "stage", "characteristics")
+
+    def __init__(
+        self, id: str, display_name: str, dimension: str, stage: Stage,
+        characteristics: Characteristics = Characteristics(),
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "display_name", display_name)
+        _set(self, "dimension", dimension)
+        _set(self, "stage", stage)
+        _set(self, "characteristics", characteristics)
 
 
-@dataclass(frozen=True)
-class TestBench:
+class TestBench(Frozen):
     """A facility offering elements for every leaf dimension.
 
     Construct drafts with :func:`new_bench` and grow them with
@@ -185,10 +198,16 @@ class TestBench:
     tree, resolvable references, no empty leaf, unique ids).
     """
 
-    id: str
-    display_name: str
-    dimension_tree: tuple[DimensionNode, ...] = ()
-    elements: tuple[Element, ...] = ()
+    __slots__ = ("id", "display_name", "dimension_tree", "elements")
+
+    def __init__(
+        self, id: str, display_name: str, dimension_tree: tuple[DimensionNode, ...] = (),
+        elements: tuple[Element, ...] = (),
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "display_name", display_name)
+        _set(self, "dimension_tree", dimension_tree)
+        _set(self, "elements", elements)
 
     def node(self, dim_id: str) -> DimensionNode:
         return _node(self.id, self.dimension_tree, dim_id)

@@ -12,7 +12,6 @@ thresholds on an ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     NonPositiveDuration,
     TestCaseError,
 )
+from .frozen import Frozen
 from .taxonomy import CANONICAL_DIMENSION_IDS, Stage
 
 __all__ = [
@@ -50,54 +50,74 @@ CONDITIONAL_SENSOR_DIMENSIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ObjectDescriptor:
-    type: str
-    count: int = 1
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.type, str) or not self.type.strip():
+
+class ObjectDescriptor(Frozen):
+    __slots__ = ("type", "count")
+
+    def __init__(self, type: str, count: int = 1) -> None:
+        if not isinstance(type, str) or not type.strip():
             raise TestCaseError(
-                f"movable object type must be a non-blank string, got {self.type!r}"
+                f"movable object type must be a non-blank string, got {type!r}"
             )
-        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise TestCaseError(
-                f"movable object {self.type!r}: count must be an int >= 1, got {self.count!r}"
+                f"movable object {type!r}: count must be an int >= 1, got {count!r}"
             )
+        _set(self, "type", type)
+        _set(self, "count", count)
 
 
-@dataclass(frozen=True)
-class EvaluationCriterion:
-    name: str
-    threshold: str
+class EvaluationCriterion(Frozen):
+    __slots__ = ("name", "threshold")
+
+    def __init__(self, name: str, threshold: str) -> None:
+        _set(self, "name", name)
+        _set(self, "threshold", threshold)
 
 
-@dataclass(frozen=True)
-class ScenarioLayers:
-    road_level: str
-    traffic_infrastructure: str = ""
-    temporary_manipulation: str = ""
-    movable_objects: tuple[ObjectDescriptor, ...] = ()
-    environment_conditions: tuple[str, ...] = ()
-    nominal_duration: float = 60.0
+class ScenarioLayers(Frozen):
+    __slots__ = (
+        "road_level", "traffic_infrastructure", "temporary_manipulation", "movable_objects",
+        "environment_conditions", "nominal_duration",
+    )
+
+    def __init__(
+        self, road_level: str, traffic_infrastructure: str = "",
+        temporary_manipulation: str = "", movable_objects: tuple[ObjectDescriptor, ...] = (),
+        environment_conditions: tuple[str, ...] = (), nominal_duration: float = 60.0,
+    ) -> None:
+        _set(self, "road_level", road_level)
+        _set(self, "traffic_infrastructure", traffic_infrastructure)
+        _set(self, "temporary_manipulation", temporary_manipulation)
+        _set(self, "movable_objects", movable_objects)
+        _set(self, "environment_conditions", environment_conditions)
+        _set(self, "nominal_duration", nominal_duration)
 
 
-@dataclass(frozen=True)
-class TestCase:
-    id: str
-    scenario: ScenarioLayers
-    evaluation_criteria: tuple[EvaluationCriterion, ...]
-    purpose: str
+class TestCase(Frozen):
+    __slots__ = ("id", "scenario", "evaluation_criteria", "purpose")
+
+    def __init__(
+        self, id: str, scenario: ScenarioLayers,
+        evaluation_criteria: tuple[EvaluationCriterion, ...], purpose: str,
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "scenario", scenario)
+        _set(self, "evaluation_criteria", evaluation_criteria)
+        _set(self, "purpose", purpose)
 
 
-@dataclass(frozen=True)
-class DimensionRequirement:
-    admissible_stages: frozenset[Stage]
-    required: bool
+class DimensionRequirement(Frozen):
+    __slots__ = ("admissible_stages", "required")
+
+    def __init__(self, admissible_stages: frozenset[Stage], required: bool) -> None:
+        _set(self, "admissible_stages", admissible_stages)
+        _set(self, "required", required)
 
 
-@dataclass(frozen=True)
-class RequirementProfile:
+class RequirementProfile(Frozen):
     """Per-dimension admissibility requirements of one test case.
 
     Keys are canonical dimension ids, plus explicit sub-dimension ids when
@@ -105,9 +125,15 @@ class RequirementProfile:
     else by its canonical parent's entry.
     """
 
-    entries: Mapping[str, DimensionRequirement]
-    purpose: str
-    nominal_duration: float
+    __slots__ = ("entries", "purpose", "nominal_duration")
+
+    def __init__(
+        self, entries: Mapping[str, DimensionRequirement], purpose: str,
+        nominal_duration: float,
+    ) -> None:
+        _set(self, "entries", entries)
+        _set(self, "purpose", purpose)
+        _set(self, "nominal_duration", nominal_duration)
 
     def governing(self, leaf_id: str, canonical_id: str) -> DimensionRequirement | None:
         if leaf_id in self.entries:
@@ -153,6 +179,12 @@ def _criteria_reference(tc: TestCase, dim_id: str) -> bool:
 
 
 StageOverrides = Mapping[str, Iterable[Stage]]
+
+# The entry of a dimension no override names, shared by every profile: the
+# values are immutable.
+_DEFAULT_REQUIREMENTS = {
+    required: DimensionRequirement(ALL_STAGES, required) for required in (False, True)
+}
 
 
 def derive_requirement_profile(
@@ -200,9 +232,10 @@ def derive_requirement_profile(
             required = dim_id in override_sets or _criteria_reference(tc, dim_id)
         else:
             required = False
-        entries[dim_id] = DimensionRequirement(
-            admissible_stages=override_sets.get(dim_id, ALL_STAGES),
-            required=required,
+        stages = override_sets.get(dim_id)
+        entries[dim_id] = (
+            _DEFAULT_REQUIREMENTS[required] if stages is None
+            else DimensionRequirement(admissible_stages=stages, required=required)
         )
 
     # Overrides naming a sub-dimension add an explicit, required entry.

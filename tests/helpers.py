@@ -8,7 +8,7 @@ import math
 import random
 import re
 import warnings
-from dataclasses import replace
+from benchlattice import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from benchlattice import replace
 from fractions import Fraction
 
 import pytest

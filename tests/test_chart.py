@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from benchlattice import replace
 from xml.sax.saxutils import escape
 
 import pytest

@@ -276,7 +276,7 @@ print(json.dumps(counts), file=sys.stderr)
     assert second == third == first
 
 
-def test_cli_import_loads_no_network_or_markup_stack():
+def _modules_loaded_by_cli_import() -> list[str]:
     # -S keeps site-packages hooks out, so the module list is the package's own.
     script = "import json, sys, benchlattice.cli; print(json.dumps(sorted(sys.modules)))"
     src = str(Path(benchlattice.__file__).resolve().parents[1])
@@ -285,10 +285,22 @@ def test_cli_import_loads_no_network_or_markup_stack():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_network_or_markup_stack():
+    loaded = _modules_loaded_by_cli_import()
     assert "benchlattice.chart" in loaded
     forbidden = {"xml", "urllib", "http", "email", "ssl", "socket"}
     assert [name for name in loaded if name.split(".")[0] in forbidden] == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # The value types are slotted classes; dataclasses would bring inspect,
+    # ast, dis and tokenize and exec a method per field of every type.
+    loaded = _modules_loaded_by_cli_import()
+    assert "benchlattice.frozen" in loaded
+    assert [name for name in loaded if name in {"dataclasses", "inspect", "ast", "dis"}] == []
 
 
 # sha256 of the bytes each command writes for the shipped fixtures. A change

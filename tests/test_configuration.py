@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from benchlattice import replace
 
 import pytest
 from hypothesis import given, settings

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
+from benchlattice import replace
 from pathlib import Path
 
 import pytest
