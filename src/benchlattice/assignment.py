@@ -405,7 +405,7 @@ class _Options:
         dn, dd = self.duration
         return Fraction(dn * time, dd * self.prices.scale)
 
-    @cached_property
+    @property
     def frontier(self) -> tuple[_Candidate, ...]:
         """Every admissible configuration that no other one dominates, by
         ascending time: none runs in no more time with a smaller (cost,
@@ -417,6 +417,9 @@ class _Options:
         found, no dearer, at its own time, so each strict improvement of
         (value, index) over ascending T runs at exactly T: the improvements
         are the frontier, and the last is the cheapest configuration.
+
+        Computed on each access and not kept: the candidates refer to these
+        options, so keeping them would make a reference cycle.
         """
         if not self.count:
             return ()
@@ -443,9 +446,10 @@ class _Options:
                 ))
         return tuple(points)
 
-    def second_cost(self) -> Fraction | None:
+    def second_cost(self, picks: tuple[int, ...]) -> Fraction | None:
         """The second-lowest cost (equal to the lowest on a tie); None with
-        fewer than two admissible configurations.
+        fewer than two admissible configurations. ``picks`` are the offsets
+        of the cheapest configuration, the last frontier point.
 
         Every configuration other than the cheapest, c, differs from it on
         some leaf i, and those that differ on leaf i form a product of
@@ -459,7 +463,6 @@ class _Options:
         """
         if self.count < 2:
             return None
-        picks = self.frontier[-1].offsets
         best = None
         for time in self._times:
             total = 0
@@ -574,7 +577,7 @@ def _regret(candidates: Sequence[_Candidate]) -> Fraction | None:
     # bench undercuts.
     lowest = candidates[0]
     seconds = [cand.cost for cand in candidates[1:2]]
-    second = lowest.options.second_cost()
+    second = lowest.options.second_cost(lowest.offsets)
     if second is not None:
         seconds.append(second)
     return min(seconds) - lowest.cost if seconds else None
@@ -656,6 +659,42 @@ def assign_greedy(
     return _plan(cases, picks)
 
 
+def _search(
+    candidates: Sequence[Sequence[_Candidate]],
+    limits: Mapping[str, Fraction],
+    index: int,
+    skipped_count: int,
+    cost: Fraction,
+    used: dict[str, Fraction],
+    picks: list[_Candidate | None],
+    best: tuple[int, Fraction, tuple[_Candidate | None, ...]] | None,
+) -> tuple[int, Fraction, tuple[_Candidate | None, ...]] | None:
+    """The best (skipped count, cost, picks) of :func:`assign_exact` that
+    extends ``picks`` (for the test cases before ``index``) and beats
+    ``best``, else ``best``."""
+    # Neither count nor cost falls along a branch: a tie is cut, so the first
+    # optimum found is kept and a branch reaching the end beats the best.
+    if best is not None and (skipped_count, cost) >= best[:2]:
+        return best
+    if index == len(candidates):
+        return (skipped_count, cost, tuple(picks))
+    for cand in candidates[index]:
+        if not _fits(cand, limits, used):
+            continue
+        spent = used.get(cand.bench_id, 0)
+        used[cand.bench_id] = spent + cand.seconds
+        picks.append(cand)
+        best = _search(
+            candidates, limits, index + 1, skipped_count, cost + cand.cost, used, picks, best
+        )
+        picks.pop()
+        used[cand.bench_id] = spent
+    picks.append(None)
+    best = _search(candidates, limits, index + 1, skipped_count + 1, cost, used, picks, best)
+    picks.pop()
+    return best
+
+
 def assign_exact(
     suite: Sequence[TestCase],
     benches: Sequence[TestBench],
@@ -696,38 +735,7 @@ def assign_exact(
         )
     candidates = [_candidates(options) for _, options in cases]
 
-    n = len(cases)
-    best: tuple[int, Fraction, tuple[_Candidate | None, ...]] | None = None
-
-    def dfs(
-        index: int,
-        skipped_count: int,
-        cost: Fraction,
-        used: dict[str, Fraction],
-        picks: list[_Candidate | None],
-    ) -> None:
-        nonlocal best
-        # Neither count nor cost falls along a branch: a tie is cut, so the first
-        # optimum found is kept and a branch reaching the end beats the best.
-        if best is not None and (skipped_count, cost) >= best[:2]:
-            return
-        if index == n:
-            best = (skipped_count, cost, tuple(picks))
-            return
-        for cand in candidates[index]:
-            if not _fits(cand, limits, used):
-                continue
-            spent = used.get(cand.bench_id, 0)
-            used[cand.bench_id] = spent + cand.seconds
-            picks.append(cand)
-            dfs(index + 1, skipped_count, cost + cand.cost, used, picks)
-            picks.pop()
-            used[cand.bench_id] = spent
-        picks.append(None)
-        dfs(index + 1, skipped_count + 1, cost, used, picks)
-        picks.pop()
-
-    dfs(0, 0, Fraction(0), {}, [])
+    best = _search(candidates, limits, 0, 0, Fraction(0), {}, [], None)
     assert best is not None  # the all-skipped combination always exists
 
     return _plan(cases, {tc.id: pick for (tc, _), pick in zip(cases, best[2])})

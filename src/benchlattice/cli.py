@@ -6,6 +6,10 @@ configurations of a bench, ``chart`` a bench or configuration as SVG, and
 failure (including plans with unassignable test cases), 2 usage errors or a
 refused ``--exact`` instance. Configuration indices always refer to the
 deterministic enumeration order printed by ``enumerate``.
+
+Every command checks the whole registry and prints its warnings; the
+lookups (``enumerate``, ``classify``, ``chart``) then build only the bench
+``--bench`` names.
 """
 
 from __future__ import annotations
@@ -14,37 +18,45 @@ import argparse
 import functools
 import sys
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, assign_exact, assign_greedy
 from .chart import ChartStyle, _chart
 from .configuration import ConfigurationSpace
 from .errors import BenchlatticeError, InstanceTooLarge
-from .registry import load_budget, load_registry, load_suite, save_plan, write_text_atomic
+from .registry import (
+    _checked_registry, load_budget, load_registry, load_suite, save_plan, write_text_atomic,
+)
 from .taxonomy import TestBench
 
 __all__ = ["run", "main"]
 
+_T = TypeVar("_T")
 
-def _load_benches(path: str) -> list[TestBench]:
+
+def _load(load: Callable[[str], _T], path: str) -> _T:
+    """``load(path)``, the warnings it raises printed to standard error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        benches = load_registry(path)
+        loaded = load(path)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    return benches
+    return loaded
 
 
-def _find_bench(benches: Sequence[TestBench], bench_id: str) -> TestBench:
-    for bench in benches:
-        if bench.id == bench_id:
-            return bench
-    known = ", ".join(bench.id for bench in benches) or "none"
-    raise BenchlatticeError(f"no bench {bench_id!r} in registry (available: {known})")
+def _named_bench(args: argparse.Namespace) -> TestBench:
+    """The bench ``--bench`` names. Every bench of the registry is checked,
+    but only this one is built."""
+    benches = _load(_checked_registry, args.registry)
+    build = benches.get(args.bench)
+    if build is None:
+        known = ", ".join(benches) or "none"
+        raise BenchlatticeError(f"no bench {args.bench!r} in registry (available: {known})")
+    return build()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    benches = _load_benches(args.registry)
+    benches = _load(load_registry, args.registry)
     for bench in benches:
         space = ConfigurationSpace(bench)
         print(
@@ -57,8 +69,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    benches = _load_benches(args.registry)
-    space = ConfigurationSpace(_find_bench(benches, args.bench))
+    space = ConfigurationSpace(_named_bench(args))
     if args.count_only:
         print(space.count)
         return 0
@@ -73,8 +84,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    benches = _load_benches(args.registry)
-    space = ConfigurationSpace(_find_bench(benches, args.bench))
+    space = ConfigurationSpace(_named_bench(args))
     config = None if args.config is None else space.at(args.config)
     write_text_atomic(args.output, _chart(space, config, ChartStyle()))
     print(f"wrote {args.output}")
@@ -82,9 +92,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    benches = _load_benches(args.registry)
-    bench = _find_bench(benches, args.bench)
-    space = ConfigurationSpace(bench)
+    space = ConfigurationSpace(_named_bench(args))
     print(space.classify(space.at(args.config)).value)
     return 0
 
@@ -125,7 +133,7 @@ def _print_summary(plan: AssignmentPlan) -> None:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    benches = _load_benches(args.registry)
+    benches = _load(load_registry, args.registry)
     suite = load_suite(args.suite)
     budget = load_budget(args.budget) if args.budget else None
     solver = assign_exact if args.exact else assign_greedy

@@ -10,9 +10,10 @@ array and unique ids are checked, then every item is built from the
 accepted values and validated; :func:`bench_from_raw` and
 :func:`case_from_raw` do the same for one fragment. A registry is loaded in
 one pass per bench: the schema check checks a bench's elements a column at
-a time and builds each once, and falls back to locating findings entry by
-entry only for a bench where some entry may hold one; the bench is then
-built in one step, its dimension tree sorted once by the validation.
+a time, and falls back to locating findings entry by entry only for a bench
+where some entry may hold one; the bench invariants are then checked on
+its dimension tree, built in one step, and its id and dimension columns.
+Only then, and only for the benches a caller uses, are elements built.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and writes are atomic via temp file + rename, so no partial files survive a
 failure.
@@ -24,10 +25,11 @@ import json
 import math
 import os
 import re
+from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Collection, Mapping, Sequence, TypeVar
 
 from .assignment import AssignmentPlan, CapacityBudget
 from .errors import (
@@ -36,8 +38,8 @@ from .errors import (
 )
 from .frozen import Frozen, replace
 from .taxonomy import (
-    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, Element, Stage,
-    TestBench, _canonical_nodes, _sub_dimensions, validate_bench,
+    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, DimensionNode,
+    Element, Stage, TestBench, _canonical_nodes, _invariants, _sub_dimensions,
 )
 from .testcase import (
     EvaluationCriterion, ObjectDescriptor, ScenarioLayers, StageOverrides, TestCase,
@@ -304,14 +306,40 @@ _ELEMENT_REQUIRED = (
 )
 _ELEMENT_FIELDS = frozenset(_ELEMENT_REQUIRED) | {"display_name", "extra"}
 _ELEMENT_COLUMNS = itemgetter(*_ELEMENT_REQUIRED)
+_NONE = type(None)
+# Identifiers joined by newlines, which no identifier holds.
+_IDS_RE = re.compile(rf"{_ID_RE.pattern}(?:\n{_ID_RE.pattern})*")  # fullmatch
+
+#: A bench's element columns in the order of the Element and Characteristics
+#: fields: ids, display names (None where absent), dimensions, stage names,
+#: validated_for lists, cost rates, time factors, setup costs (as written)
+#: and extra maps (None where absent).
+_Columns = Sequence[Sequence[Any]]
+_NO_ELEMENTS: _Columns = ((),) * 9
 
 
-def _elements(entries: list[Any]) -> list[Element] | None:
-    """The elements of a bench's ``elements`` array, checked a column at a
-    time and built here once and for good; None when :func:`_check_element`
-    may find something in any entry. Integer numbers load as floats."""
+def _columns(entries: list[dict[str, Any]]) -> _Columns:
+    """The columns of element entries; KeyError if one misses a required
+    field."""
+    ids, dimensions, stages, tags, *numbers = zip(*map(_ELEMENT_COLUMNS, entries))
+    names = list(map(dict.get, entries, repeat("display_name")))
+    extras = list(map(dict.get, entries, repeat("extra")))
+    return [ids, names, dimensions, stages, tags, *numbers, extras]
+
+
+def _identifiers(values: Collection[str]) -> bool:
+    """Whether every one of these strings is an identifier: one match over
+    them joined, where a value holding the separator would be split."""
+    joined = "\n".join(values)
+    return joined.count("\n") == len(values) - 1 and _IDS_RE.fullmatch(joined) is not None
+
+
+def _elements(entries: list[Any]) -> _Columns | None:
+    """The columns of a bench's ``elements`` array, checked a column at a
+    time; None when :func:`_check_element` may find something in any
+    entry."""
     if not entries:
-        return []
+        return _NO_ELEMENTS
     # type() is exact, so a bool is no number. A number column passes when
     # its minimum is in range and its sum is at most the largest float: that
     # fails for a NaN or an infinity anywhere (min() skips a NaN that is not
@@ -319,17 +347,21 @@ def _elements(entries: list[Any]) -> list[Element] | None:
     # int float() cannot convert raises OverflowError when summed with a
     # float. Any int let through converts as the itemised checks convert it.
     try:
-        if set(map(type, entries)) != {dict} or not all(map(_ELEMENT_FIELDS.issuperset, entries)):
+        if set(map(type, entries)) != {dict}:
             return None
-        ids, dimensions, stages, tags, *numbers = zip(*map(_ELEMENT_COLUMNS, entries))
-        names = list(map(dict.get, entries, repeat("display_name"), ids))
-        extras = list(map(dict.get, entries, repeat("extra"), repeat({})))
+        columns = ids, names, dimensions, stages, tags, *numbers, extras = _columns(entries)
         if not (
-            set(map(type, chain(ids, dimensions, stages, names))) == {str}
-            and all(map(_ID_RE.fullmatch, ids)) and all(map(_ID_RE.fullmatch, set(dimensions)))
+            # Every entry holds the required fields, so it holds no other
+            # when the field counts add up to those and the optional fields
+            # given (a None given counts as absent, and so fails).
+            sum(map(len, entries))
+            == len(_ELEMENT_FIELDS) * len(entries) - names.count(None) - extras.count(None)
+            and set(map(type, chain(ids, dimensions, stages))) == {str}
+            and {str, _NONE} >= set(map(type, names))
+            and _identifiers(ids) and _identifiers(set(dimensions))
             and _BY_NAME.keys() >= set(stages)
             and set(map(type, tags)) == {list} and {str} >= set(map(type, chain(*tags)))
-            and set(map(type, extras)) == {dict}
+            and {dict, _NONE} >= set(map(type, extras))
             and {int, float} >= set(map(type, chain(*numbers)))
             and min(numbers[0]) >= 0 and min(numbers[1]) > 0 and min(numbers[2]) >= 0
             and all(sum(column) <= _FLOAT_MAX for column in numbers)
@@ -337,9 +369,19 @@ def _elements(entries: list[Any]) -> list[Element] | None:
             return None
     except (KeyError, OverflowError):
         return None
-    # Written straight into each frozen value: the checks above stand in
-    # for the Characteristics constructor's.
-    new, built = object.__new__, []
+    return columns
+
+
+def _built(
+    bench_id: str, display_name: str, nodes: tuple[DimensionNode, ...], columns: _Columns,
+    order: list[int] | None,
+) -> TestBench:
+    """The bench of checked columns, its elements put in ``order``; integer
+    numbers load as floats."""
+    # Written straight into each frozen value: the checks of the columns
+    # stand in for the Characteristics constructor's.
+    new, elements = object.__new__, []
+    ids, names, dimensions, stages, tags, *numbers, extras = columns
     costs, factors, setups = (map(float, column) for column in numbers)
     for element_id, name, dimension, stage, purposes, cost, factor, setup, extra in zip(
         ids, names, dimensions, stages, tags, costs, factors, setups, extras
@@ -349,14 +391,16 @@ def _elements(entries: list[Any]) -> list[Element] | None:
         _set_cost_rate(characteristics, cost)
         _set_time_factor(characteristics, factor)
         _set_setup_cost(characteristics, setup)
-        _set_extra(characteristics, dict(extra))
+        _set_extra(characteristics, {} if extra is None else dict(extra))
         _set_id(element, element_id)
-        _set_display_name(element, name)
+        _set_display_name(element, element_id if name is None else name)
         _set_dimension(element, dimension)
         _set_stage(element, _BY_NAME[stage])
         _set_characteristics(element, characteristics)
-        built.append(element)
-    return built
+        elements.append(element)
+    if order is not None:
+        elements = list(map(elements.__getitem__, order))
+    return TestBench(bench_id, display_name, nodes, tuple(elements))
 
 
 # The slots' own setters, which bypass the values' refusal of assignment.
@@ -425,28 +469,22 @@ def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] 
         if not isinstance(flag, bool):
             check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
     elements = check.array(bench.get("elements", []), f"{location}.elements") or []
-    built = _elements(elements)
-    if built is None:  # every entry takes the itemised checks
-        built = []
+    columns = _elements(elements)
+    if columns is None:  # every entry takes the itemised checks
+        found = len(check.issues)
         for i, entry in enumerate(elements):
-            found = len(check.issues)
             _check_element(check, entry, f"{location}.elements[{i}]")
-            if len(check.issues) == found:
-                numbers = (float(entry[key]) for key in ("cost_rate", "time_factor", "setup_cost"))
-                characteristics = Characteristics(
-                    entry["validated_for"], *numbers, entry.get("extra", {})
-                )
-                built.append(Element(
-                    entry["id"], entry.get("display_name", entry["id"]), entry["dimension"],
-                    _BY_NAME[entry["stage"]], characteristics,
-                ))
-    return {**bench, "elements": built}
+        # Columns of entries that hold findings are never built.
+        columns = _columns(elements) if len(check.issues) == found else _NO_ELEMENTS
+    return {**bench, "elements": columns}
 
 
-def _bench(fragment: dict[str, Any]) -> TestBench:
-    """The validated bench of a fragment :func:`_check_bench` has accepted:
-    canonical flags, substantiations in document order, then sub-dimension
-    flags; :func:`~benchlattice.taxonomy.validate_bench` orders the tree."""
+def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
+    """The bench of a fragment :func:`_check_bench` has accepted, checked
+    against the invariants and built when called: canonical flags,
+    substantiations in document order, then sub-dimension flags;
+    :func:`~benchlattice.taxonomy._invariants` orders the tree and the
+    elements."""
     bench_id, flags = fragment["id"], fragment.get("combinable", {})
     nodes = _canonical_nodes(flags)
     for parent, names in fragment.get("substantiations", {}).items():
@@ -460,10 +498,10 @@ def _bench(fragment: dict[str, Any]) -> TestBench:
             replace(node, combinable=flags[node.id]) if node.id in sub_flags else node
             for node in nodes
         ]
+    columns = fragment["elements"]
+    tree, order = _invariants(bench_id, nodes, columns[0], columns[2])
     display_name = fragment.get("display_name", bench_id)
-    return validate_bench(
-        TestBench(bench_id, display_name, tuple(nodes), tuple(fragment["elements"]))
-    )
+    return partial(_built, bench_id, display_name, tree, columns, order)
 
 
 def bench_from_raw(raw: object) -> TestBench:
@@ -471,18 +509,30 @@ def bench_from_raw(raw: object) -> TestBench:
     ``benches``), by the checks of :func:`load_registry`. Raises
     :class:`SchemaError` with every finding, located from ``$``
     (``$.elements[3].stage``), or the bench's domain error."""
-    return _from_raw(raw, _check_bench, _bench)
+    return _from_raw(raw, _check_bench, _bench)()
+
+
+def _checked_registry(path: str | os.PathLike[str]) -> dict[str, Callable[[], TestBench]]:
+    """Every bench of a registry file by id, in document order, checked as
+    :func:`load_registry` checks them (the same errors and warnings) and
+    each built when called."""
+    return {
+        fragment["id"]: build
+        for fragment, build in _load_items(path, "benches", "bench", _check_bench, _bench)
+    }
 
 
 def load_registry(path: str | os.PathLike[str]) -> list[TestBench]:
-    """Load and validate every bench in a registry file.
+    """Load and validate every bench in a registry file. Every bench is
+    checked before any is built; the CLI's lookups build only the bench
+    they name from the same checks.
 
     Raises :class:`DocumentSyntaxError` for a file that is not UTF-8 JSON,
     :class:`SchemaError` with every located finding for schema violations,
     and :class:`ValidationError` with (bench id, error) pairs when benches
     violate the domain invariants.
     """
-    return [bench for _, bench in _load_items(path, "benches", "bench", _check_bench, _bench)]
+    return [build() for build in _checked_registry(path).values()]
 
 
 def bench_to_raw(bench: TestBench) -> dict[str, Any]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import warnings
 from enum import Enum
-from operator import gt
+from operator import attrgetter, gt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -132,6 +132,8 @@ _CANONICAL_NODES: tuple[DimensionNode, ...] = tuple(
 CANONICAL_DIMENSION_IDS: tuple[str, ...] = tuple(node.id for node in _CANONICAL_NODES)
 
 _CANONICAL_ORDER = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
+
+_ID, _PARENT, _DIMENSION = attrgetter("id"), attrgetter("parent"), attrgetter("dimension")
 
 
 class Characteristics(Frozen):
@@ -313,8 +315,11 @@ def _sub_dimensions(
 
 def _canonical_tree_order(nodes: Iterable[DimensionNode]) -> tuple[DimensionNode, ...]:
     """Canonical dimension order, each parent directly followed by its subs
-    in declaration order."""
-    nodes = list(nodes)
+    in declaration order. The canonical nodes alone, in that order, are
+    that order already: they are returned without a sort."""
+    nodes = tuple(nodes)
+    if tuple(map(_ID, nodes)) == CANONICAL_DIMENSION_IDS and set(map(_PARENT, nodes)) == {None}:
+        return nodes
     order = {node.id: i for i, node in enumerate(nodes)}
 
     def key(node: DimensionNode) -> tuple[int, int, int]:
@@ -355,53 +360,76 @@ def elements_by_dimension(bench: TestBench) -> dict[str, tuple[Element, ...]]:
 def validate_bench(bench: TestBench) -> TestBench:
     """Check a bench value (possibly a draft) against the full invariants
     and return it in canonical ordering; validating a valid bench returns an
-    equal value. A registry fragment goes through
-    :func:`benchlattice.registry.bench_from_raw` instead, which reads it
-    and then calls this.
+    equal value. The invariants are stated once, by :func:`_invariants` over
+    the bench's tree and its elements' id and dimension columns, which the
+    registry loader checks the same way before it builds any element. A
+    registry fragment goes through
+    :func:`benchlattice.registry.bench_from_raw` instead, which reads it and
+    checks it so.
     """
-    nodes = _canonical_tree_order(bench.dimension_tree)
-    _check_tree(bench.id, nodes)
+    elements = tuple(bench.elements)
+    nodes, order = _invariants(
+        bench.id, bench.dimension_tree, list(map(_ID, elements)), list(map(_DIMENSION, elements))
+    )
+    if order is not None:
+        elements = tuple(map(elements.__getitem__, order))
+    return TestBench(bench.id, bench.display_name, nodes, elements)
+
+
+def _invariants(
+    bench_id: str, tree: Iterable[DimensionNode], ids: Sequence[str], dimensions: Sequence[str],
+) -> tuple[tuple[DimensionNode, ...], list[int] | None]:
+    """The bench invariants over a bench's dimension tree and its elements'
+    ids and dimensions, in declaration order. Returns the tree in canonical
+    order and the order of element indices that puts the elements in leaf
+    order, declaration order within each leaf (None when they are in it).
+
+    Raises the first violation: of the tree, then of the elements in
+    declaration order (a duplicate id, then a dimension that is not a leaf),
+    then the first empty leaf; warns on a test-object substantiation. The
+    elements are checked a column at a time, and one by one only to name
+    the first offender.
+    """
+    nodes = _canonical_tree_order(tree)
+    _check_tree(bench_id, nodes)
 
     leaf_ids = [node.id for node in _leaves(nodes)]
     leaf_rank = {dim_id: i for i, dim_id in enumerate(leaf_ids)}
-    non_leaves = {node.id for node in nodes} - set(leaf_ids)
-
-    seen_elements: set[str] = set()
-    ranks: list[int] = []
-    for elem in bench.elements:
-        if elem.id in seen_elements:
-            raise DuplicateId(f"duplicate element id {elem.id!r} in bench {bench.id!r}")
-        seen_elements.add(elem.id)
-        if elem.dimension in non_leaves:
-            raise ElementOnNonLeaf(
-                f"element {elem.id!r} sits on substantiated dimension {elem.dimension!r}"
-            )
-        if elem.dimension not in leaf_rank:
-            raise UnknownDimension(
-                f"element {elem.id!r} references unknown dimension {elem.dimension!r}"
-            )
-        ranks.append(leaf_rank[elem.dimension])
-
-    populated = {elem.dimension for elem in bench.elements}
-    for leaf_id in leaf_ids:
-        if leaf_id not in populated:
-            raise EmptyLeaf(
-                f"leaf dimension {leaf_id!r} of bench {bench.id!r} holds no element"
-            )
+    populated = set(dimensions)
+    if len(set(ids)) != len(ids) or not populated <= leaf_rank.keys():
+        non_leaves = {node.id for node in nodes} - leaf_rank.keys()
+        seen: set[str] = set()
+        for elem_id, dimension in zip(ids, dimensions):
+            if elem_id in seen:
+                raise DuplicateId(f"duplicate element id {elem_id!r} in bench {bench_id!r}")
+            seen.add(elem_id)
+            if dimension in non_leaves:
+                raise ElementOnNonLeaf(
+                    f"element {elem_id!r} sits on substantiated dimension {dimension!r}"
+                )
+            if dimension not in leaf_rank:
+                raise UnknownDimension(
+                    f"element {elem_id!r} references unknown dimension {dimension!r}"
+                )
+    if len(populated) != len(leaf_ids):
+        for leaf_id in leaf_ids:
+            if leaf_id not in populated:
+                raise EmptyLeaf(
+                    f"leaf dimension {leaf_id!r} of bench {bench_id!r} holds no element"
+                )
 
     if any(node.parent == "test-object" for node in nodes):
         warnings.warn(
-            f"bench {bench.id!r} substantiates the test-object dimension",
+            f"bench {bench_id!r} substantiates the test-object dimension",
             BenchValidationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     # Leaf order, declaration order within each leaf: sorted() is stable.
-    elements = tuple(bench.elements)
+    ranks = list(map(leaf_rank.__getitem__, dimensions))
     if any(map(gt, ranks, ranks[1:])):
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        elements = tuple(map(elements.__getitem__, order))
-    return TestBench(bench.id, bench.display_name, nodes, elements)
+        return nodes, sorted(range(len(ranks)), key=ranks.__getitem__)
+    return nodes, None
 
 
 def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -107,6 +108,25 @@ def test_assign_with_budget_and_exact(tmp_path, capsys):
     code = run(["assign", FLEET, SUITE, "--budget", BUDGET, "--exact", "-o", str(out)])
     assert code == 0
     assert "total cost: 273.75" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--exact"], ["--budget", BUDGET], ["--budget", BUDGET, "--exact"]],
+    ids=["greedy", "exact", "budget", "budget-exact"],
+)
+def test_assign_leaves_no_reference_cycles(tmp_path, capsys, flags):
+    # Garbage in cycles waits for the cyclic collector: a run that leaves
+    # none frees all it built as soon as it returns.
+    argv = ["assign", FLEET, SUITE, *flags, "-o", str(tmp_path / "plan.json")]
+    assert run(argv) == 0  # the parser is built once, on the first run
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_assign_unassignable_exits_one(tmp_path, capsys):
@@ -449,6 +469,54 @@ def test_assign_ignores_the_cap(monkeypatch, tmp_path):
         assert out.read_bytes() == expected.read_bytes()
 
 
+def _drop_scenery(bench):
+    bench["elements"] = [e for e in bench["elements"] if e["dimension"] != "scenery"]
+
+
+def _unknown_stage(bench):
+    bench["elements"][3]["stage"] = "virtual"
+
+
+def _duplicate_element(bench):
+    bench["elements"][5]["id"] = bench["elements"][2]["id"]
+
+
+def _substantiate_scenery(bench):
+    bench["substantiations"] = {"scenery": ["Road", "Track"]}
+
+
+def _substantiate_test_object(bench):
+    bench["substantiations"] = {"test-object": ["Planner"]}
+    for element in bench["elements"]:
+        if element["dimension"] == "test-object":
+            element["dimension"] = "planner"
+
+
+# The second bench of the fleet broken (or made to warn) one way each, and
+# the error every lookup on the first bench then reports; None for a bench
+# that only warns.
+_OTHER_BENCH_FINDINGS = [
+    (
+        _drop_scenery,
+        "test-vehicle: leaf dimension 'scenery' of bench 'test-vehicle' holds no element",
+    ),
+    (
+        _unknown_stage,
+        "benches[1].elements[3].stage: expected one of ['simulated', 'emulated', 'real'], "
+        "got 'virtual'",
+    ),
+    (
+        _duplicate_element,
+        "test-vehicle: duplicate element id 'series-vehicle-dynamics' in bench 'test-vehicle'",
+    ),
+    (
+        _substantiate_scenery,
+        "test-vehicle: element 'proving-ground' sits on substantiated dimension 'scenery'",
+    ),
+    (_substantiate_test_object, None),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -461,22 +529,38 @@ def test_assign_ignores_the_cap(monkeypatch, tmp_path):
 def test_commands_on_one_bench_reject_a_registry_with_another_invalid_bench(
     tmp_path, capsys, argv
 ):
-    # A registry is accepted or rejected as a whole: an empty leaf in the
-    # second bench fails lookups on the first.
+    # A registry is accepted or rejected as a whole: a lookup builds only the
+    # bench it names, but every other bench is checked as fully, its warning
+    # included.
     doc = json.loads(Path(FLEET).read_text())
-    second = doc["benches"][1]
-    assert (doc["benches"][0]["id"], second["id"]) == ("sil", "test-vehicle")
-    second["elements"] = [e for e in second["elements"] if e["dimension"] != "scenery"]
-    registry = tmp_path / "broken.bench.json"
-    registry.write_text(json.dumps(doc))
-    argv = [argv[0], str(registry), *argv[1:]]
-    if "-o" in argv:
-        argv[-1] = str(tmp_path / argv[-1])
-    assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "test-vehicle: leaf dimension 'scenery'" in captured.err
-    assert not (tmp_path / "sil.svg").exists()
+    assert (doc["benches"][0]["id"], doc["benches"][1]["id"]) == ("sil", "test-vehicle")
+    shipped = [argv[0], FLEET, *argv[1:]]
+    if "-o" in shipped:
+        shipped[-1] = str(tmp_path / "shipped.svg")
+    assert run(shipped) == 0
+    shipped_out = capsys.readouterr().out.replace("shipped.svg", argv[-1])
+    for mutate, finding in _OTHER_BENCH_FINDINGS:
+        broken = json.loads(json.dumps(doc))
+        mutate(broken["benches"][1])
+        registry = tmp_path / "broken.bench.json"
+        registry.write_text(json.dumps(broken))
+        lookup = [argv[0], str(registry), *argv[1:]]
+        if "-o" in lookup:
+            lookup[-1] = str(tmp_path / argv[-1])
+        code = run(lookup)
+        captured = capsys.readouterr()
+        if finding is None:
+            assert (code, captured.out) == (0, shipped_out), mutate.__name__
+            assert captured.err == (
+                "warning: bench 'test-vehicle' substantiates the test-object dimension\n"
+            )
+            if "-o" in lookup:
+                chart = tmp_path / argv[-1]
+                assert chart.read_bytes() == (tmp_path / "shipped.svg").read_bytes()
+                chart.unlink()
+        else:
+            assert (code, captured.out, captured.err) == (1, "", f"error: {finding}\n")
+            assert not (tmp_path / "sil.svg").exists()
 
 
 def test_validate_warns_on_test_object_substantiation(tmp_path, capsys):

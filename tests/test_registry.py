@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import benchlattice
 import benchlattice.data
 from benchlattice.assignment import CapacityBudget, assign_greedy
+from benchlattice.cli import _named_bench
 from benchlattice.chart import render_bench_chart
 from benchlattice.data import FIXTURES, fixture_path
 from benchlattice.errors import (
@@ -31,6 +33,7 @@ from benchlattice.errors import (
 )
 from benchlattice.registry import (
     _dump,
+    _elements as _element_columns,
     bench_to_raw,
     bench_from_raw,
     case_from_raw,
@@ -675,6 +678,57 @@ def test_loader_matches_reference_on_random_registries(tmp_path):
         save_registry(benches, path)
         assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
         assert load_registry(path) == benches
+
+
+def _variants(doc, rng):
+    """The registry document as written, and with every bench's elements
+    shuffled: as they are, with display names and extra maps dropped from
+    some, and with two setup costs whose sum is past the largest float, which
+    only the itemised checks accept."""
+    yield "as-written", doc, False
+    shuffled = copy.deepcopy(doc)
+    for bench in shuffled["benches"]:
+        rng.shuffle(bench["elements"])
+    yield "shuffled", shuffled, False
+    sparse = copy.deepcopy(shuffled)
+    for bench in sparse["benches"]:
+        for element in bench["elements"][::2]:
+            element.pop("display_name")
+        for element in bench["elements"][::3]:
+            element.pop("extra")
+    yield "sparse", sparse, False
+    huge = copy.deepcopy(shuffled)
+    for bench in huge["benches"]:
+        for element in bench["elements"][:2]:
+            element["setup_cost"] = 1.5e308
+    yield "itemised", huge, True
+
+
+def _lookups_build_what_loads_build(doc, tmp_path, rng):
+    for label, variant, itemised in _variants(doc, rng):
+        path = tmp_path / f"{label}.bench.json"
+        path.write_text(json.dumps(variant))
+        for raw in variant["benches"]:
+            assert (_element_columns(raw["elements"]) is None) == itemised, label
+        loaded = load_registry(path)
+        assert loaded == reference_load_registry(path), label
+        for bench in loaded:
+            args = argparse.Namespace(registry=str(path), bench=bench.id)
+            assert _named_bench(args) == bench, (label, bench.id)
+
+
+@pytest.mark.parametrize("name", _SHIPPED_REGISTRIES)
+def test_a_lookup_builds_the_bench_a_load_builds_on_shipped_registries(tmp_path, name):
+    _lookups_build_what_loads_build(_SHIPPED_DOCS[name], tmp_path, random.Random(name))
+
+
+def test_a_lookup_builds_the_bench_a_load_builds_on_random_registries(tmp_path):
+    rng = random.Random(2025)
+    for _ in range(15):
+        benches = [random_bench(rng, f"bench-{i}") for i in range(rng.randint(1, 3))]
+        path = tmp_path / "random.bench.json"
+        save_registry(benches, path)
+        _lookups_build_what_loads_build(json.loads(path.read_text()), tmp_path, rng)
 
 
 def test_integer_numbers_load_as_floats(tmp_path):

@@ -5,6 +5,7 @@ from benchlattice import replace
 
 import pytest
 
+from benchlattice.configuration import ConfigurationSpace
 from benchlattice.errors import (
     AlreadySubstantiated,
     BenchValidationWarning,
@@ -22,6 +23,7 @@ from benchlattice.taxonomy import (
     DimensionKind,
     DimensionNode,
     Stage,
+    TestBench,
     canonical_dimension_of,
     leaf_dimensions,
     new_bench,
@@ -278,3 +280,107 @@ def test_missing_canonical_dimension_rejected():
     )
     with pytest.raises(TaxonomyError):
         validate_bench(broken)
+
+
+def _reference_leaves(nodes):
+    """Leaves by the documented order, sorted from scratch: canonical rank,
+    each parent followed by its subs, declaration order among equals."""
+    position = {node.id: i for i, node in enumerate(nodes)}
+    rank = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
+
+    def key(node):
+        anchor = node.id if node.parent is None else node.parent
+        return (rank.get(anchor, len(rank)), node.parent is not None, position[node.id])
+
+    ordered = sorted(nodes, key=key)
+    parents = {node.parent for node in ordered if node.parent is not None}
+    return tuple(node for node in ordered if node.id not in parents)
+
+
+def _sub(sub_id, parent):
+    return DimensionNode(sub_id, sub_id, DimensionKind.SUB_DIMENSION, parent)
+
+
+_CANONICAL_TREE = new_bench("b").dimension_tree
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        _CANONICAL_TREE,
+        _CANONICAL_TREE[::-1],
+        _CANONICAL_TREE[1:] + _CANONICAL_TREE[:1],
+        (
+            *_CANONICAL_TREE,
+            _sub("radar", "environment-sensor-system"),
+            _sub("camera", "environment-sensor-system"),
+        ),
+        (
+            _sub("camera", "environment-sensor-system"),
+            *_CANONICAL_TREE[::-1],
+            _sub("lidar", "scenery"),
+        ),
+        (*_CANONICAL_TREE, DimensionNode("holodeck", "Holodeck", DimensionKind.CANONICAL)),
+        (DimensionNode("holodeck", "Holodeck", DimensionKind.CANONICAL), *_CANONICAL_TREE),
+        # The canonical ids in canonical order, one of them a sub-dimension
+        # of another: not canonical order, since a sub follows its parent.
+        (*_CANONICAL_TREE[:4], _sub("scenery", "test-object"), *_CANONICAL_TREE[5:]),
+    ],
+    ids=[
+        "canonical", "reversed", "rotated", "subs-in-place", "subs-out-of-order",
+        "unknown-last", "unknown-first", "sub-with-a-canonical-id",
+    ],
+)
+def test_leaves_follow_canonical_order_whatever_the_tree_order(tree):
+    bench = TestBench("b", "b", tree)
+    expected = _reference_leaves(tree)
+    assert leaf_dimensions(bench) == expected
+    assert ConfigurationSpace(bench).leaves == expected
+
+
+def test_a_sub_dimension_with_a_canonical_id_is_ordered_after_its_parent():
+    tree = (*_CANONICAL_TREE[:4], _sub("scenery", "test-object"), *_CANONICAL_TREE[5:])
+    assert [node.id for node in tree] == list(CANONICAL_DIMENSION_IDS)
+    elements = [make_element(f"{leaf.id}-el", leaf.id) for leaf in _reference_leaves(tree)]
+    with pytest.warns(BenchValidationWarning, match="substantiates the test-object"):
+        validated = validate_bench(with_elements(TestBench("b", "b", tree), elements[::-1]))
+    assert [node.id for node in validated.dimension_tree][:2] == ["test-object", "scenery"]
+    assert [e.dimension for e in validated.elements] == [
+        leaf.id for leaf in _reference_leaves(tree)
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, error, message",
+    [
+        # The first offender in declaration order is named, whichever rule it breaks.
+        ([("scenery-el", "v2x-communication"), ("x", "holodeck")], DuplicateId,
+         "duplicate element id 'scenery-el' in bench 'b'"),
+        ([("x", "holodeck"), ("scenery-el", "v2x-communication")], UnknownDimension,
+         "element 'x' references unknown dimension 'holodeck'"),
+        ([("y", "environment-sensor-system"), ("scenery-el", "scenery")], ElementOnNonLeaf,
+         "element 'y' sits on substantiated dimension 'environment-sensor-system'"),
+        ([("z", "radar"), ("z", "camera")], DuplicateId,
+         "duplicate element id 'z' in bench 'b'"),
+    ],
+)
+def test_the_first_offending_element_is_named(extra, error, message):
+    bench = substantiate_dimension(
+        new_bench("b"), "environment-sensor-system", ["radar", "camera"]
+    )
+    elements = [make_element(f"{leaf.id}-el", leaf.id) for leaf in leaf_dimensions(bench)]
+    elements += [make_element(elem_id, dimension) for elem_id, dimension in extra]
+    with pytest.raises(error) as excinfo:
+        validate_bench(with_elements(bench, elements))
+    assert str(excinfo.value) == message
+
+
+def test_the_first_empty_leaf_in_leaf_order_is_named():
+    bench = substantiate_dimension(new_bench("b"), "scenery", ["road", "track"])
+    elements = [
+        make_element(f"{leaf.id}-el", leaf.id)
+        for leaf in leaf_dimensions(bench)
+        if leaf.id not in ("track", "residual-vehicle")
+    ]
+    with pytest.raises(EmptyLeaf, match="leaf dimension 'track' of bench 'b' holds no element"):
+        validate_bench(with_elements(bench, elements[::-1]))
