@@ -93,9 +93,9 @@ class ConfigurationSpace:
     """The configurations of one bench, derived once from its structure.
 
     Holds the leaves in spoke order, each leaf's canonical dimension, the
-    element map, the per-leaf element ids, combinable flags and choice
-    counts, and the mixed-radix weights of the enumeration order. Building
-    a space costs O(leaves + elements); :meth:`at` names any configuration
+    element map, the per-leaf element ids and choice counts, and the
+    mixed-radix weights of the enumeration order. Building a space costs
+    O(leaves + elements); :meth:`at` names any configuration
     by index in O(leaves + elements) without materialising the others, so
     lookups work far past the enumeration cap. Callers build one space per
     bench and pass it along; the space never changes after construction,
@@ -121,10 +121,6 @@ class ConfigurationSpace:
         self.ids_per_leaf: tuple[tuple[str, ...], ...] = tuple(
             tuple(grouped[leaf_id]) for leaf_id in self.leaf_ids
         )
-        self.available: dict[str, frozenset[str]] = {
-            leaf.id: frozenset(ids) for leaf, ids in zip(self.leaves, self.ids_per_leaf)
-        }
-        self.combinable: dict[str, bool] = {leaf.id: leaf.combinable for leaf in self.leaves}
         self.choice_counts: tuple[int, ...] = tuple(
             (2 ** len(ids) - 1) if leaf.combinable else len(ids)
             for leaf, ids in zip(self.leaves, self.ids_per_leaf)
@@ -208,21 +204,23 @@ class ConfigurationSpace:
             raise ForeignConfiguration(
                 f"configuration belongs to bench {config.bench_id!r}, not {self.bench.id!r}"
             )
-        if config.selection.keys() != self.available.keys():
+        leaves = dict(zip(self.leaf_ids, zip(self.leaves, self.ids_per_leaf)))
+        if config.selection.keys() != leaves.keys():
             raise ForeignConfiguration(
                 f"configuration leaves {sorted(config.selection)} do not match "
-                f"bench leaves {sorted(self.available)}"
+                f"bench leaves {sorted(leaves)}"
             )
         for leaf_id, picked in config.selection.items():
+            leaf, available = leaves[leaf_id]
             if not picked:
                 raise ForeignConfiguration(f"empty selection on leaf {leaf_id!r}")
             if len(set(picked)) != len(picked):
                 raise ForeignConfiguration(f"repeated elements selected on {leaf_id!r}")
-            if not self.combinable[leaf_id] and len(picked) != 1:
+            if not leaf.combinable and len(picked) != 1:
                 raise ForeignConfiguration(
                     f"leaf {leaf_id!r} is not combinable but selects {len(picked)} elements"
                 )
-            missing = set(picked) - self.available[leaf_id]
+            missing = set(picked).difference(available)
             if missing:
                 raise ForeignConfiguration(
                     f"selection on {leaf_id!r} names unknown elements {sorted(missing)}"

@@ -125,9 +125,6 @@ class SchemaError(RegistryError):
         super().__init__(lines)
         self.issues = tuple(issues)
 
-    def locations(self) -> tuple[str, ...]:
-        return tuple(loc for loc, _ in self.issues)
-
 
 class ValidationError(RegistryError):
     """Documents parsed but the described values violate domain invariants;

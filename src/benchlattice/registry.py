@@ -2,18 +2,15 @@
 
 The one module that reads documents and their fragments; the domain modules
 validate values only. All documents are UTF-8 JSON with an explicit
-``format_version``. Loading checks the schema first and reports *every*
-finding with a path-like location (``benches[0].elements[3].stage``) before
-raising; registries are written by hand, so one round of fixes should
-suffice. Registries and suites share one loader: the root, each item of its
-array and unique ids are checked, then every item is built from the
-accepted values and validated; :func:`bench_from_raw` and
-:func:`case_from_raw` do the same for one fragment. A registry is loaded in
-one pass per bench: the schema check checks a bench's elements a column at
-a time, and falls back to locating findings entry by entry only for a bench
-where some entry may hold one; the bench invariants are then checked on
-its dimension tree, built in one step, and its id and dimension columns.
-Only then, and only for the benches a caller uses, are elements built.
+``format_version``. Each document's schema is stated once, as data, and one
+walker checks its every object. Loading reports *every* finding with a
+path-like location (``benches[0].elements[3].stage``) before raising, as
+registries are written by hand; then each item of the document's array is
+built and validated. :func:`bench_from_raw` and :func:`case_from_raw` do the
+same for one fragment. A bench's elements are checked a column at a time,
+and entry by entry only where some entry may hold a finding; the bench
+invariants are checked on its dimension tree and its id and dimension
+columns, and elements are built only for the benches a caller uses.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and writes are atomic via temp file + rename, so no partial files survive a
 failure.
@@ -67,10 +64,7 @@ _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # whole values only: fullmat
 _STAGES = tuple(_BY_NAME)
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
-Issue = tuple[str, str]
 _T = TypeVar("_T")
-
-
 _set = object.__setattr__
 
 
@@ -168,116 +162,198 @@ def _load_json(path: str | os.PathLike[str]) -> Any:
         raise DocumentSyntaxError(path, "arrays or objects nested too deeply") from exc
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class _Checker:
     """Collects schema findings instead of failing fast."""
 
     def __init__(self) -> None:
-        self.issues: list[Issue] = []
+        self.issues: list[tuple[str, str]] = []
 
     def add(self, location: str, message: str) -> None:
         self.issues.append((location, message))
 
-    def obj(self, value: object, location: str) -> dict[str, Any] | None:
-        if not isinstance(value, dict):
-            self.add(location, f"expected an object, got {type(value).__name__}")
-            return None
-        return value
 
-    def array(self, value: object, location: str) -> list[Any] | None:
-        if not isinstance(value, list):
-            self.add(location, f"expected an array, got {type(value).__name__}")
-            return None
-        return value
+# --- schemas ------------------------------------------------------------------
+#
+# A schema is a function ``(check, value, location)`` that adds its findings
+# about ``value`` to ``check`` and returns the value to load: ``value``
+# itself, unless the schema converts it (a bench's elements load as columns,
+# a document's array as its checked objects), and then the object holding
+# it loads as a copy with the converted value.
 
-    def text(self, value: object, location: str, *, identifier: bool = False) -> str | None:
-        if not isinstance(value, str):
-            self.add(location, f"expected a string, got {type(value).__name__}")
-            return None
-        if identifier and not _ID_RE.fullmatch(value):
-            self.add(location, f"{value!r} is not a valid identifier")
-            return None
-        return value
+_Schema = Callable[[_Checker, Any, str], Any]
 
-    def number(
-        self, value: object, location: str, *, minimum: float | None = None,
-        exclusive: bool = False,
-    ) -> float | None:
-        if not _is_number(value):
-            self.add(location, f"expected a number, got {type(value).__name__}")
-            return None
+
+def _expected(check: _Checker, location: str, kind: str, value: object) -> None:
+    check.add(location, f"expected {kind}, got {type(value).__name__}")
+
+
+def _text(check: _Checker, value: object, location: str) -> object:
+    if value.__class__ is not str and not isinstance(value, str):
+        _expected(check, location, "a string", value)
+    return value
+
+
+def _identifier(check: _Checker, value: object, location: str) -> object:
+    if value.__class__ is not str and not isinstance(value, str):
+        _expected(check, location, "a string", value)
+    elif not _ID_RE.fullmatch(value):
+        check.add(location, f"{value!r} is not a valid identifier")
+    return value
+
+
+def _stage(check: _Checker, value: object, location: str) -> object:
+    if value not in _STAGES:
+        check.add(location, f"expected one of {list(_STAGES)}, got {value!r}")
+    return value
+
+
+def _flag(check: _Checker, value: object, location: str) -> object:
+    if value.__class__ is not bool:
+        check.add(location, f"expected a boolean, got {value!r}")
+    return value
+
+
+def _version(check: _Checker, value: object, location: str) -> object:
+    if value != FORMAT_VERSION:
+        check.add(location, f"unsupported format_version {value!r}; expected {FORMAT_VERSION!r}")
+    return value
+
+
+def _number(minimum: float | None = None, exclusive: bool = False, whole: bool = False) -> _Schema:
+    """A finite number (an int past the float range is not), above
+    ``minimum`` or, unless ``exclusive``, at it, and whole if asked."""
+    def number(check: _Checker, value: object, location: str) -> object:
+        if not isinstance(value, (int, float)) or value.__class__ is bool:
+            _expected(check, location, "a number", value)
+            return value
         try:
-            number = float(value)
-        except OverflowError:  # an integer past the float range
-            number = math.inf
-        if not math.isfinite(number):
-            self.add(location, f"must be a finite number, got {number}")
+            as_float = float(value)
+        except OverflowError:
+            as_float = math.inf
+        if not math.isfinite(as_float):
+            check.add(location, f"must be a finite number, got {as_float}")
+        elif minimum is not None and (as_float <= minimum if exclusive else as_float < minimum):
+            check.add(location, f"must be {'>' if exclusive else '>='} {minimum}, got {as_float}")
+        elif whole and not as_float.is_integer():
+            check.add(location, f"must be a whole number, got {as_float}")
+        return value
+    return number
+
+
+def _array(item: _Schema, *, nonempty: bool = False) -> _Schema:
+    """An array, each entry checked by ``item``."""
+    def array(check: _Checker, value: object, location: str) -> object:
+        if value.__class__ is not list and not isinstance(value, list):
+            _expected(check, location, "an array", value)
+            return value
+        if nonempty and not value:
+            check.add(location, "must not be empty")
+        for i, entry in enumerate(value):
+            item(check, entry, f"{location}[{i}]")
+        return value
+    return array
+
+
+def _map(values: _Schema | None = None) -> _Schema:
+    """An object with free keys, each value checked by ``values``."""
+    def mapping(check: _Checker, value: object, location: str) -> object:
+        if value.__class__ is not dict and not isinstance(value, dict):
+            _expected(check, location, "an object", value)
+        elif values is not None:
+            for key, entry in value.items():
+                values(check, entry, f"{location}.{key}")
+        return value
+    return mapping
+
+
+def _object(
+    fields: dict[str, _Schema], required: Collection[str] = (), *,
+    always: Collection[str] = (), root: bool = False,
+) -> _Schema:
+    """An object with the named ``fields``, in the order findings are
+    reported: its unknown fields (sorted), then its missing ``required``
+    fields, then each present field's findings. A field in ``always`` is
+    checked as None when absent. The fields of a ``root`` object are located
+    by name alone. Loads as None when the value is no object."""
+    allowed = fields.keys()
+    missing = [name for name in fields if name in required]
+    checks = list(fields.items())
+
+    def walk(check: _Checker, value: object, location: str) -> dict[str, Any] | None:
+        if value.__class__ is not dict and not isinstance(value, dict):
+            _expected(check, location, "an object", value)
             return None
-        if minimum is not None:
-            if exclusive and not number > minimum:
-                self.add(location, f"must be > {minimum}, got {number}")
-                return None
-            if not exclusive and number < minimum:
-                self.add(location, f"must be >= {minimum}, got {number}")
-                return None
-        return number
+        prefix = location + "."
+        if not value.keys() <= allowed:
+            for key in sorted(set(value) - allowed):
+                check.add(f"{prefix}{key}", "unknown field")
+        for name in missing:
+            if name not in value:
+                check.add(prefix + name, "required field missing")
+        if root:
+            prefix = ""
+        loaded = value
+        for name, schema in checks:
+            if name in value:
+                field = value[name]
+            elif name in always:
+                field = None
+            else:
+                continue
+            result = schema(check, field, prefix + name)
+            if result is not field:
+                if loaded is value:
+                    loaded = dict(value)
+                loaded[name] = result
+        return loaded
+    return walk
 
-    def known_fields(
-        self, value: dict[str, Any], location: str, allowed: set[str] | frozenset[str]
-    ) -> None:
-        if value.keys() <= allowed:
-            return
-        for key in sorted(set(value) - allowed):
-            self.add(f"{location}.{key}", "unknown field")
 
-    def version(self, doc: dict[str, Any], location: str = "format_version") -> None:
-        version = doc.get("format_version")
-        if version != FORMAT_VERSION:
-            self.add(location, f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}")
-
-    def raise_if_found(self) -> None:
-        if self.issues:
-            raise SchemaError(self.issues)
-
-
-def _load_items(
-    path: str | os.PathLike[str],
-    key: str,
-    noun: str,
-    check_item: Callable[[_Checker, object, str], dict[str, Any] | None],
-    build: Callable[[dict[str, Any]], _T],
-) -> list[tuple[dict[str, Any], _T]]:
-    """Each item of the document's array ``key``, checked by ``check_item``,
-    as a (fragment, ``build(fragment)``) pair. Raises :class:`SchemaError`
-    with every finding, then :class:`ValidationError` with (item id, error)
-    pairs for every item ``build`` rejects."""
-    doc = _load_json(path)
-    check = _Checker()
-    root = check.obj(doc, "$")
-    fragments: list[dict[str, Any]] = []
-    if root is not None:
-        check.known_fields(root, "$", {"format_version", key})
-        check.version(root)
-        items = check.array(root.get(key), key)
+def _document(key: str, noun: str, item: _Schema) -> _Schema:
+    """A registry or suite: a format version and an array ``key`` of
+    objects with distinct ids, each checked by ``item``; the array loads as
+    the list of the objects ``item`` loads."""
+    def items(check: _Checker, value: object, location: str) -> list[dict[str, Any]]:
+        loaded: list[dict[str, Any]] = []
+        if value.__class__ is not list and not isinstance(value, list):
+            _expected(check, location, "an array", value)
+            return loaded
         seen: set[str] = set()
-        for i, raw in enumerate(items or ()):
-            fragment = check_item(check, raw, f"{key}[{i}]")
+        for i, raw in enumerate(value):
+            fragment = item(check, raw, f"{location}[{i}]")
             if fragment is None:
                 continue
             item_id = fragment.get("id")
             if isinstance(item_id, str):
                 if item_id in seen:
-                    check.add(f"{key}[{i}].id", f"duplicate {noun} id {item_id!r}")
+                    check.add(f"{location}[{i}].id", f"duplicate {noun} id {item_id!r}")
                 seen.add(item_id)
-            fragments.append(fragment)
-    check.raise_if_found()
+            loaded.append(fragment)
+        return loaded
+    fields = {"format_version": _version, key: items}
+    return _object(fields, always=fields, root=True)
 
+
+def _checked(raw: object, schema: _Schema) -> Any:
+    """What ``schema`` loads of ``raw`` from ``$``; SchemaError with every finding."""
+    check = _Checker()
+    loaded = schema(check, raw, "$")
+    if check.issues:
+        raise SchemaError(check.issues)
+    return loaded
+
+
+def _load_items(
+    path: str | os.PathLike[str], document: _Schema, key: str,
+    build: Callable[[dict[str, Any]], _T],
+) -> list[tuple[dict[str, Any], _T]]:
+    """Each item of the document's array ``key``, as ``document`` loads it,
+    paired with ``build(item)``. Raises :class:`SchemaError` with every
+    finding, then :class:`ValidationError` with (item id, error) pairs for
+    every item ``build`` rejects."""
     loaded: list[tuple[dict[str, Any], _T]] = []
     problems: list[tuple[str, BenchlatticeError]] = []
-    for fragment in fragments:
+    for fragment in _checked(_load_json(path), document)[key]:
         try:
             loaded.append((fragment, build(fragment)))
         except BenchlatticeError as exc:
@@ -287,25 +363,19 @@ def _load_items(
     return loaded
 
 
-def _from_raw(raw: object, check_item: Callable[..., Any], build: Callable[[Any], _T]) -> _T:
-    """``build`` of one fragment that ``check_item`` accepts from ``$``."""
-    check = _Checker()
-    fragment = check_item(check, raw, "$")
-    check.raise_if_found()
-    return build(fragment)
-
-
 # --- bench registries --------------------------------------------------------
 
-_BENCH_FIELDS = {"id", "display_name", "substantiations", "combinable", "elements"}
+# In the format's field order, which is the order of findings.
+_ELEMENT_FIELDS: dict[str, _Schema] = {
+    "id": _identifier, "dimension": _identifier, "display_name": _text, "stage": _stage,
+    "validated_for": _array(_text), "cost_rate": _number(0.0),
+    "time_factor": _number(0.0, exclusive=True), "setup_cost": _number(0.0), "extra": _map(),
+}
 # Characteristics are never defaulted in documents; only display_name (falls
-# back to the id) and the reserved extra map may be omitted. In the format's
-# field order, so findings come out in a fixed order.
-_ELEMENT_REQUIRED = (
-    "id", "dimension", "stage", "validated_for", "cost_rate", "time_factor", "setup_cost",
-)
-_ELEMENT_FIELDS = frozenset(_ELEMENT_REQUIRED) | {"display_name", "extra"}
+# back to the id) and the reserved extra map may be omitted.
+_ELEMENT_REQUIRED = tuple(name for name in _ELEMENT_FIELDS if name not in ("display_name", "extra"))
 _ELEMENT_COLUMNS = itemgetter(*_ELEMENT_REQUIRED)
+_ELEMENT_ARRAY = _array(_object(_ELEMENT_FIELDS, _ELEMENT_REQUIRED))
 _NONE = type(None)
 # Identifiers joined by newlines, which no identifier holds.
 _IDS_RE = re.compile(rf"{_ID_RE.pattern}(?:\n{_ID_RE.pattern})*")  # fullmatch
@@ -336,7 +406,7 @@ def _identifiers(values: Collection[str]) -> bool:
 
 def _elements(entries: list[Any]) -> _Columns | None:
     """The columns of a bench's ``elements`` array, checked a column at a
-    time; None when :func:`_check_element` may find something in any
+    time; None when the element schema may find something in some
     entry."""
     if not entries:
         return _NO_ELEMENTS
@@ -387,7 +457,9 @@ def _built(
         ids, names, dimensions, stages, tags, costs, factors, setups, extras
     ):
         characteristics, element = new(Characteristics), new(Element)
-        _set_validated_for(characteristics, frozenset(purposes))
+        # In sorted order, as the constructor builds it; one tag needs no sort.
+        ordered = purposes if len(purposes) < 2 else sorted(purposes)
+        _set_validated_for(characteristics, frozenset(ordered))
         _set_cost_rate(characteristics, cost)
         _set_time_factor(characteristics, factor)
         _set_setup_cost(characteristics, setup)
@@ -412,77 +484,33 @@ _set_id, _set_display_name, _set_dimension, _set_stage, _set_characteristics = (
 )
 
 
-def _check_element(check: _Checker, raw: object, location: str) -> None:
-    entry = check.obj(raw, location)
-    if entry is None:
-        return
-    check.known_fields(entry, location, _ELEMENT_FIELDS)
-    for required in _ELEMENT_REQUIRED:
-        if required not in entry:
-            check.add(f"{location}.{required}", "required field missing")
-    for key in ("id", "dimension"):
-        if key in entry:
-            check.text(entry[key], f"{location}.{key}", identifier=True)
-    if "display_name" in entry:
-        check.text(entry["display_name"], f"{location}.display_name")
-    if "stage" in entry and entry["stage"] not in _STAGES:
-        check.add(
-            f"{location}.stage",
-            f"expected one of {list(_STAGES)}, got {entry['stage']!r}",
-        )
-    if "validated_for" in entry:
-        tags = check.array(entry["validated_for"], f"{location}.validated_for")
-        for i, tag in enumerate(tags or ()):
-            check.text(tag, f"{location}.validated_for[{i}]")
-    if "cost_rate" in entry:
-        check.number(entry["cost_rate"], f"{location}.cost_rate", minimum=0.0)
-    if "time_factor" in entry:
-        check.number(entry["time_factor"], f"{location}.time_factor", minimum=0.0, exclusive=True)
-    if "setup_cost" in entry:
-        check.number(entry["setup_cost"], f"{location}.setup_cost", minimum=0.0)
-    if "extra" in entry:
-        check.obj(entry["extra"], f"{location}.extra")
-
-
-def _check_bench(check: _Checker, raw: object, location: str) -> dict[str, Any] | None:
-    """The bench fragment, its ``elements`` built; None for no object."""
-    bench = check.obj(raw, location)
-    if bench is None:
-        return None
-    check.known_fields(bench, location, _BENCH_FIELDS)
-    if "id" not in bench:
-        check.add(f"{location}.id", "required field missing")
-    else:
-        check.text(bench["id"], f"{location}.id", identifier=True)
-    if "display_name" in bench:
-        check.text(bench["display_name"], f"{location}.display_name")
-    subs = bench.get("substantiations", {})
-    subs_obj = check.obj(subs, f"{location}.substantiations")
-    for parent, names in (subs_obj or {}).items():
-        names_arr = check.array(names, f"{location}.substantiations.{parent}")
-        if names_arr is not None and not names_arr:
-            check.add(f"{location}.substantiations.{parent}", "must not be empty")
-        for i, name in enumerate(names_arr or ()):
-            check.text(name, f"{location}.substantiations.{parent}[{i}]")
-    flags = check.obj(bench.get("combinable", {}), f"{location}.combinable")
-    for dim, flag in (flags or {}).items():
-        if not isinstance(flag, bool):
-            check.add(f"{location}.combinable.{dim}", f"expected a boolean, got {flag!r}")
-    elements = check.array(bench.get("elements", []), f"{location}.elements") or []
-    columns = _elements(elements)
+def _element_columns(check: _Checker, value: object, location: str) -> _Columns:
+    """A bench's ``elements``, checked a column at a time where that finds
+    nothing and entry by entry otherwise; loads as their columns."""
+    columns = _elements(value) if isinstance(value, list) else None
     if columns is None:  # every entry takes the itemised checks
         found = len(check.issues)
-        for i, entry in enumerate(elements):
-            _check_element(check, entry, f"{location}.elements[{i}]")
+        _ELEMENT_ARRAY(check, value, location)
         # Columns of entries that hold findings are never built.
-        columns = _columns(elements) if len(check.issues) == found else _NO_ELEMENTS
-    return {**bench, "elements": columns}
+        columns = _columns(value) if len(check.issues) == found else _NO_ELEMENTS
+    return columns
+
+
+_BENCH = _object(
+    {
+        "id": _identifier, "display_name": _text,
+        "substantiations": _map(_array(_text, nonempty=True)), "combinable": _map(_flag),
+        "elements": _element_columns,
+    },
+    required=("id",),
+)
+_REGISTRY = _document("benches", "bench", _BENCH)
 
 
 def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
-    """The bench of a fragment :func:`_check_bench` has accepted, checked
-    against the invariants and built when called: canonical flags,
-    substantiations in document order, then sub-dimension flags;
+    """The bench of a fragment ``_BENCH`` has loaded, checked against the
+    invariants and built when called: canonical flags, substantiations in
+    document order, then sub-dimension flags;
     :func:`~benchlattice.taxonomy._invariants` orders the tree and the
     elements."""
     bench_id, flags = fragment["id"], fragment.get("combinable", {})
@@ -498,7 +526,7 @@ def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
             replace(node, combinable=flags[node.id]) if node.id in sub_flags else node
             for node in nodes
         ]
-    columns = fragment["elements"]
+    columns = fragment.get("elements", _NO_ELEMENTS)
     tree, order = _invariants(bench_id, nodes, columns[0], columns[2])
     display_name = fragment.get("display_name", bench_id)
     return partial(_built, bench_id, display_name, tree, columns, order)
@@ -509,7 +537,7 @@ def bench_from_raw(raw: object) -> TestBench:
     ``benches``), by the checks of :func:`load_registry`. Raises
     :class:`SchemaError` with every finding, located from ``$``
     (``$.elements[3].stage``), or the bench's domain error."""
-    return _from_raw(raw, _check_bench, _bench)()
+    return _bench(_checked(raw, _BENCH))()
 
 
 def _checked_registry(path: str | os.PathLike[str]) -> dict[str, Callable[[], TestBench]]:
@@ -518,7 +546,7 @@ def _checked_registry(path: str | os.PathLike[str]) -> dict[str, Callable[[], Te
     each built when called."""
     return {
         fragment["id"]: build
-        for fragment, build in _load_items(path, "benches", "bench", _check_bench, _bench)
+        for fragment, build in _load_items(path, _REGISTRY, "benches", _bench)
     }
 
 
@@ -574,89 +602,30 @@ def save_registry(benches: Sequence[TestBench], path: str | os.PathLike[str]) ->
 
 # --- suites -------------------------------------------------------------------
 
-_CASE_FIELDS = {"id", "purpose", "scenario", "evaluation_criteria", "overrides"}
-_LAYERS = (
-    "road_level",
-    "traffic_infrastructure",
-    "temporary_manipulation",
-    "movable_objects",
-    "environment_conditions",
+_SCENARIO_FIELDS: dict[str, _Schema] = {
+    "road_level": _text, "traffic_infrastructure": _text, "temporary_manipulation": _text,
+    "movable_objects": _array(
+        _object({"type": _text, "count": _number(1, whole=True)}, required=("type",))
+    ),
+    "environment_conditions": _array(_text), "nominal_duration": _number(),
+}
+_LAYERS = tuple(name for name in _SCENARIO_FIELDS if name != "nominal_duration")
+_CASE = _object(
+    {
+        "id": _identifier, "purpose": _text, "scenario": _object(_SCENARIO_FIELDS),
+        "evaluation_criteria": _array(
+            _object({"name": _text, "threshold": _text}, required=("name",))
+        ),
+        "overrides": _map(_array(_stage)),
+    },
+    required=("id",),
 )
-_SCENARIO_FIELDS = {*_LAYERS, "nominal_duration"}
-
-
-def _check_case(check: _Checker, raw: object, location: str) -> dict[str, Any] | None:
-    case = check.obj(raw, location)
-    if case is None:
-        return None
-    check.known_fields(case, location, _CASE_FIELDS)
-    if "id" not in case:
-        check.add(f"{location}.id", "required field missing")
-    else:
-        check.text(case["id"], f"{location}.id", identifier=True)
-    if "purpose" in case:
-        check.text(case["purpose"], f"{location}.purpose")
-    scenario = check.obj(case.get("scenario", {}), f"{location}.scenario")
-    if scenario is not None:
-        check.known_fields(scenario, f"{location}.scenario", _SCENARIO_FIELDS)
-        for key in ("road_level", "traffic_infrastructure", "temporary_manipulation"):
-            if key in scenario:
-                check.text(scenario[key], f"{location}.scenario.{key}")
-        movable = check.array(
-            scenario.get("movable_objects", []), f"{location}.scenario.movable_objects"
-        )
-        for i, obj in enumerate(movable or ()):
-            where = f"{location}.scenario.movable_objects[{i}]"
-            entry = check.obj(obj, where)
-            if entry is None:
-                continue
-            check.known_fields(entry, where, {"type", "count"})
-            if "type" not in entry:
-                check.add(f"{where}.type", "required field missing")
-            else:
-                check.text(entry["type"], f"{where}.type")
-            if "count" in entry:
-                count = check.number(entry["count"], f"{where}.count", minimum=1)
-                if count is not None and not count.is_integer():
-                    check.add(f"{where}.count", f"must be a whole number, got {count}")
-        conditions = check.array(
-            scenario.get("environment_conditions", []),
-            f"{location}.scenario.environment_conditions",
-        )
-        for i, tag in enumerate(conditions or ()):
-            check.text(tag, f"{location}.scenario.environment_conditions[{i}]")
-        if "nominal_duration" in scenario:
-            check.number(scenario["nominal_duration"], f"{location}.scenario.nominal_duration")
-    criteria = check.array(
-        case.get("evaluation_criteria", []), f"{location}.evaluation_criteria"
-    )
-    for i, criterion in enumerate(criteria or ()):
-        where = f"{location}.evaluation_criteria[{i}]"
-        entry = check.obj(criterion, where)
-        if entry is None:
-            continue
-        check.known_fields(entry, where, {"name", "threshold"})
-        if "name" not in entry:
-            check.add(f"{where}.name", "required field missing")
-        else:
-            check.text(entry["name"], f"{where}.name")
-        if "threshold" in entry:
-            check.text(entry["threshold"], f"{where}.threshold")
-    overrides = check.obj(case.get("overrides", {}), f"{location}.overrides")
-    for dim, stages in (overrides or {}).items():
-        stages_arr = check.array(stages, f"{location}.overrides.{dim}")
-        for i, stage in enumerate(stages_arr or ()):
-            if stage not in _STAGES:
-                check.add(
-                    f"{location}.overrides.{dim}[{i}]",
-                    f"expected one of {list(_STAGES)}, got {stage!r}",
-                )
-    return case
+_SUITE = _document("test_cases", "test case", _CASE)
 
 
 def _test_case(fragment: dict[str, Any]) -> TestCase:
-    """The validated test case of a fragment :func:`_check_case` has
-    accepted. Numbers load as floats and counts as ints (``2.0`` as 2)."""
+    """The validated test case of a fragment ``_CASE`` has loaded. Numbers
+    load as floats and counts as ints (``2.0`` as 2)."""
     case_id = fragment["id"]
     scenario = fragment.get("scenario")
     if scenario is None:
@@ -693,12 +662,12 @@ def case_from_raw(raw: object) -> TestCase:
     checked, not returned. Raises :class:`SchemaError` with every finding,
     located from ``$`` (``$.scenario.movable_objects[0].count``), or the
     test case's domain error."""
-    return _from_raw(raw, _check_case, _test_case)
+    return _test_case(_checked(raw, _CASE))
 
 
 def load_suite(path: str | os.PathLike[str]) -> LoadedSuite:
     """Load a test suite plus its per-test-case stage overrides."""
-    loaded = _load_items(path, "test_cases", "test case", _check_case, _test_case)
+    loaded = _load_items(path, _SUITE, "test_cases", _test_case)
     overrides: dict[str, StageOverrides] = {
         tc.id: {
             dim: frozenset(Stage(s) for s in stages)
@@ -746,23 +715,15 @@ def save_suite(suite: LoadedSuite, path: str | os.PathLike[str]) -> None:
 # --- budgets -------------------------------------------------------------------
 
 
+_BUDGET = _object(
+    {"format_version": _version, "max_bench_time": _map(_number(0.0, exclusive=True))},
+    always=("format_version",), root=True,
+)
+
+
 def load_budget(path: str | os.PathLike[str]) -> CapacityBudget:
-    doc = _load_json(path)
-    check = _Checker()
-    root = check.obj(doc, "$")
-    limits: dict[str, float] = {}
-    if root is not None:
-        check.known_fields(root, "$", {"format_version", "max_bench_time"})
-        check.version(root)
-        table = check.obj(root.get("max_bench_time", {}), "max_bench_time")
-        for bench_id, seconds in (table or {}).items():
-            value = check.number(
-                seconds, f"max_bench_time.{bench_id}", minimum=0.0, exclusive=True
-            )
-            if value is not None:
-                limits[bench_id] = value
-    check.raise_if_found()
-    return CapacityBudget(max_bench_time=limits)
+    limits = _checked(_load_json(path), _BUDGET).get("max_bench_time", {})
+    return CapacityBudget(max_bench_time={key: float(value) for key, value in limits.items()})
 
 
 def save_budget(budget: CapacityBudget, path: str | os.PathLike[str]) -> None:

@@ -155,7 +155,9 @@ class Characteristics(Frozen):
         time_factor: float = 1.0, setup_cost: float = 0.0,
         extra: Mapping[str, object] | None = None,
     ) -> None:
-        _set(self, "validated_for", frozenset(validated_for))
+        # Built in sorted order (by text, so tags of any type sort), so that a
+        # copy or an unpickled value, built here again, prints its set alike.
+        _set(self, "validated_for", frozenset(sorted(validated_for, key=str)))
         _set(self, "extra", {} if extra is None else dict(extra))
         for name, value in (
             ("cost_rate", cost_rate), ("time_factor", time_factor), ("setup_cost", setup_cost),

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 ALL_STAGES = frozenset(Stage)
+_RANK = {stage: rank for rank, stage in enumerate(Stage)}
 
 #: Required for every test case, whatever the scenario contains.
 ALWAYS_REQUIRED_DIMENSIONS = frozenset(
@@ -113,7 +114,10 @@ class DimensionRequirement(Frozen):
     __slots__ = ("admissible_stages", "required")
 
     def __init__(self, admissible_stages: frozenset[Stage], required: bool) -> None:
-        _set(self, "admissible_stages", admissible_stages)
+        # Built in the stages' declared order, so that a copy or an unpickled
+        # value, built here again, lays its set out and prints it alike.
+        stages = frozenset(sorted(admissible_stages, key=_RANK.__getitem__))
+        _set(self, "admissible_stages", stages)
         _set(self, "required", required)
 
 

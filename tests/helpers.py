@@ -646,20 +646,26 @@ class _RefChecker:
             return None
         return value
 
-    def number(self, value: object, location: str, *, exclusive: bool = False) -> None:
+    def number(
+        self, value: object, location: str, *, minimum: float | None = 0.0,
+        exclusive: bool = False,
+    ) -> float | None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.add(location, f"expected a number, got {type(value).__name__}")
-            return
+            return None
         try:
             number = float(value)
         except OverflowError:
             number = math.inf
         if not math.isfinite(number):
             self.add(location, f"must be a finite number, got {number}")
-        elif exclusive and not number > 0.0:
-            self.add(location, f"must be > 0.0, got {number}")
-        elif not exclusive and number < 0.0:
-            self.add(location, f"must be >= 0.0, got {number}")
+        elif minimum is not None and exclusive and not number > minimum:
+            self.add(location, f"must be > {minimum}, got {number}")
+        elif minimum is not None and not exclusive and number < minimum:
+            self.add(location, f"must be >= {minimum}, got {number}")
+        else:
+            return number
+        return None
 
     def known_fields(self, value: dict[str, Any], location: str, allowed: set[str]) -> None:
         for key in sorted(set(value) - allowed):
@@ -843,32 +849,46 @@ def reference_validate_bench(raw: Mapping[str, Any]) -> TestBench:
     )
 
 
+def _ref_version(check: _RefChecker, root: Mapping[str, Any]) -> None:
+    version = root.get("format_version")
+    if version != FORMAT_VERSION:
+        check.add(
+            "format_version",
+            f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}",
+        )
+
+
+def _ref_check_items(
+    check: _RefChecker, doc: object, key: str, noun: str, check_item
+) -> list[dict[str, Any]]:
+    """The root checks of a registry or suite, then each item of its array
+    ``key`` by ``check_item`` and its id against the ids before it; returns
+    the item objects."""
+    fragments: list[dict[str, Any]] = []
+    root = check.obj(doc, "$")
+    if root is None:
+        return fragments
+    check.known_fields(root, "$", {"format_version", key})
+    _ref_version(check, root)
+    seen_ids: set[str] = set()
+    for i, raw in enumerate(check.array(root.get(key), key) or ()):
+        fragment = check_item(check, raw, f"{key}[{i}]")
+        if fragment is None:
+            continue
+        item_id = fragment.get("id")
+        if isinstance(item_id, str):
+            if item_id in seen_ids:
+                check.add(f"{key}[{i}].id", f"duplicate {noun} id {item_id!r}")
+            seen_ids.add(item_id)
+        fragments.append(fragment)
+    return fragments
+
+
 def reference_load_registry(path: str | Path) -> list[TestBench]:
     """The registry loader with every element checked field by field and
     every bench built by the public draft operations."""
-    doc = _load_json(path)
     check = _RefChecker()
-    fragments: list[dict[str, Any]] = []
-    root = check.obj(doc, "$")
-    if root is not None:
-        check.known_fields(root, "$", {"format_version", "benches"})
-        version = root.get("format_version")
-        if version != FORMAT_VERSION:
-            check.add(
-                "format_version",
-                f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}",
-            )
-        seen_ids: set[str] = set()
-        for i, raw in enumerate(check.array(root.get("benches"), "benches") or ()):
-            fragment = _ref_check_bench(check, raw, f"benches[{i}]")
-            if fragment is None:
-                continue
-            bench_id = fragment.get("id")
-            if isinstance(bench_id, str):
-                if bench_id in seen_ids:
-                    check.add(f"benches[{i}].id", f"duplicate bench id {bench_id!r}")
-                seen_ids.add(bench_id)
-            fragments.append(fragment)
+    fragments = _ref_check_items(check, _load_json(path), "benches", "bench", _ref_check_bench)
     if check.issues:
         raise SchemaError(check.issues)
     loaded: list[TestBench] = []
@@ -881,3 +901,114 @@ def reference_load_registry(path: str | Path) -> list[TestBench]:
     if problems:
         raise ValidationError(problems)
     return loaded
+
+
+# --- reference suite and budget checks ------------------------------------------
+#
+# The suite and budget schema checks written out by hand, object by object, as
+# the package wrote them before its schemas became data: the references the
+# loaders' findings are checked against, in text and order.
+
+_REF_CASE_FIELDS = {"id", "purpose", "scenario", "evaluation_criteria", "overrides"}
+_REF_LAYERS = (
+    "road_level", "traffic_infrastructure", "temporary_manipulation", "movable_objects",
+    "environment_conditions",
+)
+_REF_SCENARIO_FIELDS = {*_REF_LAYERS, "nominal_duration"}
+
+
+def _ref_check_case(check: _RefChecker, raw: object, location: str) -> dict[str, Any] | None:
+    case = check.obj(raw, location)
+    if case is None:
+        return None
+    check.known_fields(case, location, _REF_CASE_FIELDS)
+    if "id" not in case:
+        check.add(f"{location}.id", "required field missing")
+    else:
+        check.text(case["id"], f"{location}.id", identifier=True)
+    if "purpose" in case:
+        check.text(case["purpose"], f"{location}.purpose")
+    scenario = check.obj(case.get("scenario", {}), f"{location}.scenario")
+    if scenario is not None:
+        check.known_fields(scenario, f"{location}.scenario", _REF_SCENARIO_FIELDS)
+        for key in ("road_level", "traffic_infrastructure", "temporary_manipulation"):
+            if key in scenario:
+                check.text(scenario[key], f"{location}.scenario.{key}")
+        movable = check.array(
+            scenario.get("movable_objects", []), f"{location}.scenario.movable_objects"
+        )
+        for i, obj in enumerate(movable or ()):
+            where = f"{location}.scenario.movable_objects[{i}]"
+            entry = check.obj(obj, where)
+            if entry is None:
+                continue
+            check.known_fields(entry, where, {"type", "count"})
+            if "type" not in entry:
+                check.add(f"{where}.type", "required field missing")
+            else:
+                check.text(entry["type"], f"{where}.type")
+            if "count" in entry:
+                count = check.number(entry["count"], f"{where}.count", minimum=1)
+                if count is not None and not count.is_integer():
+                    check.add(f"{where}.count", f"must be a whole number, got {count}")
+        conditions = check.array(
+            scenario.get("environment_conditions", []),
+            f"{location}.scenario.environment_conditions",
+        )
+        for i, tag in enumerate(conditions or ()):
+            check.text(tag, f"{location}.scenario.environment_conditions[{i}]")
+        if "nominal_duration" in scenario:
+            check.number(
+                scenario["nominal_duration"], f"{location}.scenario.nominal_duration",
+                minimum=None,
+            )
+    criteria = check.array(case.get("evaluation_criteria", []), f"{location}.evaluation_criteria")
+    for i, criterion in enumerate(criteria or ()):
+        where = f"{location}.evaluation_criteria[{i}]"
+        entry = check.obj(criterion, where)
+        if entry is None:
+            continue
+        check.known_fields(entry, where, {"name", "threshold"})
+        if "name" not in entry:
+            check.add(f"{where}.name", "required field missing")
+        else:
+            check.text(entry["name"], f"{where}.name")
+        if "threshold" in entry:
+            check.text(entry["threshold"], f"{where}.threshold")
+    overrides = check.obj(case.get("overrides", {}), f"{location}.overrides")
+    for dim, stages in (overrides or {}).items():
+        stages_arr = check.array(stages, f"{location}.overrides.{dim}")
+        for i, stage in enumerate(stages_arr or ()):
+            if stage not in _REF_STAGES:
+                check.add(
+                    f"{location}.overrides.{dim}[{i}]",
+                    f"expected one of {list(_REF_STAGES)}, got {stage!r}",
+                )
+    return case
+
+
+def reference_suite_issues(doc: object) -> tuple[tuple[str, str], ...]:
+    """The schema findings of a parsed suite document, in order."""
+    check = _RefChecker()
+    _ref_check_items(check, doc, "test_cases", "test case", _ref_check_case)
+    return tuple(check.issues)
+
+
+def reference_case_issues(raw: object) -> tuple[tuple[str, str], ...]:
+    """The schema findings of one suite fragment, located from ``$``."""
+    check = _RefChecker()
+    _ref_check_case(check, raw, "$")
+    return tuple(check.issues)
+
+
+def reference_budget_issues(doc: object) -> tuple[tuple[str, str], ...]:
+    """The schema findings of a parsed budget document, in order."""
+    check = _RefChecker()
+    root = check.obj(doc, "$")
+    if root is not None:
+        check.known_fields(root, "$", {"format_version", "max_bench_time"})
+        _ref_version(check, root)
+        table = check.obj(root.get("max_bench_time", {}), "max_bench_time")
+        for bench_id, seconds in (table or {}).items():
+            check.number(seconds, f"max_bench_time.{bench_id}", exclusive=True)
+    return tuple(check.issues)

@@ -617,8 +617,8 @@ def test_greedy_matches_reference_with_ties_and_combinable_leaves():
         for picked in plan.assignments.values():
             space = spaces[picked.bench_id]
             combinable_picks += any(
-                space.combinable[leaf_id] and len(space.available[leaf_id]) > 1
-                for leaf_id in space.leaf_ids
+                leaf.combinable and len(ids) > 1
+                for leaf, ids in zip(space.leaves, space.ids_per_leaf)
             )
         budget = _binding_budget(rng, collected)
         budgeted = _assert_greedy_matches_reference(

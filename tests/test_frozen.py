@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import json
 import pickle
 from fractions import Fraction
 
@@ -36,8 +37,10 @@ from benchlattice import (
     TestMethodName,
     UnassignableCase,
     Violation,
+    bench_from_raw,
     replace,
 )
+from benchlattice.data import fixture_path
 from benchlattice.errors import TaxonomyError, TestCaseError
 from benchlattice.frozen import Frozen
 from benchlattice.testcase import DimensionRequirement
@@ -301,3 +304,22 @@ def test_values_match_by_field_position():
             assert (dimension, reason) == ("scenery", ReasonCode.MISSING_DIMENSION)
         case _:
             pytest.fail("a Violation did not match its own class pattern")
+
+
+def test_sets_print_alike_whatever_order_they_are_given_in():
+    # Forty purposes collide in any set table, whatever the hash seed, so a
+    # set built in another order would lay them out, and print them, apart.
+    purposes = [f"purpose-{i}" for i in range(40)]
+    shown = {repr(Characteristics(validated_for=order)) for order in (purposes, purposes[::-1])}
+    assert len(shown) == 1
+    value = Characteristics(validated_for=purposes)
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert repr(twin) == repr(value)
+    # A loaded element's set, written without the constructor, too.
+    raw = json.loads(fixture_path("sil_bench.json").read_text())["benches"][0]
+    raw["elements"][0]["validated_for"] = purposes[::-1]
+    loaded = {e.id: e for e in bench_from_raw(raw).elements}[raw["elements"][0]["id"]]
+    assert repr(loaded.characteristics.validated_for) == repr(value.validated_for)
+    stages = list(Stage)
+    orders = (stages, stages[::-1], stages[1:] + stages[:1])
+    assert len({repr(DimensionRequirement(frozenset(order), True)) for order in orders}) == 1

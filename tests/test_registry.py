@@ -47,7 +47,13 @@ from benchlattice.registry import (
     write_text_atomic,
 )
 from benchlattice.taxonomy import CANONICAL_DIMENSION_IDS, Stage
-from helpers import random_bench, reference_load_registry
+from helpers import (
+    random_bench,
+    reference_budget_issues,
+    reference_case_issues,
+    reference_load_registry,
+    reference_suite_issues,
+)
 
 
 def sil_raw():
@@ -68,7 +74,7 @@ def test_unknown_stage_is_schema_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as excinfo:
         load_registry(path)
-    assert "benches[0].elements[3].stage" in excinfo.value.locations()
+    assert "benches[0].elements[3].stage" in [loc for loc, _ in excinfo.value.issues]
 
 
 def test_duplicate_element_id_is_validation_error(tmp_path):
@@ -92,7 +98,7 @@ def test_schema_errors_aggregated(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as excinfo:
         load_registry(path)
-    locations = excinfo.value.locations()
+    locations = [loc for loc, _ in excinfo.value.issues]
     assert "benches[0].elements[0].stage" in locations
     assert "benches[0].elements[1].cost_rate" in locations
     assert "benches[0].elements[2].surprise" in locations
@@ -121,7 +127,7 @@ def test_duplicate_bench_id(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as excinfo:
         load_registry(path)
-    assert "benches[1].id" in excinfo.value.locations()
+    assert "benches[1].id" in [loc for loc, _ in excinfo.value.issues]
 
 
 @pytest.mark.parametrize(
@@ -283,7 +289,7 @@ def test_bad_override_stage(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError) as excinfo:
         load_suite(path)
-    assert "test_cases[0].overrides.scenery[0]" in excinfo.value.locations()
+    assert "test_cases[0].overrides.scenery[0]" in [loc for loc, _ in excinfo.value.issues]
 
 
 def test_movable_object_count_must_be_whole(tmp_path):
@@ -531,7 +537,7 @@ def _mutate(draw, doc) -> None:
         if kind == "drop":
             del target[key]
         elif kind == "retype":
-            target[key] = draw(st.sampled_from(_JUNK))
+            target[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
         else:
             target[draw(st.sampled_from([key + "s", key.upper(), key.replace("_", "-")]))] = (
                 target.pop(key)
@@ -590,7 +596,7 @@ def _mutate(draw, doc) -> None:
             ]
     elif isinstance(bench.get("elements"), list) and bench["elements"]:  # element-junk
         index = draw(st.integers(0, len(bench["elements"]) - 1))
-        bench["elements"][index] = draw(st.sampled_from(_JUNK))
+        bench["elements"][index] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
 
 
 def _outcome(load, path):
@@ -678,6 +684,102 @@ def test_loader_matches_reference_on_random_registries(tmp_path):
         save_registry(benches, path)
         assert _outcome(load_registry, path) == _outcome(reference_load_registry, path)
         assert load_registry(path) == benches
+
+
+# --- suite and budget findings against the hand-written reference ------------------
+
+_SUITE_DOC = json.loads(fixture_path("demo_suite.suite.json").read_text())
+_BUDGET_DOC = json.loads(fixture_path("demo.budget.json").read_text())
+_NUMBER_FIELDS = ("count", "nominal_duration", "sil", "hil")
+_COUNTS = (1.5, 0, 2.0, -3, 0.5, True, "2", None, float("inf"), 10**400)
+_OVERRIDE_DIMENSIONS = ("scenery", "environment-sensor-system", "radar")
+
+
+def _mutate_document(draw, doc) -> None:
+    """Apply one drawn mutation to a suite or budget document in place."""
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "misspell", "unknown", "number", "number", "stage", "case-id",
+         "duplicate-case", "list-junk"]
+    ))
+    dicts = list(_dicts(doc))
+    if kind in ("drop", "retype", "misspell", "unknown"):
+        target = draw(st.sampled_from(dicts))
+        if kind == "unknown":
+            target[draw(st.sampled_from(["surprise", "ID", "count", "type", "aa"]))] = (
+                copy.deepcopy(draw(st.sampled_from(_JUNK)))
+            )
+            return
+        if not target:
+            return
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        elif kind == "retype":
+            target[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        else:
+            target[draw(st.sampled_from([key + "s", key.upper(), key.replace("_", "-")]))] = (
+                target.pop(key)
+            )
+        return
+    if kind == "number":
+        holders = [d for d in dicts if d.keys() & set(_NUMBER_FIELDS)]
+        if holders:
+            holder = draw(st.sampled_from(holders))
+            key = draw(st.sampled_from(sorted(holder.keys() & set(_NUMBER_FIELDS))))
+            holder[key] = draw(st.sampled_from(_COUNTS if key == "count" else _NUMBERS))
+        return
+    cases = doc.get("test_cases") if isinstance(doc, dict) else None
+    cases = [c for c in cases if isinstance(c, dict)] if isinstance(cases, list) else []
+    if kind == "stage" and cases:
+        case = draw(st.sampled_from(cases))
+        stages = [
+            copy.deepcopy(draw(st.sampled_from(_STAGE_VALUES)))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        if isinstance(case.get("overrides"), dict):
+            case["overrides"][draw(st.sampled_from(_OVERRIDE_DIMENSIONS))] = stages
+    elif kind == "case-id" and cases:
+        draw(st.sampled_from(cases))["id"] = draw(st.sampled_from(_IDS))
+    elif kind == "duplicate-case" and cases:
+        doc["test_cases"].append(copy.deepcopy(draw(st.sampled_from(cases))))
+    elif kind == "list-junk":
+        lists = [v for d in dicts for v in d.values() if isinstance(v, list) and v]
+        if lists:
+            target = draw(st.sampled_from(lists))
+            target[draw(st.integers(0, len(target) - 1))] = copy.deepcopy(
+                draw(st.sampled_from(_JUNK))
+            )
+
+
+def _schema_issues(load, arg):
+    """The findings of the SchemaError ``load(arg)`` raises; () when it
+    raises another BenchlatticeError or none."""
+    try:
+        load(arg)
+    except SchemaError as exc:
+        return exc.issues
+    except BenchlatticeError:
+        pass
+    return ()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_suite_and_budget_findings_match_the_hand_written_reference(data):
+    budget = data.draw(st.booleans())
+    doc = copy.deepcopy(_BUDGET_DOC if budget else _SUITE_DOC)
+    for _ in range(data.draw(st.integers(1, 4))):
+        _mutate_document(data.draw, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("mutated.budget.json" if budget else "mutated.suite.json")
+        path.write_text(json.dumps(doc))
+        if budget:
+            assert _schema_issues(load_budget, path) == reference_budget_issues(doc)
+            return
+        assert _schema_issues(load_suite, path) == reference_suite_issues(doc)
+    cases = doc.get("test_cases") if isinstance(doc, dict) else None
+    for raw in cases if isinstance(cases, list) else ():
+        assert _schema_issues(case_from_raw, raw) == reference_case_issues(raw)
 
 
 def _variants(doc, rng):
