@@ -30,12 +30,14 @@ The strict improvements over ascending T form the bench's (time, cost)
 frontier: the configurations that no faster-or-equal one undercuts. The
 frontier points, priced once as found, are the candidates: on a bench,
 the first that fits a time limit is the last in time order that does, and
-a dominated configuration is never in the oracle's answer. The regret's
-runner-up is the second candidate or comes from the same sweep with the
-cheapest configuration's choice left out on one leaf at a time. The work
-grows with leaves × elements × distinct time factors, the sums are exact
-integers (see :class:`_Options`), and only the picked configurations are
-built. The oracle still refuses an instance by counting its admissible
+a dominated configuration is never in the oracle's answer. The same sweep
+finds the bench's runner-up, its second-lowest cost, for the greedy's
+regret: the least over all T of the cheapest configuration priced at T if
+that is not the bench's cheapest, else of the bench's cheapest with one
+leaf's choice swapped for that leaf's next best, on the leaf where the swap
+costs least. The work grows with leaves × elements × distinct time
+factors, the sums are exact integers (see :class:`_Options`), and only the
+picked configurations are built. The oracle still refuses an instance by counting its admissible
 configurations in closed form. :func:`estimate_cost` prices a given
 configuration independently, from its elements.
 """
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
@@ -313,22 +314,21 @@ class _Prices:
 
 class _Candidate(NamedTuple):
     """One frontier point of one bench for one test case: its cost, bench
-    id, configuration index and execution time, the options it came from
-    and its per-leaf offsets (see :attr:`_Options.frontier`)."""
+    id, configuration index, execution time and the bench's space."""
 
     cost: Fraction
     bench_id: str
     index: int
     seconds: Fraction
-    options: _Options
-    offsets: tuple[int, ...]
+    space: ConfigurationSpace
 
 
 class _Options:
     """One bench's admissible configurations for one test case, kept
-    factored: per leaf, the elements that pass on their own. Both solvers
-    query them by sweeping the time factors (see the module docstring),
-    never by walking them, and build only the configurations they pick.
+    factored: per leaf, the elements that pass on their own. One sweep over
+    the time factors (see the module docstring) finds the bench's frontier
+    and runner-up; neither solver walks the configurations, and only the
+    picked ones are built (:func:`_build`).
 
     The sweep works on integers. With the duration dn/dd and an element's
     prices t/scale, r/scale, s/scale (see :class:`_Prices`), the value at
@@ -338,9 +338,8 @@ class _Options:
 
     def __init__(self, prices: _Prices, tc: TestCase, profile: RequirementProfile) -> None:
         self.space = space = prices.space
-        self.prices = prices
         self.profile = profile
-        self.duration = dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
+        dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
         fixed = SECONDS_PER_HOUR * dd * prices.scale
         # Per leaf, each element that passes on its own as
         # (t, dn·r, 3600·dd·scale·s, rank × weight); only report() builds violations.
@@ -358,9 +357,65 @@ class _Options:
                     rank = ((1 << n) - (1 << (n - pos))) if leaf.combinable else pos
                     entries.append((t, dn * r, fixed * s, rank * weight))
             count *= (2 ** len(entries) - 1) if leaf.combinable else len(entries)
-            leaves.append(tuple(entries))
-        self._leaves = tuple(leaves)
+            leaves.append(entries)
         self.count = 0 if _uncovered(space, profile) else count
+        #: Every admissible configuration that no other one dominates, by
+        #: ascending time: none runs in no more time with a smaller (cost, index).
+        self.frontier: tuple[_Candidate, ...] = ()
+        #: The second-lowest admissible cost (the lowest on a tie); None with
+        #: fewer than two admissible configurations.
+        self.runner_up: Fraction | None = None
+        if not self.count:
+            return
+
+        # At each distinct time factor T, at or above the least one every
+        # leaf can meet, the sweep finds the cheapest configuration m, lowest
+        # index on a tie, among those whose time factors are all <= T, priced
+        # at T. One that is faster than T was already found, no dearer, at its
+        # own time, so each strict improvement of (value, index) over
+        # ascending T runs at exactly T: the improvements are the frontier,
+        # and the last is the cheapest configuration, c.
+        floor = max(min(leaf)[0] for leaf in leaves)
+        money = SECONDS_PER_HOUR * dd * prices.scale**2
+        points = []
+        sweep = []  # per T: (value, index, the least extra value of one leaf's next best)
+        best = None
+        for time in sorted({t for leaf in leaves for t, _, _, _ in leaf if t >= floor}):
+            value = index = 0
+            detour = None
+            for leaf in leaves:
+                low = other = pick = None
+                for t, slope, setup, offset in leaf:
+                    if t <= time:
+                        w = time * slope + setup
+                        if low is None or w < low:
+                            low, other, pick = w, low, offset
+                        elif other is None or w < other:
+                            other = w
+                value += low
+                index += pick
+                if other is not None and (detour is None or other - low < detour):
+                    detour = other - low
+            sweep.append((value, index, detour))
+            if best is None or (value, index) < best:
+                best = (value, index)
+                points.append(_Candidate(
+                    Fraction(value, money), space.bench.id, index,
+                    Fraction(dn * time, dd * prices.scale), space,
+                ))
+        self.frontier = tuple(points)
+        if count < 2:
+            return
+        # Every configuration but c differs from it on some leaf. At a T whose
+        # m is not c, the least of them priced at T is m; where m is c, it is
+        # c with one leaf's choice swapped for that leaf's next best (a
+        # singleton, on a combinable leaf too), on the leaf where that costs least.
+        c = best[1]
+        self.runner_up = Fraction(min(
+            value + detour if index == c else value
+            for value, index, detour in sweep
+            if index != c or detour is not None
+        ), money)
 
     def report(self) -> AdmissibilityReport:
         if self.count:
@@ -375,113 +430,18 @@ class _Options:
             violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),
         )
 
-    def build(self, candidate: _Candidate) -> Assignment:
-        """The assignment of one of this bench's frontier points."""
-        config = self.space.at(candidate.index)
-        return Assignment(
-            bench_id=candidate.bench_id,
-            config_index=candidate.index,
-            configuration=config,
-            cost=CostEstimate(
-                execution_time=candidate.seconds, monetary_cost=candidate.cost
-            ),
-            method=self.space.classify(config),
-        )
 
-    @cached_property
-    def _times(self) -> tuple[int, ...]:
-        """The distinct usable time factors (numerators) at or above the
-        least one every leaf can meet."""
-        floor = max(min(leaf)[0] for leaf in self._leaves)
-        return tuple(sorted({t for leaf in self._leaves for t, _, _, _ in leaf if t >= floor}))
-
-    def money(self, numerator: int) -> Fraction:
-        """The monetary cost whose value numerator is ``numerator``."""
-        dd = self.duration[1]
-        return Fraction(numerator, SECONDS_PER_HOUR * dd * self.prices.scale**2)
-
-    def seconds(self, time: int) -> Fraction:
-        """The execution time at the time factor numerator ``time``."""
-        dn, dd = self.duration
-        return Fraction(dn * time, dd * self.prices.scale)
-
-    @property
-    def frontier(self) -> tuple[_Candidate, ...]:
-        """Every admissible configuration that no other one dominates, by
-        ascending time: none runs in no more time with a smaller (cost,
-        index).
-
-        At each distinct time factor T the sweep finds the cheapest
-        configuration, lowest index on a tie, among those whose time factors
-        are all <= T, priced at T. One that is faster than T was already
-        found, no dearer, at its own time, so each strict improvement of
-        (value, index) over ascending T runs at exactly T: the improvements
-        are the frontier, and the last is the cheapest configuration.
-
-        Computed on each access and not kept: the candidates refer to these
-        options, so keeping them would make a reference cycle.
-        """
-        if not self.count:
-            return ()
-        points: list[_Candidate] = []
-        last = None
-        for time in self._times:
-            value = 0
-            offsets = []
-            for leaf in self._leaves:
-                low = pick = None
-                for t, slope, setup, offset in leaf:
-                    if t <= time:
-                        w = time * slope + setup
-                        if low is None or w < low:
-                            low, pick = w, offset
-                value += low
-                offsets.append(pick)
-            index = sum(offsets)
-            if last is None or (value, index) < last:
-                last = (value, index)
-                points.append(_Candidate(
-                    self.money(value), self.space.bench.id, index, self.seconds(time),
-                    self, tuple(offsets),
-                ))
-        return tuple(points)
-
-    def second_cost(self, picks: tuple[int, ...]) -> Fraction | None:
-        """The second-lowest cost (equal to the lowest on a tie); None with
-        fewer than two admissible configurations. ``picks`` are the offsets
-        of the cheapest configuration, the last frontier point.
-
-        Every configuration other than the cheapest, c, differs from it on
-        some leaf i, and those that differ on leaf i form a product of
-        per-leaf choices: c's choice left out on leaf i, every choice
-        elsewhere. At each time the sweep prices that product as the sum of
-        every leaf's best value with leaf i's replaced by its best value
-        without c's choice (a singleton, on a combinable leaf too). The
-        products overlap, which a minimum does not mind; Lawler's partition,
-        which keeps c's choices on the leaves before i, makes them disjoint
-        for ranking further.
-        """
-        if self.count < 2:
-            return None
-        best = None
-        for time in self._times:
-            total = 0
-            detour = None  # the least extra cost of leaving c's choice on one leaf
-            for leaf, pick in zip(self._leaves, picks):
-                low = other = None
-                for t, slope, setup, offset in leaf:
-                    if t <= time:
-                        w = time * slope + setup
-                        if low is None or w < low:
-                            low = w
-                        if offset != pick and (other is None or w < other):
-                            other = w
-                total += low
-                if other is not None and (detour is None or other - low < detour):
-                    detour = other - low
-            if detour is not None and (best is None or total + detour < best):
-                best = total + detour
-        return self.money(best)
+def _build(candidate: _Candidate) -> Assignment:
+    """The assignment of one frontier point."""
+    space, index = candidate.space, candidate.index
+    config = space.at(index)
+    return Assignment(
+        bench_id=candidate.bench_id,
+        config_index=index,
+        configuration=config,
+        cost=CostEstimate(execution_time=candidate.seconds, monetary_cost=candidate.cost),
+        method=space.classify(config),
+    )
 
 
 def _analyse(
@@ -566,21 +526,18 @@ def _fits(
     return limit is None or used.get(candidate.bench_id, 0) + candidate.seconds <= limit
 
 
-def _regret(candidates: Sequence[_Candidate]) -> Fraction | None:
+def _regret(options: Sequence[_Options]) -> Fraction | None:
     """The cost gap between a test case's second-cheapest and cheapest
     admissible configurations over all benches; None when it has fewer than
     two."""
-    if not candidates:
-        return None
-    # The second-cheapest is the next candidate, another bench's cheapest,
-    # or the cheapest bench's second cost, which no other point on that
-    # bench undercuts.
-    lowest = candidates[0]
-    seconds = [cand.cost for cand in candidates[1:2]]
-    second = lowest.options.second_cost(lowest.offsets)
-    if second is not None:
-        seconds.append(second)
-    return min(seconds) - lowest.cost if seconds else None
+    # No bench's runner-up costs less than its cheapest, so the two least of
+    # these are the cheapest configuration and the second-cheapest.
+    costs = sorted(
+        cost
+        for opts in options if opts.frontier
+        for cost in (opts.frontier[-1].cost, opts.runner_up) if cost is not None
+    )
+    return costs[1] - costs[0] if len(costs) > 1 else None
 
 
 # --- solvers -----------------------------------------------------------------
@@ -601,7 +558,7 @@ def _plan(
         if pick is None:
             unassignable.append(_skip(tc, options))
             continue
-        assignments[tc.id] = pick.options.build(pick)
+        assignments[tc.id] = _build(pick)
         total_cost += pick.cost
         bench_time[pick.bench_id] = bench_time.get(pick.bench_id, Fraction(0)) + pick.seconds
     return AssignmentPlan(
@@ -640,19 +597,18 @@ def assign_greedy(
     # Each limit as a Fraction once per solve, not once per candidate tried.
     limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
     cases = _analyse(suite, benches, overrides)
-    candidates = {tc.id: _candidates(options) for tc, options in cases}
-    order = [tc for tc, _ in cases]
+    order = list(cases)
     if budget is not None:
-        def urgency(tc: TestCase) -> tuple[int, Fraction]:
-            regret = _regret(candidates[tc.id])
+        def urgency(case: tuple[TestCase, list[_Options]]) -> tuple[int, Fraction]:
+            regret = _regret(case[1])
             return (0, Fraction(0)) if regret is None else (1, -regret)
 
         order.sort(key=urgency)  # stable: ties keep suite order
 
     picks: dict[str, _Candidate | None] = {}
     used: dict[str, Fraction] = {}
-    for tc in order:
-        pick = next((cand for cand in candidates[tc.id] if _fits(cand, limits, used)), None)
+    for tc, options in order:
+        pick = next((cand for cand in _candidates(options) if _fits(cand, limits, used)), None)
         picks[tc.id] = pick
         if pick is not None:
             used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds

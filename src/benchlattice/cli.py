@@ -208,10 +208,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except BenchlatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BenchlatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

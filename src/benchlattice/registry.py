@@ -237,6 +237,7 @@ def _number(minimum: float | None = None, exclusive: bool = False, whole: bool =
         elif whole and not as_float.is_integer():
             check.add(location, f"must be a whole number, got {as_float}")
         return value
+    number.minimum, number.exclusive = minimum, exclusive  # type: ignore[attr-defined]
     return number
 
 
@@ -375,6 +376,8 @@ _ELEMENT_FIELDS: dict[str, _Schema] = {
 # back to the id) and the reserved extra map may be omitted.
 _ELEMENT_REQUIRED = tuple(name for name in _ELEMENT_FIELDS if name not in ("display_name", "extra"))
 _ELEMENT_COLUMNS = itemgetter(*_ELEMENT_REQUIRED)
+# The number columns' schemas, in the order _columns returns the columns.
+_ELEMENT_NUMBERS = tuple(map(_ELEMENT_FIELDS.__getitem__, _ELEMENT_REQUIRED[4:]))
 _ELEMENT_ARRAY = _array(_object(_ELEMENT_FIELDS, _ELEMENT_REQUIRED))
 _NONE = type(None)
 # Identifiers joined by newlines, which no identifier holds.
@@ -433,7 +436,13 @@ def _elements(entries: list[Any]) -> _Columns | None:
             and set(map(type, tags)) == {list} and {str} >= set(map(type, chain(*tags)))
             and {dict, _NONE} >= set(map(type, extras))
             and {int, float} >= set(map(type, chain(*numbers)))
-            and min(numbers[0]) >= 0 and min(numbers[1]) > 0 and min(numbers[2]) >= 0
+            # Each column's bound as its schema states it. Every element
+            # number has a minimum >= 0, so no entry exceeds its column's
+            # sum, which makes the sum a bound on each.
+            and all(
+                min(column) > schema.minimum if schema.exclusive else min(column) >= schema.minimum
+                for schema, column in zip(_ELEMENT_NUMBERS, numbers)
+            )
             and all(sum(column) <= _FLOAT_MAX for column in numbers)
         ):
             return None

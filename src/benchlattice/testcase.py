@@ -172,16 +172,6 @@ def _normalize(text: str) -> str:
     return "-".join(text.strip().lower().replace("_", " ").replace("-", " ").split())
 
 
-def _criteria_reference(tc: TestCase, dim_id: str) -> bool:
-    # A criterion references a dimension when the dimension id occurs in the
-    # criterion's name or threshold text (word separators normalised).
-    needle = _normalize(dim_id)
-    for criterion in tc.evaluation_criteria:
-        if needle in _normalize(criterion.name) or needle in _normalize(criterion.threshold):
-            return True
-    return False
-
-
 StageOverrides = Mapping[str, Iterable[Stage]]
 
 # The entry of a dimension no override names, shared by every profile: the
@@ -226,6 +216,9 @@ def derive_requirement_profile(
         "environmental-conditions": bool(scenario.environment_conditions),
     }
 
+    # A criterion references a dimension when the dimension id occurs in its
+    # name or threshold text (word separators normalised).
+    texts = [_normalize(text) for c in tc.evaluation_criteria for text in (c.name, c.threshold)]
     entries: dict[str, DimensionRequirement] = {}
     for dim_id in CANONICAL_DIMENSION_IDS:
         if dim_id in ALWAYS_REQUIRED_DIMENSIONS:
@@ -233,7 +226,8 @@ def derive_requirement_profile(
         elif dim_id in layer_required:
             required = layer_required[dim_id]
         elif dim_id in CONDITIONAL_SENSOR_DIMENSIONS:
-            required = dim_id in override_sets or _criteria_reference(tc, dim_id)
+            needle = _normalize(dim_id)
+            required = dim_id in override_sets or any(needle in text for text in texts)
         else:
             required = False
         stages = override_sets.get(dim_id)

@@ -426,6 +426,8 @@ def test_frontier_hand_derived():
     assert [
         (cand.index, cand.seconds, cand.cost) for cand in opts.frontier
     ] == [(2, 25, 3), (1, 50, 1), (0, 200, 1)]
+    # vd-1 and vd-3 cost what vd-0 costs: the runner-up ties the cheapest.
+    assert opts.runner_up == 1
 
     def picks(suite, limit=None):
         budget = None if limit is None else CapacityBudget({"rig": limit})
@@ -457,7 +459,7 @@ def _assert_frontier_matches_reference(suite, benches, overrides, label):
             on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
             assert opts.count == len(on_bench), label
             built = sorted(
-                (opts.build(cand) for cand in opts.frontier),
+                (assignment._build(cand) for cand in opts.frontier),
                 key=lambda c: (c.cost.monetary_cost, c.config_index),
             )
             assert built == _frontier(on_bench), label
@@ -485,6 +487,31 @@ def test_frontier_matches_brute_force_reference():
         suite, benches = _tie_instance(random.Random(500 + seed))
         pruned += _assert_frontier_matches_reference(suite, benches, {}, f"seed {seed}")[1]
     assert pruned >= 10
+
+
+def test_runner_up_matches_brute_force():
+    instances = [
+        random_admissibility_instance(random.Random(seed)) for seed in ADMISSIBILITY_SEEDS
+    ]
+    instances += [random_instance(random.Random(10_000 + seed))[:3] for seed in range(200)]
+    # Frontiers of several points, with zero-cost elements and equal prices.
+    instances += [(*_tie_instance(random.Random(500 + seed)), {}) for seed in range(40)]
+    off_frontier = ties = 0
+    for suite, benches, overrides in instances:
+        expected = reference_candidates(suite, benches, overrides)
+        analysed = assignment._analyse(suite, benches, overrides)
+        for (_, options), (candidates, _) in zip(analysed, expected):
+            for opts in options:
+                on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
+                if len(on_bench) < 2:
+                    assert opts.runner_up is None
+                    continue
+                cheapest, second = (c.cost.monetary_cost for c in on_bench[:2])
+                assert opts.runner_up == second
+                ties += cheapest == second
+                off_frontier += on_bench[1].config_index not in {c.index for c in opts.frontier}
+    # The runner-up is often no frontier point, and often ties the cheapest.
+    assert off_frontier >= 100 and ties >= 20
 
 
 # --- factored greedy against the reference scan -------------------------------
@@ -518,7 +545,7 @@ def _assert_regrets_match_reference(suite, benches, overrides, collected, label)
     for (_, options), (candidates, _) in zip(analysed, collected):
         costs = [cand.cost.monetary_cost for cand in candidates[:2]]
         expected = costs[1] - costs[0] if len(costs) == 2 else None
-        assert assignment._regret(assignment._candidates(options)) == expected, label
+        assert assignment._regret(options) == expected, label
 
 
 def _solvable(suite, benches, overrides):

@@ -342,6 +342,10 @@ PINNED_OUTPUTS = {
         ["assign", FLEET, SUITE, "--exact"],
         "6d864ae576a11fe62882805bc0dd2013222ca7c38254d65e47ae888563c15562",
     ),
+    "assign-budget": (
+        ["assign", FLEET, SUITE, "--budget", BUDGET],
+        "6f0fd4ca1a11afd77aedfcb07b93dc94de04be5fc8d5701de4bd0c57a451f740",
+    ),
     "assign-budget-exact": (
         ["assign", FLEET, SUITE, "--budget", BUDGET, "--exact"],
         "6f0fd4ca1a11afd77aedfcb07b93dc94de04be5fc8d5701de4bd0c57a451f740",
