@@ -1,118 +1,81 @@
 """Test bench classification, configuration enumeration and test case
-assignment for automated-vehicle validation campaigns."""
+assignment for automated-vehicle validation campaigns.
 
-from .assignment import (
-    AdmissibilityReport,
-    Assignment,
-    AssignmentPlan,
-    CapacityBudget,
-    CostEstimate,
-    ReasonCode,
-    UnassignableCase,
-    Violation,
-    assign_exact,
-    assign_greedy,
-    check_admissibility,
-    estimate_cost,
-)
-from .chart import ChartStyle, render_bench_chart, render_configuration_chart
-from .configuration import (
-    ConfigurationSpace,
-    TestBenchConfiguration,
-    TestMethodName,
-    classify_test_method,
-    count_configurations,
-    enumerate_configurations,
-    iter_configurations,
-)
-from .frozen import replace
-from .registry import (
-    LoadedSuite,
-    bench_from_raw,
-    case_from_raw,
-    load_budget,
-    load_registry,
-    load_suite,
-    save_plan,
-    save_registry,
-    save_suite,
-)
-from .taxonomy import (
-    CANONICAL_DIMENSION_IDS,
-    Characteristics,
-    DimensionKind,
-    DimensionNode,
-    Element,
-    Stage,
-    TestBench,
-    leaf_dimensions,
-    new_bench,
-    substantiate_dimension,
-    validate_bench,
-    with_elements,
-)
-from .testcase import (
-    EvaluationCriterion,
-    ObjectDescriptor,
-    RequirementProfile,
-    ScenarioLayers,
-    TestCase,
-    derive_requirement_profile,
-    validate_test_case,
-)
+``import benchlattice`` loads no submodule: each public name below is
+imported from its module on first access (PEP 562), so a caller that only
+loads documents does not pay for the solvers or the chart.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "Assignment",
-    "AssignmentPlan",
-    "CANONICAL_DIMENSION_IDS",
-    "CapacityBudget",
-    "Characteristics",
-    "ChartStyle",
-    "ConfigurationSpace",
-    "CostEstimate",
-    "DimensionKind",
-    "DimensionNode",
-    "Element",
-    "EvaluationCriterion",
-    "LoadedSuite",
-    "ObjectDescriptor",
-    "ReasonCode",
-    "RequirementProfile",
-    "ScenarioLayers",
-    "Stage",
-    "TestBench",
-    "TestBenchConfiguration",
-    "TestCase",
-    "TestMethodName",
-    "UnassignableCase",
-    "Violation",
-    "assign_exact",
-    "assign_greedy",
-    "bench_from_raw",
-    "case_from_raw",
-    "check_admissibility",
-    "classify_test_method",
-    "count_configurations",
-    "derive_requirement_profile",
-    "enumerate_configurations",
-    "estimate_cost",
-    "iter_configurations",
-    "leaf_dimensions",
-    "load_budget",
-    "load_registry",
-    "load_suite",
-    "new_bench",
-    "render_bench_chart",
-    "render_configuration_chart",
-    "replace",
-    "save_plan",
-    "save_registry",
-    "save_suite",
-    "substantiate_dimension",
-    "validate_bench",
-    "validate_test_case",
-    "with_elements",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "AdmissibilityReport": "assignment",
+    "Assignment": "assignment",
+    "AssignmentPlan": "assignment",
+    "CostEstimate": "assignment",
+    "ReasonCode": "assignment",
+    "UnassignableCase": "assignment",
+    "Violation": "assignment",
+    "assign_exact": "assignment",
+    "assign_greedy": "assignment",
+    "check_admissibility": "assignment",
+    "estimate_cost": "assignment",
+    "ChartStyle": "chart",
+    "render_bench_chart": "chart",
+    "render_configuration_chart": "chart",
+    "ConfigurationSpace": "configuration",
+    "TestBenchConfiguration": "configuration",
+    "TestMethodName": "configuration",
+    "classify_test_method": "configuration",
+    "count_configurations": "configuration",
+    "enumerate_configurations": "configuration",
+    "iter_configurations": "configuration",
+    "replace": "frozen",
+    "LoadedSuite": "registry",
+    "bench_from_raw": "registry",
+    "case_from_raw": "registry",
+    "load_budget": "registry",
+    "load_registry": "registry",
+    "load_suite": "registry",
+    "save_plan": "registry",
+    "save_registry": "registry",
+    "save_suite": "registry",
+    "CANONICAL_DIMENSION_IDS": "taxonomy",
+    "CapacityBudget": "taxonomy",
+    "Characteristics": "taxonomy",
+    "DimensionKind": "taxonomy",
+    "DimensionNode": "taxonomy",
+    "Element": "taxonomy",
+    "Stage": "taxonomy",
+    "TestBench": "taxonomy",
+    "leaf_dimensions": "taxonomy",
+    "new_bench": "taxonomy",
+    "substantiate_dimension": "taxonomy",
+    "validate_bench": "taxonomy",
+    "with_elements": "taxonomy",
+    "EvaluationCriterion": "testcase",
+    "ObjectDescriptor": "testcase",
+    "RequirementProfile": "testcase",
+    "ScenarioLayers": "testcase",
+    "TestCase": "testcase",
+    "derive_requirement_profile": "testcase",
+    "validate_test_case": "testcase",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge, SchemaError
 from .frozen import Frozen
-from .taxonomy import _FLOAT_MAX, CANONICAL_DIMENSION_IDS, TestBench
+from .taxonomy import CANONICAL_DIMENSION_IDS, CapacityBudget, TestBench
 from .testcase import (
     RequirementProfile,
     StageOverrides,
@@ -122,31 +122,6 @@ class CostEstimate(Frozen):
             raise ValueError(f"monetary_cost must be >= 0, got {monetary_cost}")
         _set(self, "execution_time", execution_time)
         _set(self, "monetary_cost", monetary_cost)
-
-
-class CapacityBudget(Frozen):
-    """Optional per-bench time budgets in seconds; absent means unbounded.
-    None stands for a new empty map."""
-
-    __slots__ = ("max_bench_time",)
-
-    def __init__(self, max_bench_time: Mapping[str, float] | None = None) -> None:
-        if max_bench_time is None:
-            max_bench_time = {}
-        for bench_id, limit in max_bench_time.items():
-            # False for NaN; ints past the float range are not finite floats.
-            if not 0 < limit <= _FLOAT_MAX:
-                in_range = isinstance(limit, float) or abs(limit) <= _FLOAT_MAX
-                shown = limit if in_range else "a number past the float range"
-                raise ValueError(
-                    f"budget for bench {bench_id!r} must be a finite number > 0, "
-                    f"got {shown}"
-                )
-        _set(self, "max_bench_time", max_bench_time)
-
-    def limit(self, bench_id: str) -> Fraction | None:
-        raw = self.max_bench_time.get(bench_id)
-        return None if raw is None else Fraction(raw)
 
 
 class Assignment(Frozen):

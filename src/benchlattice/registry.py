@@ -26,22 +26,24 @@ from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Callable, Collection, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence, TypeVar
 
-from .assignment import AssignmentPlan, CapacityBudget
 from .errors import (
     BenchlatticeError, DocumentSyntaxError, MissingLayer, SchemaError, UnknownDimension,
     ValidationError,
 )
 from .frozen import Frozen, replace
 from .taxonomy import (
-    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, Characteristics, DimensionKind, DimensionNode,
-    Element, Stage, TestBench, _canonical_nodes, _invariants, _sub_dimensions,
+    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, CapacityBudget, Characteristics, DimensionKind,
+    DimensionNode, Element, Stage, TestBench, _canonical_nodes, _invariants, _sub_dimensions,
 )
 from .testcase import (
     EvaluationCriterion, ObjectDescriptor, ScenarioLayers, StageOverrides, TestCase,
     validate_test_case,
 )
+
+if TYPE_CHECKING:  # plans are only written here: loading imports no solver
+    from .assignment import AssignmentPlan
 
 __all__ = [
     "FORMAT_VERSION",

@@ -17,7 +17,7 @@ import sys
 import warnings
 from enum import Enum
 from operator import attrgetter, gt
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     AlreadySubstantiated,
@@ -32,6 +32,9 @@ from .errors import (
 )
 from .frozen import Frozen, replace
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "Stage",
     "DimensionKind",
@@ -39,6 +42,7 @@ __all__ = [
     "Characteristics",
     "Element",
     "TestBench",
+    "CapacityBudget",
     "CANONICAL_DIMENSION_IDS",
     "new_bench",
     "with_elements",
@@ -215,6 +219,34 @@ class TestBench(Frozen):
 
     def node(self, dim_id: str) -> DimensionNode:
         return _node(self.id, self.dimension_tree, dim_id)
+
+
+class CapacityBudget(Frozen):
+    """Optional per-bench time budgets in seconds; absent means unbounded.
+    None stands for a new empty map. Defined here, beside the benches it
+    limits, so that loading a budget does not import the solvers."""
+
+    __slots__ = ("max_bench_time",)
+
+    def __init__(self, max_bench_time: Mapping[str, float] | None = None) -> None:
+        if max_bench_time is None:
+            max_bench_time = {}
+        for bench_id, limit in max_bench_time.items():
+            # False for NaN; ints past the float range are not finite floats.
+            if not 0 < limit <= _FLOAT_MAX:
+                in_range = isinstance(limit, float) or abs(limit) <= _FLOAT_MAX
+                shown = limit if in_range else "a number past the float range"
+                raise ValueError(
+                    f"budget for bench {bench_id!r} must be a finite number > 0, "
+                    f"got {shown}"
+                )
+        _set(self, "max_bench_time", max_bench_time)
+
+    def limit(self, bench_id: str) -> Fraction | None:
+        from fractions import Fraction  # here, so that loading a budget does not import it
+
+        raw = self.max_bench_time.get(bench_id)
+        return None if raw is None else Fraction(raw)
 
 
 def _node(bench_id: str, nodes: Iterable[DimensionNode], dim_id: str) -> DimensionNode:
