@@ -9,11 +9,11 @@ element's own. Costs use exact rational arithmetic (``fractions.Fraction``)
 so plans compare and scale without floating-point noise.
 
 Two solvers produce assignment plans: a regret-guided greedy heuristic and
-an exhaustive oracle for small instances. Both minimise (number of
-unassignable test cases, total cost) lexicographically, coverage before
-savings, and search one list per test case, ranked by cost, then bench id,
-then configuration index: the greedy takes the first candidate that fits
-the bench time left, the oracle searches combinations of the same lists.
+an exact solver. Both minimise (number of unassignable test cases, total
+cost) lexicographically, coverage before savings, and search one list per
+test case, ranked by cost, then bench id, then configuration index: the
+greedy takes the first candidate that fits the bench time left, the exact
+solver makes one label-setting pass over the same lists (:func:`_exact`).
 Ties therefore break identically, one plan builder turns either solver's
 picks into the plan, and plans are reproducible artifacts.
 
@@ -30,21 +30,21 @@ The strict improvements over ascending T form the bench's (time, cost)
 frontier: the configurations that no faster-or-equal one undercuts. The
 frontier points, priced once as found, are the candidates: on a bench,
 the first that fits a time limit is the last in time order that does, and
-a dominated configuration is never in the oracle's answer. The same sweep
+a dominated configuration is never in the exact answer. The same sweep
 finds the bench's runner-up, its second-lowest cost, for the greedy's
 regret: the least over all T of the cheapest configuration priced at T if
 that is not the bench's cheapest, else of the bench's cheapest with one
 leaf's choice swapped for that leaf's next best, on the leaf where the swap
 costs least. The work grows with leaves × elements × distinct time
 factors, the sums are exact integers (see :class:`_Options`), and only the
-picked configurations are built. The oracle still refuses an instance by counting its admissible
-configurations in closed form. :func:`estimate_cost` prices a given
+picked configurations are built. :func:`estimate_cost` prices a given
 configuration independently, from its elements.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -73,14 +73,13 @@ __all__ = [
     "estimate_cost",
     "assign_greedy",
     "assign_exact",
-    "EXACT_MAX_SUITE",
-    "EXACT_MAX_CANDIDATES",
+    "EXACT_MAX_LABELS",
 ]
 
 SECONDS_PER_HOUR = 3600
 
-EXACT_MAX_SUITE = 8
-EXACT_MAX_CANDIDATES = 32
+#: The most partial plans :func:`assign_exact` keeps before it refuses.
+EXACT_MAX_LABELS = 1024
 
 
 class ReasonCode(Enum):
@@ -316,31 +315,25 @@ class _Options:
         self.profile = profile
         dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
         fixed = SECONDS_PER_HOUR * dd * prices.scale
-        # Per leaf, each element that passes on its own as
-        # (t, dn·r, 3600·dd·scale·s, rank × weight); only report() builds violations.
-        leaves = []
-        count = 1
+        # Per leaf, each element that passes on its own as (t, dn·r,
+        # 3600·dd·scale·s, singleton offset); only report() builds violations.
         refused = _refusals(space, profile)
-        for leaf, ids, weight in zip(space.leaves, space.ids_per_leaf, space.weights):
-            n = len(ids)
+        leaves = []
+        for ids, offsets in zip(space.ids_per_leaf, space.singleton_offsets):
             entries = []
-            for pos, elem_id in enumerate(ids):
+            for elem_id, offset in zip(ids, offsets):
                 if not refused[elem_id]:
                     t, r, s = prices.of[elem_id]
-                    # (pos) is the pos-th plain choice; on a combinable leaf the
-                    # 2^n - 2^(n-pos) subsets with a smaller first index precede it.
-                    rank = ((1 << n) - (1 << (n - pos))) if leaf.combinable else pos
-                    entries.append((t, dn * r, fixed * s, rank * weight))
-            count *= (2 ** len(entries) - 1) if leaf.combinable else len(entries)
+                    entries.append((t, dn * r, fixed * s, offset))
             leaves.append(entries)
-        self.count = 0 if _uncovered(space, profile) else count
         #: Every admissible configuration that no other one dominates, by
         #: ascending time: none runs in no more time with a smaller (cost, index).
+        #: Empty exactly when nothing is admissible.
         self.frontier: tuple[_Candidate, ...] = ()
         #: The second-lowest admissible cost (the lowest on a tie); None with
         #: fewer than two admissible configurations.
         self.runner_up: Fraction | None = None
-        if not self.count:
+        if _uncovered(space, profile) or not all(leaves):
             return
 
         # At each distinct time factor T, at or above the least one every
@@ -379,7 +372,7 @@ class _Options:
                     Fraction(dn * time, dd * prices.scale), space,
                 ))
         self.frontier = tuple(points)
-        if count < 2:
+        if max(map(len, leaves)) == 1:  # one element a leaf: one admissible configuration
             return
         # Every configuration but c differs from it on some leaf. At a T whose
         # m is not c, the least of them priced at T is m; where m is c, it is
@@ -393,7 +386,7 @@ class _Options:
         ), money)
 
     def report(self) -> AdmissibilityReport:
-        if self.count:
+        if self.frontier:
             return AdmissibilityReport(admissible=True, violations=())
         # With nothing admissible, every configuration is rejected, and every
         # element is selected by one: the union of their violations is the
@@ -493,14 +486,6 @@ def _check_references(
         raise SchemaError(issues)
 
 
-def _fits(
-    candidate: _Candidate, limits: Mapping[str, Fraction], used: Mapping[str, Fraction]
-) -> bool:
-    """Whether the candidate's bench has time left for it."""
-    limit = limits.get(candidate.bench_id)
-    return limit is None or used.get(candidate.bench_id, 0) + candidate.seconds <= limit
-
-
 def _regret(options: Sequence[_Options]) -> Fraction | None:
     """The cost gap between a test case's second-cheapest and cheapest
     admissible configurations over all benches; None when it has fewer than
@@ -545,7 +530,7 @@ def _plan(
 
 
 def _skip(tc: TestCase, options: Sequence[_Options]) -> UnassignableCase:
-    admissible = any(opts.count for opts in options)
+    admissible = any(opts.frontier for opts in options)
     reason = "bench-time-exhausted" if admissible else "no-admissible-configuration"
     return UnassignableCase(test_case_id=tc.id, reason=reason, reports=_reports(options))
 
@@ -583,47 +568,66 @@ def assign_greedy(
     picks: dict[str, _Candidate | None] = {}
     used: dict[str, Fraction] = {}
     for tc, options in order:
-        pick = next((cand for cand in _candidates(options) if _fits(cand, limits, used)), None)
+        pick = next((  # the first candidate whose bench has time left for it
+            cand for cand in _candidates(options)
+            if cand.bench_id not in limits
+            or used.get(cand.bench_id, 0) + cand.seconds <= limits[cand.bench_id]
+        ), None)
         picks[tc.id] = pick
         if pick is not None:
             used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds
     return _plan(cases, picks)
 
 
-def _search(
-    candidates: Sequence[Sequence[_Candidate]],
-    limits: Mapping[str, Fraction],
-    index: int,
-    skipped_count: int,
-    cost: Fraction,
-    used: dict[str, Fraction],
-    picks: list[_Candidate | None],
-    best: tuple[int, Fraction, tuple[_Candidate | None, ...]] | None,
-) -> tuple[int, Fraction, tuple[_Candidate | None, ...]] | None:
-    """The best (skipped count, cost, picks) of :func:`assign_exact` that
-    extends ``picks`` (for the test cases before ``index``) and beats
-    ``best``, else ``best``."""
-    # Neither count nor cost falls along a branch: a tie is cut, so the first
-    # optimum found is kept and a branch reaching the end beats the best.
-    if best is not None and (skipped_count, cost) >= best[:2]:
-        return best
-    if index == len(candidates):
-        return (skipped_count, cost, tuple(picks))
-    for cand in candidates[index]:
-        if not _fits(cand, limits, used):
-            continue
-        spent = used.get(cand.bench_id, 0)
-        used[cand.bench_id] = spent + cand.seconds
-        picks.append(cand)
-        best = _search(
-            candidates, limits, index + 1, skipped_count, cost + cand.cost, used, picks, best
-        )
-        picks.pop()
-        used[cand.bench_id] = spent
-    picks.append(None)
-    best = _search(candidates, limits, index + 1, skipped_count + 1, cost, used, picks, best)
-    picks.pop()
-    return best
+def _exact(
+    candidates: Sequence[Sequence[_Candidate]], limits: Mapping[str, Fraction]
+) -> list[_Candidate | None]:
+    """The picks of :func:`assign_exact` (None skips a test case), found by
+    one label pass over the test cases in order.
+
+    A label is a partial plan: (skipped count, cost, candidate positions,
+    seconds used per budgeted bench), a skip taking the position after the
+    last candidate. Each label is extended by every candidate that fits and
+    by skipping; the new labels are sorted, and one is kept only if no label
+    kept before it uses no more seconds on every budgeted bench. A dropped
+    label's completions fit the one kept, whose (skipped count, cost,
+    positions) is smaller, so the first label left at the end is the first
+    optimum a depth-first search in candidate order, skip last, would find.
+    Seconds and costs are integers over one common denominator each.
+    """
+    flat = [c for cands in candidates for c in cands]
+    unit = math.lcm(*(x.denominator for x in [*limits.values(), *(c.seconds for c in flat)]))
+    money = math.lcm(*(c.cost.denominator for c in flat))
+    room = [int(limit * unit) for limit in limits.values()]
+    labels = [(0, 0, (), (0,) * len(limits))]
+    for done, cands in enumerate(candidates):
+        steps = [  # (position, seconds on each budgeted bench, cost)
+            (pos, [int(c.seconds * unit) if b == c.bench_id else 0 for b in limits],
+             int(c.cost * money))
+            for pos, c in enumerate(cands)
+        ]
+        extended = []
+        for skipped, cost, positions, used in labels:
+            for pos, seconds, price in steps:
+                spent = tuple(map(operator.add, used, seconds))
+                if all(map(operator.le, spent, room)):
+                    extended.append((skipped, cost + price, positions + (pos,), spent))
+            extended.append((skipped + 1, cost, positions + (len(cands),), used))
+        extended.sort()  # positions differ, so the seconds are never compared
+        labels, least = [], []  # least: the minimal seconds of the labels kept
+        for label in extended:
+            used = label[3]
+            if not any(all(map(operator.le, kept, used)) for kept in least):
+                labels.append(label)
+                least = [kept for kept in least if not all(map(operator.le, used, kept))]
+                least.append(used)
+                if len(labels) > EXACT_MAX_LABELS:
+                    raise InstanceTooLarge(
+                        f"exact solver keeps at most {EXACT_MAX_LABELS} partial plans; "
+                        f"more survive test case {done + 1} of {len(candidates)}"
+                    )
+    positions = labels[0][2]
+    return [cands[pos] if pos < len(cands) else None for cands, pos in zip(candidates, positions)]
 
 
 def assign_exact(
@@ -633,40 +637,22 @@ def assign_exact(
     *,
     overrides: Mapping[str, StageOverrides] | None = None,
 ) -> AssignmentPlan:
-    """Exhaustive oracle: the plan minimising (unassignable count, total
-    cost) lexicographically over every candidate combination that respects
-    the budget; the first such plan in (cost, bench id, configuration
-    index) order of each test case's candidates.
+    """Exact solver: the plan minimising (unassignable count, total cost)
+    lexicographically over every candidate combination that respects the
+    budget; the first such plan in (cost, bench id, configuration index)
+    order of each test case's candidates, skipping last.
 
-    References are checked first, as :func:`assign_greedy` checks them. Then
-    it is guarded to |suite| <= 8 test cases and <= 32 admissible configurations
-    in total, counted in closed form; larger instances raise
-    :class:`InstanceTooLarge` before any configuration is built.
-
-    The search runs over the greedy's candidates, each bench's frontier
-    points (:func:`_candidates`). A configuration off the frontier is
-    dominated by one on the same bench that runs in no more time at a
-    smaller (cost, index): swapping it for that one keeps a plan within
-    budget, costs no more and comes earlier in the search, so it is never in
-    the plan returned. Only the picks are built.
+    References are checked first, as :func:`assign_greedy` checks them. The
+    label pass (:func:`_exact`) runs over the greedy's candidates, each
+    bench's frontier points (:func:`_candidates`): a configuration off the
+    frontier is dominated by one on the same bench that runs in no more time
+    at a smaller (cost, index), so it is never in the plan returned. Without
+    a budget each test case takes its first candidate, as the greedy does.
+    When more than :data:`EXACT_MAX_LABELS` partial plans survive a test
+    case it raises :class:`InstanceTooLarge`; only the picks are built.
     """
     _check_references(suite, benches, budget, overrides)
     limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
-    if len(suite) > EXACT_MAX_SUITE:
-        raise InstanceTooLarge(
-            f"exhaustive solver handles at most {EXACT_MAX_SUITE} test cases, "
-            f"got {len(suite)}"
-        )
     cases = _analyse(suite, benches, overrides)
-    total = sum(opts.count for _, options in cases for opts in options)
-    if total > EXACT_MAX_CANDIDATES:
-        raise InstanceTooLarge(
-            f"exhaustive solver handles at most {EXACT_MAX_CANDIDATES} candidate "
-            f"configurations in total, got {total}"
-        )
-    candidates = [_candidates(options) for _, options in cases]
-
-    best = _search(candidates, limits, 0, 0, Fraction(0), {}, [], None)
-    assert best is not None  # the all-skipped combination always exists
-
-    return _plan(cases, {tc.id: pick for (tc, _), pick in zip(cases, best[2])})
+    picks = _exact([_candidates(options) for _, options in cases], limits)
+    return _plan(cases, {tc.id: pick for (tc, _), pick in zip(cases, picks)})

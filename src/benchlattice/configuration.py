@@ -99,7 +99,7 @@ class ConfigurationSpace:
     by index in O(leaves + elements) without materialising the others, so
     lookups work far past the enumeration cap. Callers build one space per
     bench and pass it along; the space never changes after construction,
-    except that iterating it lists each leaf's choices once, on first use.
+    except that it lists each leaf's choices and singletons once, on first use.
     """
 
     def __init__(self, bench: TestBench) -> None:
@@ -181,6 +181,18 @@ class ConfigurationSpace:
         return tuple(
             tuple(self._choice(i, rank) for rank in range(count))
             for i, count in enumerate(self.choice_counts)
+        )
+
+    @cached_property
+    def singleton_offsets(self) -> tuple[tuple[int, ...], ...]:
+        """Per leaf, each element's offset, derived on first use: the rank of
+        the element alone times the leaf's weight, so that a configuration of
+        singletons has the sum of its offsets as index. On a combinable leaf
+        the 2^n - 2^(n-i) subsets with a smaller first index precede (i)."""
+        return tuple(
+            tuple(((1 << n) - (1 << (n - i))) * weight for i in range(n)) if leaf.combinable
+            else tuple(range(0, n * weight, weight))
+            for leaf, n, weight in zip(self.leaves, map(len, self.ids_per_leaf), self.weights)
         )
 
     def __iter__(self) -> Iterator[TestBenchConfiguration]:

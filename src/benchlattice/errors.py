@@ -100,7 +100,7 @@ class ContradictoryOverride(TestCaseError):
 # --- assignment -----------------------------------------------------------
 
 class InstanceTooLarge(BenchlatticeError):
-    """The instance exceeds the exhaustive solver's guard."""
+    """The instance exceeds the exact solver's guard."""
 
 
 # --- registry files -------------------------------------------------------

@@ -134,6 +134,13 @@ def make_test_case(
     )
 
 
+def repeated_cases(cases: Iterable[TestCase], copies: int) -> list[TestCase]:
+    """``copies`` copies of the test cases, in order, each id suffixed with
+    its copy number."""
+    cases = list(cases)
+    return [replace(tc, id=f"{tc.id}-{k}") for k in range(copies) for tc in cases]
+
+
 def scale_cost_rates(bench: TestBench, factor: float) -> TestBench:
     return replace(
         bench,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from benchlattice import assignment
 from benchlattice.assignment import (
-    EXACT_MAX_SUITE,
     CapacityBudget,
     ReasonCode,
     assign_exact,
@@ -42,6 +41,7 @@ from helpers import (
     reference_configurations,
     reference_exact,
     reference_greedy,
+    repeated_cases,
     scale_cost_rates,
     uniform_bench,
 )
@@ -284,12 +284,19 @@ def test_greedy_matches_exact_on_budget_example():
 
 
 def test_exact_guard_on_suite_size(sil_bench):
-    suite = [make_test_case(f"case-{i}") for i in range(9)]
-    with pytest.raises(InstanceTooLarge):
-        assign_exact(suite, [sil_bench])
+    # No guard on the suite's size: without a budget, each of twelve test
+    # cases takes its cheapest configuration, as the greedy's does.
+    suite = [make_test_case(f"case-{i}") for i in range(12)]
+    plan = assign_exact(suite, [sil_bench])
+    assert len(plan.assignments) == 12
+    assert plan == assign_greedy(suite, [sil_bench])
 
 
-def test_exact_guard_on_candidate_count():
+def test_exact_guard_on_candidate_count(monkeypatch):
+    # The guard counts partial plans, not candidates. Seven test cases of
+    # five admissible configurations each, all as cheap and as slow (360 s),
+    # under room for three: the live partial plans after a test case are
+    # one per number of them assigned, 0 to 3, so there are at most four.
     bench = uniform_bench(
         "wide",
         skip_dimensions=("vehicle-dynamics",),
@@ -297,9 +304,16 @@ def test_exact_guard_on_candidate_count():
             make_element(f"vd-{i}", "vehicle-dynamics", time_factor=1.0) for i in range(5)
         ],
     )
-    suite = [make_test_case(f"case-{i}") for i in range(7)]  # 7 * 5 = 35 > 32
-    with pytest.raises(InstanceTooLarge):
-        assign_exact(suite, [bench])
+    suite = [make_test_case(f"case-{i}") for i in range(7)]
+    budget = CapacityBudget({"wide": 3 * 360.0})
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 4)
+    plan = assign_exact(suite, [bench], budget)
+    assert list(plan.assignments) == ["case-0", "case-1", "case-2"]
+    assert plan == assign_greedy(suite, [bench], budget)
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 3)
+    message = "at most 3 partial plans; more survive test case 3 of 7"
+    with pytest.raises(InstanceTooLarge, match=message):
+        assign_exact(suite, [bench], budget)
 
 
 def test_unbudgeted_exact_cost_is_sum_of_minima(sil_bench, vehicle_bench):
@@ -457,7 +471,7 @@ def _assert_frontier_matches_reference(suite, benches, overrides, label):
         assert assignment._reports(options) == reports, label
         for opts in options:
             on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
-            assert opts.count == len(on_bench), label
+            assert bool(opts.frontier) == bool(on_bench), label
             built = sorted(
                 (assignment._build(cand) for cand in opts.frontier),
                 key=lambda c: (c.cost.monetary_cost, c.config_index),
@@ -716,12 +730,14 @@ def _assert_exact_matches_reference(
 def test_exact_matches_reference_on_fixtures():
     suite = load_suite(fixture_path("demo_suite.suite.json"))
     budget = load_budget(fixture_path("demo.budget.json"))
+    twelve = repeated_cases(suite.test_cases, 4)
     for name in ("fleet_bench.json", "sil_bench.json", "test_vehicle_bench.json"):
         benches = load_registry(fixture_path(name))
         for limits in (None, _budget_on(budget, benches)):
             _assert_exact_matches_reference(
                 suite.test_cases, benches, limits, suite.overrides, f"{name} {limits}"
             )
+            _assert_exact_matches_reference(twelve, benches, limits, {}, f"{name} {limits}")
 
 
 def test_exact_matches_reference_on_criterion_6_instances():
@@ -730,12 +746,8 @@ def test_exact_matches_reference_on_criterion_6_instances():
         _assert_exact_matches_reference(suite, benches, budget, overrides, f"seed {seed}")
 
 
-def test_exact_matches_reference_on_admissibility_instances(monkeypatch):
-    # The search, not the guard, is under test, so the guard is raised past
-    # 32; not further than 200, because the reference tries every branch of
-    # equal cost and takes seconds on the few larger instances.
-    monkeypatch.setattr(assignment, "EXACT_MAX_CANDIDATES", 200)
-    binding = searched = 0
+def test_exact_matches_reference_on_admissibility_instances():
+    binding = brute = 0
     for seed in ADMISSIBILITY_SEEDS:
         rng = random.Random(seed)
         suite, benches, overrides = random_admissibility_instance(rng)
@@ -743,18 +755,29 @@ def test_exact_matches_reference_on_admissibility_instances(monkeypatch):
         collected = reference_candidates(suite, benches, overrides)
         budget = _binding_budget(rng, collected)
         if sum(len(candidates) for candidates, _ in collected) > 200:
-            with pytest.raises(InstanceTooLarge):
-                assign_exact(suite, benches, budget, overrides=overrides)
-            continue
+            # The reference tries every branch of equal cost, which takes
+            # seconds on the full lists of these few; a configuration off
+            # its bench's brute-force frontier is in no first optimum.
+            collected = [(_on_frontier(candidates), reports) for candidates, reports in collected]
+            brute += 1
         plans = [
             _assert_exact_matches_reference(
                 suite, benches, limits, overrides, f"seed {seed}", collected
             )
             for limits in (None, budget)
         ]
-        searched += 1
         binding += plans[0] != plans[1]
-    assert searched >= 50 and binding >= 10
+    assert brute >= 5 and binding >= 10
+
+
+def _on_frontier(candidates):
+    """The candidates, in their order, on their bench's brute-force frontier."""
+    kept = {
+        id(cand)
+        for bench_id in {c.bench_id for c in candidates}
+        for cand in _frontier([c for c in candidates if c.bench_id == bench_id])
+    }
+    return tuple(c for c in candidates if id(c) in kept)
 
 
 # Per bench: cost rates, setup costs and time factors. As in perfbench's
@@ -840,6 +863,60 @@ def test_exact_matches_reference_on_fleet_shaped_instances():
     assert split >= 20 and slowed >= 5
 
 
+def _campaign(rng, cases):
+    """A budgeted test campaign: three random benches of at most 5,000
+    configurations, test cases of 60-360 s, and each bench the unbudgeted
+    greedy plan uses budgeted to 35% of the time it spends there."""
+    benches = [random_bench(rng, f"bench-{i}", count_cap=5000) for i in range(3)]
+    suite = [
+        make_test_case(
+            f"case-{j}",
+            duration=rng.choice((60.0, 120.0, 180.0, 240.0, 300.0, 360.0)),
+            movable=rng.randint(0, 2),
+            conditions=("rain",) if rng.random() < 0.5 else (),
+        )
+        for j in range(cases)
+    ]
+    spent = assign_greedy(suite, benches).total_bench_time
+    budget = CapacityBudget({b: float(t * Fraction(7, 20)) for b, t in spent.items()})
+    return suite, benches, budget
+
+
+def _assert_plan_holds(plan, suite, benches, budget, label):
+    """Rebuilds every pick from its index and checks its admissibility,
+    its price and the budget from scratch."""
+    by_id = {bench.id: bench for bench in benches}
+    spent = {}
+    for tc in suite:
+        picked = plan.assignments.get(tc.id)
+        if picked is None:
+            continue
+        bench = by_id[picked.bench_id]
+        config = ConfigurationSpace(bench).at(picked.config_index)
+        assert config == picked.configuration, label
+        assert check_admissibility(config, bench, derive_requirement_profile(tc)).admissible, label
+        assert estimate_cost(config, bench, tc) == picked.cost, label
+        spent[bench.id] = spent.get(bench.id, 0) + picked.cost.execution_time
+    assert spent == plan.total_bench_time, label
+    for bench_id, seconds in spent.items():
+        limit = budget.limit(bench_id)
+        assert limit is None or seconds <= limit, label
+    assert plan.total_cost == sum(a.cost.monetary_cost for a in plan.assignments.values()), label
+
+
+def test_exact_beats_greedy_on_budgeted_campaigns():
+    better = 0
+    for cases in (16, 32):
+        for seed in range(100, 110):
+            suite, benches, budget = _campaign(random.Random(seed), cases)
+            plans = [solver(suite, benches, budget) for solver in (assign_greedy, assign_exact)]
+            greedy, exact = ((len(p.unassignable), p.total_cost) for p in plans)
+            assert exact <= greedy, f"{cases} cases, seed {seed}"
+            better += cases == 16 and exact < greedy
+            _assert_plan_holds(plans[1], suite, benches, budget, f"{cases} cases, seed {seed}")
+    assert better >= 5
+
+
 def test_solvers_never_price_through_cost(monkeypatch):
     suite = load_suite(fixture_path("demo_suite.suite.json"))
     budget = load_budget(fixture_path("demo.budget.json"))
@@ -888,12 +965,10 @@ def test_greedy_builds_only_the_configurations_it_picks(monkeypatch):
         assert result == plan
 
 
-def test_exact_guard_counts_candidates_without_walking(monkeypatch):
+def test_exact_solves_and_refuses_without_walking(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the guard walked or priced a configuration")
+        raise AssertionError("the exact solver walked or priced a configuration")
 
-    monkeypatch.setattr(ConfigurationSpace, "__iter__", refuse)
-    monkeypatch.setattr(assignment, "_cost", refuse)
     bench = uniform_bench(
         "wide",
         combinable={"vehicle-dynamics": True},
@@ -902,10 +977,16 @@ def test_exact_guard_counts_candidates_without_walking(monkeypatch):
             make_element(f"vd-{i}", "vehicle-dynamics", time_factor=1.0) for i in range(3)
         ],
     )
-    suite = [make_test_case(f"case-{i}") for i in range(5)]  # 5 * (2^3 - 1) = 35 > 32
-    message = "at most 32 candidate configurations in total, got 35"
-    with pytest.raises(InstanceTooLarge, match=message):
-        assign_exact(suite, [bench])
+    suite = [make_test_case(f"case-{i}") for i in range(12)]
+    budget = CapacityBudget({"wide": 6 * 360.0})
+    expected = assign_greedy(suite, [bench], budget)
+    monkeypatch.setattr(ConfigurationSpace, "__iter__", refuse)
+    monkeypatch.setattr(assignment, "_cost", refuse)
+    assert assign_exact(suite, [bench], budget) == expected
+    assert len(expected.assignments) == 6
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 1)
+    with pytest.raises(InstanceTooLarge, match="at most 1 partial plans"):
+        assign_exact(suite, [bench], budget)
 
 
 @pytest.mark.parametrize(
@@ -963,12 +1044,14 @@ def test_solvers_refuse_a_budget_for_an_unknown_bench(fleet, demo_suite, solver)
     )
 
 
-def test_exact_refuses_a_reference_before_its_size_guard(sil_bench):
-    suite = [make_test_case(f"case-{i}") for i in range(EXACT_MAX_SUITE + 1)]
+def test_exact_refuses_a_reference_before_its_size_guard(sil_bench, monkeypatch):
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 1)
+    suite = [make_test_case(f"case-{i}") for i in range(2)]
     with pytest.raises(SchemaError, match=r"max_bench_time\.nope"):
         assign_exact(suite, [sil_bench], CapacityBudget({"nope": 1.0}))
+    # Assigning the first test case or skipping it leaves two partial plans.
     with pytest.raises(InstanceTooLarge):
-        assign_exact(suite, [sil_bench], CapacityBudget({"sil": 1.0}))
+        assign_exact(suite, [sil_bench], CapacityBudget({"sil": 1e6}))
 
 
 # --- exact prices -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import benchlattice
-from benchlattice import cli
+from benchlattice import assignment, cli
 from benchlattice.assignment import CapacityBudget, estimate_cost
 from benchlattice.cli import run
 from benchlattice.configuration import ConfigurationSpace
@@ -28,7 +28,9 @@ from benchlattice.registry import (
     save_suite,
 )
 from benchlattice.taxonomy import Stage
-from helpers import make_element, make_test_case, reference_greedy, uniform_bench
+from helpers import (
+    make_element, make_test_case, reference_greedy, repeated_cases, uniform_bench,
+)
 
 FLEET = str(fixture_path("fleet_bench.json"))
 SIL = str(fixture_path("sil_bench.json"))
@@ -145,17 +147,30 @@ def test_assign_unassignable_exits_one(tmp_path, capsys):
     assert payload["unassignable"][0]["test_case"] == "needs-real"
 
 
-def test_exact_guard_refused_with_exit_two(tmp_path, capsys):
-    suite = LoadedSuite(
-        test_cases=tuple(make_test_case(f"case-{i}") for i in range(9)), overrides={}
-    )
-    suite_path = tmp_path / "big.suite.json"
-    save_suite(suite, suite_path)
+def test_exact_guard_refused_with_exit_two(tmp_path, capsys, monkeypatch):
+    # Assigning the first test case or skipping it leaves two partial plans.
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 1)
     out = tmp_path / "plan.json"
-    code = run(["assign", SIL, str(suite_path), "--exact", "-o", str(out)])
+    code = run(["assign", SIL, SUITE, "--budget", BUDGET, "--exact", "-o", str(out)])
     assert code == 2
-    assert "at most 8 test cases" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exact solver keeps at most 1 partial plans; more survive test case 1 of 3\n"
+    )
     assert not out.exists()
+
+
+def test_exact_beats_greedy_on_twelve_fixture_cases(tmp_path, capsys):
+    cases = tuple(repeated_cases(load_suite(SUITE).test_cases, 4))
+    suite_path = tmp_path / "twelve.suite.json"
+    save_suite(LoadedSuite(test_cases=cases, overrides={}), suite_path)
+    out = tmp_path / "plan.json"
+    argv = ["assign", FLEET, str(suite_path), "--budget", BUDGET, "-o", str(out)]
+    assert run([*argv, "--exact"]) == 0
+    assert "total cost: 1405.75" in capsys.readouterr().out
+    assert run(argv) == 0
+    assert "total cost: 1605.75" in capsys.readouterr().out
 
 
 def test_assign_refuses_a_misspelt_override(tmp_path, capsys):
@@ -457,9 +472,10 @@ def test_assign_past_the_cap(wide_registry, tmp_path, capsys):
         entry = payload["assignments"][tc.id]
         assert (entry["config_index"], entry["method"]) == (0, "test-vehicle")
         assert entry["monetary_cost"] == float(estimate_cost(config, bench, tc).monetary_cost)
-    # The oracle refuses it by its candidate count, not by the cap.
-    assert run(["assign", wide_registry, str(suite_path), "--exact", "-o", str(out)]) == 2
-    assert f"got {2 * (2**24 - 1)}" in capsys.readouterr().err
+    # Each case has one frontier point, so the exact plan is the greedy's.
+    exact = tmp_path / "exact.json"
+    assert run(["assign", wide_registry, str(suite_path), "--exact", "-o", str(exact)]) == 0
+    assert exact.read_bytes() == out.read_bytes()
 
 
 def test_assign_ignores_the_cap(monkeypatch, tmp_path):
@@ -751,16 +767,14 @@ def test_identifier_with_a_trailing_newline_is_refused(tmp_path, capsys, key, sh
     assert not out.exists()
 
 
-def test_exact_refuses_an_unknown_budget_bench_before_its_size_guard(tmp_path, capsys):
-    suite = LoadedSuite(
-        test_cases=tuple(make_test_case(f"case-{i}") for i in range(9)), overrides={}
-    )
-    suite_path = tmp_path / "big.suite.json"
-    save_suite(suite, suite_path)
+def test_exact_refuses_an_unknown_budget_bench_before_its_size_guard(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(assignment, "EXACT_MAX_LABELS", 1)
     budget_path = tmp_path / "typo.budget.json"
-    save_budget(CapacityBudget({"sill": 10.0}), budget_path)
+    save_budget(CapacityBudget({"sil": 1e6, "sill": 10.0}), budget_path)
     out = tmp_path / "plan.json"
-    argv = ["assign", SIL, str(suite_path), "--budget", str(budget_path), "--exact", "-o", str(out)]
+    argv = ["assign", SIL, SUITE, "--budget", str(budget_path), "--exact", "-o", str(out)]
     assert run(argv) == 1
     assert capsys.readouterr().err == (
         "error: max_bench_time.sill: unknown bench (available: sil)\n"

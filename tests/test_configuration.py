@@ -160,6 +160,26 @@ def test_space_matches_reference_with_substantiated_combinable_leaf():
     assert list(space) == reference
 
 
+def test_singleton_offsets_sum_to_the_index_of_those_singletons():
+    # Far past any cap: at() computes the configuration from its index.
+    both = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        bench = random_bench(rng, f"rand-{seed}", max_elements=4, count_cap=10**12)
+        space = ConfigurationSpace(bench)
+        picks = [rng.randrange(len(ids)) for ids in space.ids_per_leaf]
+        index = sum(offsets[i] for offsets, i in zip(space.singleton_offsets, picks))
+        assert space.at(index).selection == {
+            leaf_id: (ids[i],)
+            for leaf_id, ids, i in zip(space.leaf_ids, space.ids_per_leaf, picks)
+        }, f"seed {seed}"
+        both += any(leaf.parent for leaf in space.leaves) and any(
+            leaf.combinable and len(ids) > 1
+            for leaf, ids in zip(space.leaves, space.ids_per_leaf)
+        )
+    assert both >= 40
+
+
 @pytest.mark.parametrize("seed", range(0, 1000, 50))
 def test_walk_matches_filtered_reference(seed):
     # Walking a space is iterating it; enumerate() numbers the configurations
