@@ -49,7 +49,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
+from .configuration import (
+    _ALL_STAGES, _STAGE_BIT, ConfigurationSpace, TestBenchConfiguration, TestMethodName,
+)
 from .errors import InstanceTooLarge, SchemaError
 from .frozen import Frozen
 from .taxonomy import CANONICAL_DIMENSION_IDS, CapacityBudget, TestBench
@@ -217,16 +219,19 @@ _REASONS = ((), (_STAGE,), (_PURPOSE,), (_STAGE, _PURPOSE))  # by _refusals code
 def _refusals(space: ConfigurationSpace, profile: RequirementProfile) -> dict[str, int]:
     """Each element's code by id, in leaf order: 0 when it passes on its own,
     else 1 if the entry governing its leaf refuses its stage (rule b) plus 2
-    if it is not validated for the purpose (rule c)."""
-    purpose, elements = profile.purpose, space.elements
+    if it is not validated for the purpose (rule c). Stages are compared as
+    bits (:attr:`ConfigurationSpace.stage_bit`), and not at all on a leaf
+    whose entry admits every stage."""
+    purpose, elements, bit = profile.purpose, space.elements, space.stage_bit
     codes = {}
     for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
         entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
+        refused = 0
+        if entry is not None and len(entry.admissible_stages) < 3:  # not every stage
+            refused = _ALL_STAGES - sum(_STAGE_BIT[s._value_] for s in entry.admissible_stages)
         for elem_id in elem_ids:
-            elem = elements[elem_id]
-            codes[elem_id] = (
-                entry is not None and elem.stage not in entry.admissible_stages
-            ) | (purpose not in elem.characteristics.validated_for) << 1
+            code = (purpose not in elements[elem_id].characteristics.validated_for) << 1
+            codes[elem_id] = code | 1 if refused and refused & bit[elem_id] else code
     return codes
 
 

@@ -98,8 +98,8 @@ class _Layout:
         self.dot_position: dict[str, tuple[float, float]] = {}
         for leaf in self.leaves:
             by_stage: dict[int, list[Element]] = {}
-            for elem in self.grouped[leaf.id]:
-                by_stage.setdefault(elem.stage.chart_index, []).append(elem)
+            for elem in self.grouped[leaf.id]:  # the ring index is the stage bit's length
+                by_stage.setdefault(space.stage_bit[elem.id].bit_length(), []).append(elem)
             for stage_index, elems in by_stage.items():
                 radius = style.stage_radii[stage_index] * self.center
                 for i, elem in enumerate(elems, start=1):

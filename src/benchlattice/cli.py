@@ -98,6 +98,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _print_summary(plan: AssignmentPlan) -> None:
+    """Print the plan's table, unassignable test cases and totals in one write."""
     rows = [("test case", "bench", "config", "method", "cost", "time [s]")]
     for tc_id, assignment in plan.assignments.items():
         rows.append(
@@ -111,25 +112,28 @@ def _print_summary(plan: AssignmentPlan) -> None:
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
     for case in plan.unassignable:
-        print(f"{case.test_case_id}  UNASSIGNABLE ({case.reason})")
+        lines.append(f"{case.test_case_id}  UNASSIGNABLE ({case.reason})")
         for bench_id, report in sorted(case.reports.items()):
             if report.admissible:
-                print(f"    {bench_id}: admissible, but no bench time left")
+                lines.append(f"    {bench_id}: admissible, but no bench time left")
             else:
                 findings = ", ".join(
                     f"{v.reason.value} on {v.dimension}" for v in report.violations
                 )
-                print(f"    {bench_id}: {findings}")
-    print(f"total cost: {float(plan.total_cost):.2f}")
+                lines.append(f"    {bench_id}: {findings}")
+    lines.append(f"total cost: {float(plan.total_cost):.2f}")
     if plan.total_bench_time:
         spent = " ".join(
             f"{bench_id}={float(seconds):.2f}s"
             for bench_id, seconds in sorted(plan.total_bench_time.items())
         )
-        print(f"bench time: {spent}")
+        lines.append(f"bench time: {spent}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
@@ -150,7 +154,11 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return 1 if plan.unassignable else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own, built on the first run,
+    not at import. Parsing leaves them unchanged, so every later call in
+    the process reuses them."""
     parser = argparse.ArgumentParser(
         prog="benchlattice",
         description=(
@@ -190,20 +198,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_assign)
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first run, not at import; parsing leaves it unchanged, so
-    # every later call in the process reuses it.
-    return build_parser()
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it. The full parser hands
+    everything after the subcommand's name to that subcommand's parser, so
+    that parser is run directly; only an argv that names no subcommand
+    first, or leaves arguments over, which the full parser reports with its
+    own usage, goes through the full parser."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

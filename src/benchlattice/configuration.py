@@ -49,6 +49,12 @@ CAP_ENV_VAR = "BENCHLATTICE_CONFIG_CAP"
 
 _set = object.__setattr__
 
+#: Each stage's bit, keyed by its value: the members' own hash is a Python
+#: call, a string's is not. The chart's ring index is the bit's length.
+_SIMULATED, _EMULATED, _REAL = 1, 2, 4
+_STAGE_BIT = {"simulated": _SIMULATED, "emulated": _EMULATED, "real": _REAL}
+_ALL_STAGES = _SIMULATED | _EMULATED | _REAL
+
 
 class TestBenchConfiguration(Frozen):
     """One composition of a bench's elements, one entry per leaf."""
@@ -93,13 +99,14 @@ class ConfigurationSpace:
     """The configurations of one bench, derived once from its structure.
 
     Holds the leaves in spoke order, each leaf's canonical dimension, the
-    element map, the per-leaf element ids and choice counts, and the
-    mixed-radix weights of the enumeration order. Building a space costs
-    O(leaves + elements); :meth:`at` names any configuration
-    by index in O(leaves + elements) without materialising the others, so
-    lookups work far past the enumeration cap. Callers build one space per
-    bench and pass it along; the space never changes after construction,
-    except that it lists each leaf's choices and singletons once, on first use.
+    element map and each element's stage bit, the per-leaf element ids and
+    choice counts, and the mixed-radix weights of the enumeration order.
+    Building a space costs O(leaves + elements); :meth:`at` names any
+    configuration by index in O(leaves + elements) without materialising the
+    others, so lookups work far past the enumeration cap. Callers build one
+    space per bench and pass it along; the space never changes after
+    construction, except that it lists each leaf's choices and singletons
+    once, on first use.
     """
 
     def __init__(self, bench: TestBench) -> None:
@@ -115,6 +122,10 @@ class ConfigurationSpace:
             self.canonical_of.values()
         )
         self.elements: dict[str, Element] = {e.id: e for e in bench.elements}
+        #: Each element's stage as one bit: simulated 1, emulated 2, real 4.
+        self.stage_bit: dict[str, int] = {
+            e.id: _STAGE_BIT[e.stage._value_] for e in bench.elements
+        }
         grouped: dict[str, list[str]] = {leaf_id: [] for leaf_id in self.leaf_ids}
         for elem in bench.elements:  # a draft's elements off the leaves are left out
             grouped.get(elem.dimension, []).append(elem.id)
@@ -241,38 +252,38 @@ class ConfigurationSpace:
     def classify(self, config: TestBenchConfiguration) -> TestMethodName:
         """The test method of a configuration of this space (unchecked; see
         :func:`classify_test_method` for the rules)."""
-        by_canonical: dict[str, set[Stage]] = {}
+        # Per canonical dimension, the OR of its selected elements' stage bits:
+        # a set of stages, tested with integer comparisons.
+        masks: dict[str, int] = {}
+        every = 0  # the OR of them all
+        bit, canonical_of = self.stage_bit, self.canonical_of
         for leaf_id, picked in config.selection.items():
-            bucket = by_canonical.setdefault(self.canonical_of[leaf_id], set())
-            bucket.update(self.elements[eid].stage for eid in picked)
-        all_stages = set().union(*by_canonical.values())
+            dim = canonical_of[leaf_id]
+            mask = masks.get(dim, 0)
+            for eid in picked:
+                mask |= bit[eid]
+            masks[dim] = mask
+            every |= mask
 
-        if all_stages == {Stage.REAL}:
+        if every == _REAL:
             return TestMethodName.TEST_VEHICLE
-        if all_stages == {Stage.SIMULATED}:
+        if every == _SIMULATED:
             return TestMethodName.SOFTWARE_IN_THE_LOOP
 
-        def only(dim: str, stage: Stage) -> bool:
-            return by_canonical.get(dim, set()) == {stage}
-
-        def rest_simulated(*excluded: str) -> bool:
-            return all(
-                stages == {Stage.SIMULATED}
-                for dim, stages in by_canonical.items()
-                if dim not in excluded
+        def only_real(dim: str) -> bool:  # with every other dimension simulated
+            return masks.get(dim) == _REAL and all(
+                mask == _SIMULATED for other, mask in masks.items() if other != dim
             )
 
-        if only("test-object", Stage.REAL) and rest_simulated("test-object"):
+        if only_real("test-object"):
             return TestMethodName.HARDWARE_IN_THE_LOOP
-        if only("driver-user-behavior", Stage.REAL) and rest_simulated("driver-user-behavior"):
+        if only_real("driver-user-behavior"):
             return TestMethodName.DRIVER_IN_THE_LOOP
-
         anchors_real = all(
-            only(dim, Stage.REAL)
+            masks.get(dim) == _REAL
             for dim in ("test-object", "vehicle-dynamics", "residual-vehicle")
         )
-        movable = by_canonical.get("movable-objects", set())
-        if anchors_real and (movable & {Stage.SIMULATED, Stage.EMULATED}):
+        if anchors_real and masks.get("movable-objects", 0) & (_SIMULATED | _EMULATED):
             return TestMethodName.VEHICLE_IN_THE_LOOP
         return TestMethodName.UNCLASSIFIED
 

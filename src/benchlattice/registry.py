@@ -84,17 +84,22 @@ class LoadedSuite(Frozen):
 
 
 def write_text_atomic(path: str | os.PathLike[str], text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never observe a
-    partial document. The file gets the mode a plain create would give it:
-    the kernel applies the umask to 0666. An OSError names ``path`` as
-    given, never the temp file, which is removed."""
+    """Write ``text`` as UTF-8 bytes, line ends as given, via a sibling temp
+    file and rename, so readers never observe a partial document. The file
+    gets the mode a plain create would give it: the kernel applies the
+    umask to 0666. An OSError names ``path`` as given, never the temp file,
+    which is removed."""
+    data = memoryview(text.encode("utf-8"))
     head, tail = os.path.split(os.fspath(path))
     tmp_name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -116,13 +121,15 @@ def _dump(payload: Mapping[str, Any]) -> str:
 
 def _write(value: object, newline: str, parts: list[str]) -> None:
     """Append the JSON text of ``value``, nested at the indent ``newline``
-    ends with. Keys are sorted as given, then written as strings."""
-    if not isinstance(value, (list, tuple, dict)):
+    ends with. Keys are sorted as given, then written as strings; an item of
+    a type in :data:`_SCALARS` is written without a call of its own."""
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
         parts.append(_scalar(value, "Object of type {} is not JSON serializable"))
     elif not value:
-        parts.append("{}" if isinstance(value, dict) else "[]")
+        parts.append("{}" if is_dict else "[]")
     else:
-        inner, is_dict = newline + "  ", isinstance(value, dict)
+        inner = newline + "  "
         parts.append("{" if is_dict else "[")
         for key, item in sorted(value.items()) if is_dict else enumerate(value):
             parts.append(inner)
@@ -130,30 +137,42 @@ def _write(value: object, newline: str, parts: list[str]) -> None:
                 if not isinstance(key, str):
                     key = _scalar(key, "keys must be str, int, float, bool or None, not {}")
                 parts += (encode_basestring(key), ": ")
-            _write(item, inner, parts)
+            scalar = _SCALARS.get(item.__class__)
+            if scalar is None:
+                _write(item, inner, parts)
+            else:
+                parts.append(scalar(item))
             parts.append(",")
         parts[-1] = newline + ("}" if is_dict else "]")
 
 
 def _scalar(value: object, refusal: str) -> str:
     """The JSON text ``json`` gives a string (by its C encoder), None, bool
-    or number; a TypeError with ``refusal`` naming the type otherwise."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return "NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value)
+    or number, or a subclass of one; a TypeError with ``refusal`` naming the
+    type otherwise. No class derives from two of them."""
+    for kind in value.__class__.__mro__:
+        if kind in _SCALARS:
+            return _SCALARS[kind](value)
     raise TypeError(refusal.format(value.__class__.__name__))
 
 
+_CONSTANT = {None: "null", True: "true", False: "false"}.__getitem__
+#: The JSON text of a scalar, by its exact type.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring, int: int.__repr__, bool: _CONSTANT, type(None): _CONSTANT,
+    float: lambda v: "NaN" if v != v else _INFINITIES.get(v) or float.__repr__(v),
+}
+
+
 def _load_json(path: str | os.PathLike[str]) -> Any:
+    """The document at ``path`` as text mode reads it: UTF-8, universal newlines."""
     path = os.fspath(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except UnicodeDecodeError as exc:
         raise DocumentSyntaxError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

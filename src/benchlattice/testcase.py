@@ -172,6 +172,10 @@ def _normalize(text: str) -> str:
     return "-".join(text.strip().lower().replace("_", " ").replace("-", " ").split())
 
 
+#: Each conditional sensor dimension's id, normalised once as criterion
+#: texts are.
+_SENSOR_NEEDLES = {dim_id: _normalize(dim_id) for dim_id in CONDITIONAL_SENSOR_DIMENSIONS}
+
 StageOverrides = Mapping[str, Iterable[Stage]]
 
 # The entry of a dimension no override names, shared by every profile: the
@@ -225,8 +229,8 @@ def derive_requirement_profile(
             required = True
         elif dim_id in layer_required:
             required = layer_required[dim_id]
-        elif dim_id in CONDITIONAL_SENSOR_DIMENSIONS:
-            needle = _normalize(dim_id)
+        elif dim_id in _SENSOR_NEEDLES:
+            needle = _SENSOR_NEEDLES[dim_id]
             required = dim_id in override_sets or any(needle in text for text in texts)
         else:
             required = False

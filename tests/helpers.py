@@ -24,7 +24,9 @@ from benchlattice.assignment import (
     check_admissibility,
     estimate_cost,
 )
-from benchlattice.configuration import TestBenchConfiguration, classify_test_method
+from benchlattice.configuration import (
+    TestBenchConfiguration, TestMethodName, classify_test_method,
+)
 from benchlattice.errors import (
     BenchlatticeError,
     BenchValidationWarning,
@@ -237,6 +239,62 @@ def reference_admissibility(
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
 
+def reference_classify(config: TestBenchConfiguration, bench: TestBench) -> TestMethodName:
+    """The test method of a configuration by the rules of
+    :func:`~benchlattice.configuration.classify_test_method`, on sets of
+    stages per canonical dimension, straight from the bench."""
+    canonical_of = {leaf.id: leaf.parent or leaf.id for leaf in leaf_dimensions(bench)}
+    elements = {elem.id: elem for elem in bench.elements}
+    by_canonical: dict[str, set[Stage]] = {}
+    for leaf_id, picked in config.selection.items():
+        bucket = by_canonical.setdefault(canonical_of[leaf_id], set())
+        bucket.update(elements[eid].stage for eid in picked)
+    all_stages = set().union(*by_canonical.values())
+
+    if all_stages == {Stage.REAL}:
+        return TestMethodName.TEST_VEHICLE
+    if all_stages == {Stage.SIMULATED}:
+        return TestMethodName.SOFTWARE_IN_THE_LOOP
+
+    def only(dim: str, stage: Stage) -> bool:
+        return by_canonical.get(dim, set()) == {stage}
+
+    def rest_simulated(*excluded: str) -> bool:
+        return all(
+            stages == {Stage.SIMULATED}
+            for dim, stages in by_canonical.items()
+            if dim not in excluded
+        )
+
+    if only("test-object", Stage.REAL) and rest_simulated("test-object"):
+        return TestMethodName.HARDWARE_IN_THE_LOOP
+    if only("driver-user-behavior", Stage.REAL) and rest_simulated("driver-user-behavior"):
+        return TestMethodName.DRIVER_IN_THE_LOOP
+
+    anchors_real = all(
+        only(dim, Stage.REAL)
+        for dim in ("test-object", "vehicle-dynamics", "residual-vehicle")
+    )
+    movable = by_canonical.get("movable-objects", set())
+    if anchors_real and (movable & {Stage.SIMULATED, Stage.EMULATED}):
+        return TestMethodName.VEHICLE_IN_THE_LOOP
+    return TestMethodName.UNCLASSIFIED
+
+
+def reference_refusals(bench: TestBench, profile: RequirementProfile) -> dict[str, int]:
+    """Each leaf element's refusal code (1: stage, 2: purpose, 3: both),
+    checked one element at a time against the entry governing its leaf."""
+    codes = {}
+    for leaf in leaf_dimensions(bench):
+        entry = profile.governing(leaf.id, leaf.parent or leaf.id)
+        for elem in bench.elements:
+            if elem.dimension == leaf.id:
+                stage = entry is not None and elem.stage not in entry.admissible_stages
+                purpose = profile.purpose not in elem.characteristics.validated_for
+                codes[elem.id] = int(stage) + 2 * int(purpose)
+    return codes
+
+
 def reference_candidates(
     suite: Iterable[TestCase],
     benches: Iterable[TestBench],
@@ -421,9 +479,12 @@ def random_bench(
     max_elements: int = 3,
     count_cap: int = 10_000,
     allow_substantiation: bool = True,
+    stages: Mapping[str, tuple[Stage, ...]] | None = None,
 ) -> TestBench:
     """A valid random bench: <= 11 leaves, <= ``max_elements`` elements per
-    leaf, random combinable flags, configuration count <= ``count_cap``."""
+    leaf, random combinable flags, configuration count <= ``count_cap``.
+    Each element's stage is drawn from ``stages`` of its canonical
+    dimension (repeat a stage to favour it), else from all three."""
     substantiations: dict[str, list[str]] = {}
     leaves = list(CANONICAL_DIMENSION_IDS)
     canonical_of = {leaf: leaf for leaf in leaves}
@@ -466,7 +527,7 @@ def random_bench(
                 {
                     "id": f"{leaf}-e{i}",
                     "dimension": leaf,
-                    "stage": rng.choice(STAGES).value,
+                    "stage": rng.choice((stages or {}).get(canonical_of[leaf], STAGES)).value,
                     "validated_for": sorted(validated),
                     "cost_rate": rng.choice(_RATES),
                     "time_factor": rng.choice(_TIME_FACTORS),

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import cProfile
+import enum
 import math
+import pstats
 import random
 from benchlattice import replace
 from fractions import Fraction
@@ -861,6 +864,28 @@ def test_exact_matches_reference_on_fleet_shaped_instances():
                 )
                 slowed += picked.cost.monetary_cost > low
     assert split >= 20 and slowed >= 5
+
+
+def test_stage_tests_hash_no_enum_members():
+    """Admissibility and classification compare stages as bits: a
+    fleet-shaped greedy solve without overrides makes no call of the
+    Python-level ``Enum.__hash__`` from ``_refusals`` or ``classify``."""
+    suite, benches, budget = _fleet_shaped_instance(random.Random(740))
+    profiler = cProfile.Profile(builtins=False)
+    profiler.enable()
+    plans = [assign_greedy(suite, benches, limits) for limits in (None, budget)]
+    profiler.disable()
+    assert all(plan.assignments for plan in plans)
+    stats = pstats.Stats(profiler).stats
+    called = {name for (_, _, name) in stats}
+    assert {"_refusals", "classify"} <= called
+    hashers = {
+        caller[2]
+        for (filename, _, name), (*_, callers) in stats.items()
+        if name == "__hash__" and filename == enum.__file__
+        for caller in callers
+    }
+    assert not hashers & {"_refusals", "classify"}, hashers
 
 
 def _campaign(rng, cases):

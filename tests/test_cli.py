@@ -283,6 +283,92 @@ def test_reused_parser_matches_fresh_parsers(tmp_path, capsys, name):
     )
 
 
+# Every subcommand, valid.
+VALID_ARGVS = [
+    ["validate", FLEET],
+    ["enumerate", SIL, "--bench", "sil"],
+    ["enumerate", SIL, "--bench", "sil", "--count-only"],
+    ["chart", SIL, "--bench", "sil", "-o", "{out}"],
+    ["chart", SIL, "--bench", "sil", "--config", "1", "-o", "{out}"],
+    ["classify", SIL, "--bench", "sil", "--config", "1"],
+    ["assign", FLEET, SUITE, "-o", "{out}"],
+    ["assign", FLEET, SUITE, "--budget", BUDGET, "--exact", "-o", "{out}"],
+]
+# An unknown option or a left-over positional, which only the full parser
+# reports.
+LEFT_OVER_ARGVS = [
+    ["assign", FLEET, SUITE, "-o", "{out}", "--bogus"],
+    ["validate", FLEET, "--bogus"],
+    ["classify", SIL, "--bench", "sil", "--config", "1", "--bogus=1"],
+    ["validate", FLEET, "extra"],
+    ["classify", SIL, "extra", "--bench", "sil", "--config", "1"],
+    ["assign", FLEET, SUITE, "extra", "-o", "{out}"],
+]
+# No subcommand first.
+NO_COMMAND_ARGVS = [
+    [], ["frobnicate"], ["Validate", FLEET], ["--bench", "sil", "classify", SIL],
+    ["-h"], ["--help"], ["-h", "assign"], ["--help", "classify", SIL],
+    ["--"], ["--", "validate", FLEET],
+]
+ARGV_CORPUS = VALID_ARGVS + LEFT_OVER_ARGVS + NO_COMMAND_ARGVS + [
+    # A missing required option.
+    ["validate"],
+    ["enumerate", SIL],
+    ["classify", SIL, "--bench", "sil"],
+    ["chart", SIL, "--bench", "sil"],
+    ["assign", FLEET, SUITE],
+    # Abbreviations, attached values, bad values and repeated options.
+    ["assign", FLEET, SUITE, "--bud", BUDGET, "--ex", "-o", "{out}"],
+    ["assign", FLEET, SUITE, f"--budget={BUDGET}", "--output={out}"],
+    ["enumerate", SIL, "--be", "sil", "--count"],
+    ["chart", SIL, "--bench=sil", "-o{out}"],
+    ["chart", SIL, "--bench", "sil", "--config", "x", "-o", "{out}"],
+    ["classify", SIL, "--bench", "sil", "--config", "x"],
+    ["classify", SIL, "--bench", "sil", "--config", "-1"],
+    ["classify", SIL, "--bench", "nope", "--bench", "sil", "--config", "0"],
+    # Help after the subcommand, and "--" after it.
+    ["assign", "-h"],
+    ["assign", FLEET, SUITE, "--help"],
+    ["validate", FLEET, "-h"],
+    ["chart", "--he"],
+    ["validate", "--", FLEET],
+    ["assign", FLEET, "--", SUITE, "-o", "{out}"],
+    ["classify", "--bench", "sil", "--config", "0", "--", SIL],
+]
+TOP_LEVEL_USAGE = "usage: benchlattice [-h] {validate,enumerate,chart,classify,assign} ..."
+
+
+def _invocation(argv: list[str], out: Path, capsys) -> tuple:
+    out.unlink(missing_ok=True)
+    code = run([arg.format(out=out) for arg in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_argv_corpus_parses_as_the_full_parser_parses_it(tmp_path, monkeypatch, capsys):
+    """``run`` hands an argv straight to the parser of the subcommand it
+    names; exit codes, both streams and the written file are the full
+    parser's, which runs only for an argv that names no subcommand first or
+    leaves arguments over."""
+    out = tmp_path / "out.file"
+    parser, _ = cli._parser()
+    full_runs = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(
+        parser, "parse_args", lambda argv: full_runs.append(argv) or parse_args(argv)
+    )
+    direct = [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
+    fallbacks = len(full_runs)
+    monkeypatch.setattr(cli, "_parse", parse_args)
+    assert direct == [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
+    assert fallbacks == len(LEFT_OVER_ARGVS) + len(NO_COMMAND_ARGVS)
+    results = dict(zip(map(tuple, ARGV_CORPUS), direct))
+    assert [results[tuple(argv)][0] for argv in VALID_ARGVS] == [0] * len(VALID_ARGVS)
+    for argv in LEFT_OVER_ARGVS:
+        code, _, err, _ = results[tuple(argv)]
+        assert code == 2 and err.splitlines()[0] == TOP_LEVEL_USAGE
+
+
 def test_parser_built_on_first_run_not_on_import(tmp_path):
     script = f"""
 import argparse, json, sys

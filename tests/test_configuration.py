@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+
 from benchlattice import replace
 
 import pytest
@@ -16,12 +18,15 @@ from benchlattice.configuration import (
     enumerate_configurations,
     iter_configurations,
 )
+from benchlattice.assignment import _refusals
 from benchlattice.errors import (
     CombinatorialLimitExceeded,
+    ContradictoryOverride,
     ConfigurationError,
     ForeignConfiguration,
 )
 from benchlattice.taxonomy import (
+    CANONICAL_DIMENSION_IDS,
     Stage,
     leaf_dimensions,
     new_bench,
@@ -29,7 +34,18 @@ from benchlattice.taxonomy import (
     validate_bench,
     with_elements,
 )
-from helpers import make_element, random_bench, reference_configurations, uniform_bench
+from benchlattice.testcase import derive_requirement_profile
+from helpers import (
+    PURPOSES,
+    STAGES,
+    make_element,
+    make_test_case,
+    random_bench,
+    reference_classify,
+    reference_configurations,
+    reference_refusals,
+    uniform_bench,
+)
 
 
 def test_sil_bench_enumerates_two_configurations(sil_bench):
@@ -341,6 +357,86 @@ def test_classification_total(seed):
     bench = random_bench(random.Random(seed), "rand", max_elements=2, count_cap=64)
     for config in enumerate_configurations(bench):
         assert classify_test_method(config, bench) in TestMethodName
+
+
+SIM, EMU, REAL = STAGES
+_MOSTLY_SIMULATED, _MOSTLY_REAL = (SIM,) * 10 + (EMU, REAL), (REAL,) * 10 + (SIM, EMU)
+_ANCHORS = ("test-object", "vehicle-dynamics", "residual-vehicle")
+# Stage draws per canonical dimension, each favouring one test method, so
+# that every method occurs; None draws all three stages alike.
+_STAGE_BIASES = (
+    None,
+    dict.fromkeys(CANONICAL_DIMENSION_IDS, _MOSTLY_REAL),
+    dict.fromkeys(CANONICAL_DIMENSION_IDS, _MOSTLY_SIMULATED),
+    {**dict.fromkeys(CANONICAL_DIMENSION_IDS, _MOSTLY_SIMULATED), "test-object": _MOSTLY_REAL},
+    {
+        **dict.fromkeys(CANONICAL_DIMENSION_IDS, _MOSTLY_SIMULATED),
+        "driver-user-behavior": _MOSTLY_REAL,
+    },
+    {**dict.fromkeys(_ANCHORS, _MOSTLY_REAL), "movable-objects": (SIM, EMU, REAL, EMU)},
+)
+
+
+def test_classify_matches_the_set_based_rules():
+    """The stage-bit classifier names every configuration of random benches
+    (with sub-dimensions, combinable leaves and stage-biased draws) as the
+    rules on stage sets do."""
+    methods: Counter = Counter()
+    substantiated = multi_selections = 0
+    for seed in range(120):
+        rng = random.Random(4100 + seed)
+        bench = random_bench(
+            rng, f"bench-{seed}", count_cap=400, stages=_STAGE_BIASES[seed % len(_STAGE_BIASES)]
+        )
+        space = ConfigurationSpace(bench)
+        substantiated += any(leaf.parent for leaf in space.leaves)
+        for config in space:
+            method = space.classify(config)
+            assert method is reference_classify(config, bench), (seed, config.selection)
+            methods[method] += 1
+            multi_selections += any(len(ids) > 1 for ids in config.selection.values())
+    assert set(methods) == set(TestMethodName), methods
+    assert min(methods.values()) >= 10, methods
+    assert substantiated >= 20 and multi_selections >= 1000
+
+
+def _random_overrides(rng, dimensions):
+    """Overrides of one to three dimensions, each admitting none to all of
+    the stages; a required dimension is never emptied."""
+    picked = rng.sample(dimensions, k=rng.randint(1, 3))
+    return {dim: frozenset(rng.sample(STAGES, k=rng.randint(0, 3))) for dim in picked}
+
+
+def test_refusals_match_a_per_element_check():
+    """Element refusal codes from stage bits equal a check of each element's
+    stage against the set of the entry that governs its leaf, under
+    overrides of canonical and sub-dimensions that admit one, two and three
+    stages (and none, where the dimension is not required)."""
+    admitted: Counter = Counter()
+    codes: Counter = Counter()
+    sub_entries = 0
+    for seed in range(200):
+        rng = random.Random(4400 + seed)
+        bench = random_bench(rng, f"bench-{seed}", count_cap=200)
+        space = ConfigurationSpace(bench)
+        subs = [leaf.id for leaf in space.leaves if leaf.parent]
+        case = make_test_case(
+            purpose=rng.choice(PURPOSES), movable=rng.randint(0, 1),
+            conditions=rng.choice(((), ("rain",))),
+        )
+        for _ in range(5):
+            overrides = _random_overrides(rng, [*CANONICAL_DIMENSION_IDS, *subs])
+            try:
+                profile = derive_requirement_profile(case, overrides)
+            except ContradictoryOverride:
+                continue
+            refusals = _refusals(space, profile)
+            assert list(refusals.items()) == list(reference_refusals(bench, profile).items())
+            admitted.update(len(stages) for stages in overrides.values())
+            sub_entries += any(dim in subs for dim in overrides)
+            codes.update(refusals.values())
+    assert min(admitted[k] for k in (1, 2, 3)) >= 100 and admitted[0] >= 10, admitted
+    assert sub_entries >= 50 and set(codes) == {0, 1, 2, 3}, (sub_entries, codes)
 
 
 def test_foreign_configuration_rejected(sil_bench, vehicle_bench):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
+import enum
+import errno
 import json
 import math
 import os
@@ -33,6 +36,7 @@ from benchlattice.errors import (
 )
 from benchlattice.registry import (
     _dump,
+    plan_to_raw,
     _elements as _element_columns,
     bench_to_raw,
     bench_from_raw,
@@ -46,8 +50,13 @@ from benchlattice.registry import (
     save_suite,
     write_text_atomic,
 )
-from benchlattice.taxonomy import CANONICAL_DIMENSION_IDS, Stage
+from benchlattice.taxonomy import (
+    CANONICAL_DIMENSION_IDS, Stage, new_bench, substantiate_dimension, validate_bench,
+    with_elements,
+)
 from helpers import (
+    make_element,
+    make_test_case,
     random_bench,
     reference_budget_issues,
     reference_case_issues,
@@ -109,6 +118,80 @@ def test_malformed_json_is_syntax_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(DocumentSyntaxError):
         load_registry(path)
+
+
+SHIPPED_DOCUMENTS = {
+    "fleet_bench.json": load_registry,
+    "demo_suite.suite.json": load_suite,
+    "demo.budget.json": load_budget,
+}
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+@pytest.mark.parametrize("name", sorted(SHIPPED_DOCUMENTS))
+def test_documents_load_alike_with_any_line_ends(tmp_path, name, ending):
+    """Documents are read with universal newlines, as text mode reads them."""
+    original = fixture_path(name)
+    data = original.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") > 3
+    copy_path = tmp_path / name
+    copy_path.write_bytes(data.replace(b"\n", ending))
+    load = SHIPPED_DOCUMENTS[name]
+    assert load(copy_path) == load(original)
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "lone-cr"])
+def test_syntax_error_located_as_text_mode_locates_it(tmp_path, ending):
+    path = tmp_path / "broken.bench.json"
+    path.write_bytes(b'{\n  "format_version": "1",\n  "benches": [,]\n}\n'.replace(b"\n", ending))
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        load_registry(path)
+    assert str(excinfo.value) == f"{path}: Expecting value: line 3 column 15 (char 41)"
+    with open(path, encoding="utf-8") as handle, pytest.raises(json.JSONDecodeError) as text:
+        json.load(handle)
+    assert str(excinfo.value) == f"{path}: {text.value}"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b'{"format_version": "1", "benches": [{"id": "caf\xe9"}]}\n',
+            "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 47: "
+            "invalid continuation byte",
+        ),
+        (
+            b'{"format_version": "1", "benches": [{"id": "\xe2\x82',
+            "not UTF-8 text: 'utf-8' codec can't decode bytes in position 44-45: "
+            "unexpected end of data",
+        ),
+        (
+            b'\xef\xbb\xbf{"format_version": "1", "benches": []}\r\n',
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+    ],
+    ids=["latin-1", "truncated", "utf-8-bom"],
+)
+def test_undecodable_documents_keep_their_messages(tmp_path, data, message):
+    path = tmp_path / "odd.bench.json"
+    path.write_bytes(data)
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        load_registry(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("load", [load_registry, load_suite, load_budget])
+def test_a_directory_path_fails_as_opening_it_does(tmp_path, load):
+    with pytest.raises(IsADirectoryError) as excinfo:
+        load(tmp_path)
+    assert excinfo.value.errno == errno.EISDIR
+    assert str(excinfo.value) == f"[Errno {errno.EISDIR}] Is a directory: {str(tmp_path)!r}"
+
+
+def test_written_text_keeps_its_line_ends(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "a\nb\r\nc\u00e9\u2603\n")
+    assert path.read_bytes() == "a\nb\r\nc\u00e9\u2603\n".encode("utf-8")
 
 
 def test_unsupported_format_version(tmp_path):
@@ -931,6 +1014,67 @@ def test_dump_writes_the_bytes_json_writes(value):
 )
 def test_dump_matches_json_on_edge_values(value):
     assert _written(_dump, value) == _written(_json_dumps, value)
+
+
+class _Kind(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [_Kind.ONE, _Text("a\"b"), _Real(1.5), _Real(math.inf), True, None],
+        {_Text("k"): _Kind.ONE, _Kind.ONE: _Text("v")},
+        {"a": collections.OrderedDict(b=[1, (2.5, "c")])},
+    ],
+    ids=["scalar-subclasses", "subclass-keys", "mapping-subclass"],
+)
+def test_dump_writes_subclasses_as_json_writes_them(value):
+    assert _written(_dump, value) == _written(_json_dumps, value)
+
+
+def _odd_plan():
+    """A plan over a bench built by the library whose leaf, element and test
+    case ids hold quotes, backslashes, control characters and non-ASCII
+    text; one case is assigned, one refused on every leaf."""
+    names = ['Ra"dar\\ \u00fc\x01', "Cam\u00e9ra \u2603\x7f"]
+    bench = substantiate_dimension(new_bench('b\\"\u00e9'), "environment-sensor-system", names)
+    leaves = [node.id for node in bench.dimension_tree if node.parent]
+    elements = [
+        make_element(dim, dim) for dim in CANONICAL_DIMENSION_IDS
+        if dim != "environment-sensor-system"
+    ]
+    elements += [
+        make_element(f'{leaf}-"e{i}"\\\t\u00e5', leaf, Stage.EMULATED)
+        for leaf in leaves for i in range(2)
+    ]
+    bench = validate_bench(with_elements(bench, elements))
+    cases = [
+        make_test_case('cut-in "\u00e4"\\\x02'),
+        make_test_case("\u65e5\u672c\n\"x\"", purpose="endurance"),
+    ]
+    plan = assign_greedy(cases, [bench], CapacityBudget({bench.id: 10_000.0}))
+    assert len(plan.assignments) == len(plan.unassignable) == 1
+    return plan
+
+
+def test_dump_writes_plans_with_odd_ids_as_json_writes_them(tmp_path):
+    plan = _odd_plan()
+    payload = plan_to_raw(plan)
+    (assigned,) = payload["assignments"].values()
+    assert any(not leaf.isascii() for leaf in assigned["selection"])
+    assert _dump(payload) == _json_dumps(payload)
+    path = tmp_path / "odd.plan.json"
+    save_plan(plan, path)
+    assert path.read_bytes() == _json_dumps(payload).encode("utf-8")
 
 
 def test_registry_extra_with_non_text_keys_is_written_as_json_writes_it(tmp_path, sil_bench):
