@@ -49,9 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .configuration import (
-    _ALL_STAGES, _STAGE_BIT, ConfigurationSpace, TestBenchConfiguration, TestMethodName,
-)
+from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge, SchemaError
 from .frozen import Frozen
 from .taxonomy import CANONICAL_DIMENSION_IDS, CapacityBudget, TestBench
@@ -181,35 +179,23 @@ def check_admissibility(
     """
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
-    missing, own = _violations(space, profile)
+    codes = _refusals(space, profile)
     # An insertion-ordered set: the first occurrence of each violation wins.
-    violations = dict.fromkeys(missing)
-    for leaf_id in space.leaf_ids:
+    violations = dict.fromkeys(_missing(space, profile))
+    for leaf_id in space.leaf_ids:  # an element's dimension is its leaf
         for elem_id in config.selection[leaf_id]:
-            violations.update(dict.fromkeys(own[elem_id]))
+            violations.update((Violation(leaf_id, r), None) for r in _REASONS[codes[elem_id]])
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
 
-def _violations(
-    space: ConfigurationSpace, profile: RequirementProfile
-) -> tuple[tuple[Violation, ...], dict[str, tuple[Violation, ...]]]:
-    """The bench's coverage violations (required dimensions it lacks, in
-    profile order) and each element's own violations by element id (stage
-    before purpose), in O(leaves + elements)."""
-    missing = tuple(
-        Violation(dim_id, ReasonCode.MISSING_DIMENSION) for dim_id in _uncovered(space, profile)
-    )
-    own = {  # an element's dimension is its leaf
-        elem_id: tuple(Violation(space.elements[elem_id].dimension, r) for r in _REASONS[code])
-        for elem_id, code in _refusals(space, profile).items()
-    }
-    return missing, own
-
-
-def _uncovered(space: ConfigurationSpace, profile: RequirementProfile) -> list[str]:
-    """The required dimensions the bench lacks, in profile order (rule a)."""
-    entries = profile.entries.items()
-    return [dim for dim, entry in entries if entry.required and dim not in space.dimensions]
+def _missing(space: ConfigurationSpace, profile: RequirementProfile) -> list[Violation]:
+    """A violation for each required dimension the bench lacks, in profile
+    order (rule a)."""
+    return [
+        Violation(dim, ReasonCode.MISSING_DIMENSION)
+        for dim, entry in profile.entries.items()
+        if entry.required and dim not in space.dimensions
+    ]
 
 
 _STAGE, _PURPOSE = ReasonCode.STAGE_NOT_ADMISSIBLE, ReasonCode.NOT_VALIDATED_FOR_PURPOSE
@@ -226,9 +212,9 @@ def _refusals(space: ConfigurationSpace, profile: RequirementProfile) -> dict[st
     codes = {}
     for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
         entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
-        refused = 0
-        if entry is not None and len(entry.admissible_stages) < 3:  # not every stage
-            refused = _ALL_STAGES - sum(_STAGE_BIT[s._value_] for s in entry.admissible_stages)
+        refused = 0  # the complement of the admitted stages' bits, if not every stage
+        if entry is not None and len(entry.admissible_stages) < 3:
+            refused = ~sum(stage.bit for stage in entry.admissible_stages)
         for elem_id in elem_ids:
             code = (purpose not in elements[elem_id].characteristics.validated_for) << 1
             codes[elem_id] = code | 1 if refused and refused & bit[elem_id] else code
@@ -317,17 +303,19 @@ class _Options:
 
     def __init__(self, prices: _Prices, tc: TestCase, profile: RequirementProfile) -> None:
         self.space = space = prices.space
-        self.profile = profile
         dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
         fixed = SECONDS_PER_HOUR * dd * prices.scale
+        #: Each element's code (:func:`_refusals`) and the bench's coverage
+        #: violations (:func:`_missing`), which report() reads.
+        self.codes = codes = _refusals(space, profile)
+        self.missing = _missing(space, profile)
         # Per leaf, each element that passes on its own as (t, dn·r,
-        # 3600·dd·scale·s, singleton offset); only report() builds violations.
-        refused = _refusals(space, profile)
+        # 3600·dd·scale·s, singleton offset).
         leaves = []
         for ids, offsets in zip(space.ids_per_leaf, space.singleton_offsets):
             entries = []
             for elem_id, offset in zip(ids, offsets):
-                if not refused[elem_id]:
+                if not codes[elem_id]:
                     t, r, s = prices.of[elem_id]
                     entries.append((t, dn * r, fixed * s, offset))
             leaves.append(entries)
@@ -338,7 +326,7 @@ class _Options:
         #: The second-lowest admissible cost (the lowest on a tie); None with
         #: fewer than two admissible configurations.
         self.runner_up: Fraction | None = None
-        if _uncovered(space, profile) or not all(leaves):
+        if self.missing or not all(leaves):
             return
 
         # At each distinct time factor T, at or above the least one every
@@ -396,8 +384,12 @@ class _Options:
         # With nothing admissible, every configuration is rejected, and every
         # element is selected by one: the union of their violations is the
         # coverage violations plus every element's own.
-        missing, own = _violations(self.space, self.profile)
-        union = set(missing).union(*own.values())
+        elements = self.space.elements
+        union = set(self.missing)
+        union.update(
+            Violation(elements[elem_id].dimension, reason)
+            for elem_id, code in self.codes.items() for reason in _REASONS[code]
+        )
         return AdmissibilityReport(
             admissible=False,
             violations=tuple(sorted(union, key=lambda v: (v.dimension, v.reason.value))),

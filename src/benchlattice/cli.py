@@ -18,9 +18,9 @@ import argparse
 import functools
 import sys
 import warnings
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
-from .assignment import AssignmentPlan, assign_exact, assign_greedy
+from .assignment import assign_exact, assign_greedy
 from .chart import ChartStyle, _chart
 from .configuration import ConfigurationSpace
 from .errors import BenchlatticeError, InstanceTooLarge
@@ -97,18 +97,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_summary(plan: AssignmentPlan) -> None:
-    """Print the plan's table, unassignable test cases and totals in one write."""
+def _print_summary(plan: dict[str, Any]) -> None:
+    """Print a plan document's table, unassignable test cases and totals in
+    one write."""
     rows = [("test case", "bench", "config", "method", "cost", "time [s]")]
-    for tc_id, assignment in plan.assignments.items():
+    for tc_id, assignment in plan["assignments"].items():
         rows.append(
             (
                 tc_id,
-                assignment.bench_id,
-                str(assignment.config_index),
-                assignment.method.value,
-                f"{float(assignment.cost.monetary_cost):.2f}",
-                f"{float(assignment.cost.execution_time):.2f}",
+                assignment["bench"],
+                str(assignment["config_index"]),
+                assignment["method"],
+                f"{assignment['monetary_cost']:.2f}",
+                f"{assignment['execution_time_s']:.2f}",
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -116,21 +117,21 @@ def _print_summary(plan: AssignmentPlan) -> None:
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
         for row in rows
     ]
-    for case in plan.unassignable:
-        lines.append(f"{case.test_case_id}  UNASSIGNABLE ({case.reason})")
-        for bench_id, report in sorted(case.reports.items()):
-            if report.admissible:
+    for case in plan["unassignable"]:
+        lines.append(f"{case['test_case']}  UNASSIGNABLE ({case['reason']})")
+        for bench_id, report in case["reports"].items():  # in bench id order
+            if report["admissible"]:
                 lines.append(f"    {bench_id}: admissible, but no bench time left")
             else:
                 findings = ", ".join(
-                    f"{v.reason.value} on {v.dimension}" for v in report.violations
+                    f"{v['reason']} on {v['dimension']}" for v in report["violations"]
                 )
                 lines.append(f"    {bench_id}: {findings}")
-    lines.append(f"total cost: {float(plan.total_cost):.2f}")
-    if plan.total_bench_time:
-        spent = " ".join(
-            f"{bench_id}={float(seconds):.2f}s"
-            for bench_id, seconds in sorted(plan.total_bench_time.items())
+    lines.append(f"total cost: {plan['total_cost']:.2f}")
+    if plan["total_bench_time_s"]:
+        spent = " ".join(  # in bench id order
+            f"{bench_id}={seconds:.2f}s"
+            for bench_id, seconds in plan["total_bench_time_s"].items()
         )
         lines.append(f"bench time: {spent}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -148,8 +149,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_plan(plan, args.output)
-    _print_summary(plan)
+    _print_summary(save_plan(plan, args.output))
     print(f"wrote {args.output}")
     return 1 if plan.unassignable else 0
 

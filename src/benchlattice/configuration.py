@@ -49,11 +49,7 @@ CAP_ENV_VAR = "BENCHLATTICE_CONFIG_CAP"
 
 _set = object.__setattr__
 
-#: Each stage's bit, keyed by its value: the members' own hash is a Python
-#: call, a string's is not. The chart's ring index is the bit's length.
-_SIMULATED, _EMULATED, _REAL = 1, 2, 4
-_STAGE_BIT = {"simulated": _SIMULATED, "emulated": _EMULATED, "real": _REAL}
-_ALL_STAGES = _SIMULATED | _EMULATED | _REAL
+_SIMULATED, _EMULATED, _REAL = Stage.SIMULATED.bit, Stage.EMULATED.bit, Stage.REAL.bit
 
 
 class TestBenchConfiguration(Frozen):
@@ -122,10 +118,8 @@ class ConfigurationSpace:
             self.canonical_of.values()
         )
         self.elements: dict[str, Element] = {e.id: e for e in bench.elements}
-        #: Each element's stage as one bit: simulated 1, emulated 2, real 4.
-        self.stage_bit: dict[str, int] = {
-            e.id: _STAGE_BIT[e.stage._value_] for e in bench.elements
-        }
+        #: Each element's stage bit (:attr:`Stage.bit`) by element id.
+        self.stage_bit: dict[str, int] = {e.id: e.stage.bit for e in bench.elements}
         grouped: dict[str, list[str]] = {leaf_id: [] for leaf_id in self.leaf_ids}
         for elem in bench.elements:  # a draft's elements off the leaves are left out
             grouped.get(elem.dimension, []).append(elem.id)

@@ -25,7 +25,7 @@ import re
 from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -43,6 +43,9 @@ from .testcase import (
 )
 
 if TYPE_CHECKING:  # plans are only written here: loading imports no solver
+    from collections.abc import Iterator
+    from fractions import Fraction
+
     from .assignment import AssignmentPlan
 
 __all__ = [
@@ -183,80 +186,75 @@ def _load_json(path: str | os.PathLike[str]) -> Any:
         raise DocumentSyntaxError(path, "arrays or objects nested too deeply") from exc
 
 
-class _Checker:
-    """Collects schema findings instead of failing fast."""
-
-    def __init__(self) -> None:
-        self.issues: list[tuple[str, str]] = []
-
-    def add(self, location: str, message: str) -> None:
-        self.issues.append((location, message))
-
-
 # --- schemas ------------------------------------------------------------------
 #
-# A schema is a function ``(check, value, location)`` that adds its findings
-# about ``value`` to ``check`` and returns the value to load: ``value``
-# itself, unless the schema converts it (a bench's elements load as columns,
-# a document's array as its checked objects), and then the object holding
-# it loads as a copy with the converted value.
+# A schema is a function ``(issues, value, location)`` that appends its
+# findings about ``value`` to ``issues``, a list of (location, message)
+# pairs, and returns the value to load: ``value`` itself, unless the schema
+# converts it (a bench's elements load as columns, a document's array as its
+# checked objects), and then the object holding it loads as a copy with the
+# converted value.
 
-_Schema = Callable[[_Checker, Any, str], Any]
-
-
-def _expected(check: _Checker, location: str, kind: str, value: object) -> None:
-    check.add(location, f"expected {kind}, got {type(value).__name__}")
+_Issues = list[tuple[str, str]]
+_Schema = Callable[[_Issues, Any, str], Any]
 
 
-def _text(check: _Checker, value: object, location: str) -> object:
+def _expected(issues: _Issues, location: str, kind: str, value: object) -> None:
+    issues.append((location, f"expected {kind}, got {type(value).__name__}"))
+
+
+def _text(issues: _Issues, value: object, location: str) -> object:
     if value.__class__ is not str and not isinstance(value, str):
-        _expected(check, location, "a string", value)
+        _expected(issues, location, "a string", value)
     return value
 
 
-def _identifier(check: _Checker, value: object, location: str) -> object:
+def _identifier(issues: _Issues, value: object, location: str) -> object:
     if value.__class__ is not str and not isinstance(value, str):
-        _expected(check, location, "a string", value)
+        _expected(issues, location, "a string", value)
     elif not _ID_RE.fullmatch(value):
-        check.add(location, f"{value!r} is not a valid identifier")
+        issues.append((location, f"{value!r} is not a valid identifier"))
     return value
 
 
-def _stage(check: _Checker, value: object, location: str) -> object:
+def _stage(issues: _Issues, value: object, location: str) -> object:
     if value not in _STAGES:
-        check.add(location, f"expected one of {list(_STAGES)}, got {value!r}")
+        issues.append((location, f"expected one of {list(_STAGES)}, got {value!r}"))
     return value
 
 
-def _flag(check: _Checker, value: object, location: str) -> object:
+def _flag(issues: _Issues, value: object, location: str) -> object:
     if value.__class__ is not bool:
-        check.add(location, f"expected a boolean, got {value!r}")
+        issues.append((location, f"expected a boolean, got {value!r}"))
     return value
 
 
-def _version(check: _Checker, value: object, location: str) -> object:
+def _version(issues: _Issues, value: object, location: str) -> object:
     if value != FORMAT_VERSION:
-        check.add(location, f"unsupported format_version {value!r}; expected {FORMAT_VERSION!r}")
+        issues.append(
+            (location, f"unsupported format_version {value!r}; expected {FORMAT_VERSION!r}")
+        )
     return value
 
 
 def _number(minimum: float | None = None, exclusive: bool = False, whole: bool = False) -> _Schema:
     """A finite number (an int past the float range is not), above
     ``minimum`` or, unless ``exclusive``, at it, and whole if asked."""
-    def number(check: _Checker, value: object, location: str) -> object:
+    def number(issues: _Issues, value: object, location: str) -> object:
         if not isinstance(value, (int, float)) or value.__class__ is bool:
-            _expected(check, location, "a number", value)
+            _expected(issues, location, "a number", value)
             return value
         try:
             as_float = float(value)
         except OverflowError:
             as_float = math.inf
         if not math.isfinite(as_float):
-            check.add(location, f"must be a finite number, got {as_float}")
+            issues.append((location, f"must be a finite number, got {as_float}"))
         elif minimum is not None and (as_float <= minimum if exclusive else as_float < minimum):
-            check.add(location, f"must be {'>' if exclusive else '>='} {minimum}, got {as_float}")
+            relation = ">" if exclusive else ">="
+            issues.append((location, f"must be {relation} {minimum}, got {as_float}"))
         elif whole and not as_float.is_integer():
-            check.add(location, f"must be a whole number, got {as_float}")
+            issues.append((location, f"must be a whole number, got {as_float}"))
         return value
     number.minimum, number.exclusive = minimum, exclusive  # type: ignore[attr-defined]
     return number
@@ -264,26 +262,26 @@ def _number(minimum: float | None = None, exclusive: bool = False, whole: bool =
 
 def _array(item: _Schema, *, nonempty: bool = False) -> _Schema:
     """An array, each entry checked by ``item``."""
-    def array(check: _Checker, value: object, location: str) -> object:
+    def array(issues: _Issues, value: object, location: str) -> object:
         if value.__class__ is not list and not isinstance(value, list):
-            _expected(check, location, "an array", value)
+            _expected(issues, location, "an array", value)
             return value
         if nonempty and not value:
-            check.add(location, "must not be empty")
+            issues.append((location, "must not be empty"))
         for i, entry in enumerate(value):
-            item(check, entry, f"{location}[{i}]")
+            item(issues, entry, f"{location}[{i}]")
         return value
     return array
 
 
 def _map(values: _Schema | None = None) -> _Schema:
     """An object with free keys, each value checked by ``values``."""
-    def mapping(check: _Checker, value: object, location: str) -> object:
+    def mapping(issues: _Issues, value: object, location: str) -> object:
         if value.__class__ is not dict and not isinstance(value, dict):
-            _expected(check, location, "an object", value)
+            _expected(issues, location, "an object", value)
         elif values is not None:
             for key, entry in value.items():
-                values(check, entry, f"{location}.{key}")
+                values(issues, entry, f"{location}.{key}")
         return value
     return mapping
 
@@ -301,17 +299,17 @@ def _object(
     missing = [name for name in fields if name in required]
     checks = list(fields.items())
 
-    def walk(check: _Checker, value: object, location: str) -> dict[str, Any] | None:
+    def walk(issues: _Issues, value: object, location: str) -> dict[str, Any] | None:
         if value.__class__ is not dict and not isinstance(value, dict):
-            _expected(check, location, "an object", value)
+            _expected(issues, location, "an object", value)
             return None
         prefix = location + "."
         if not value.keys() <= allowed:
             for key in sorted(set(value) - allowed):
-                check.add(f"{prefix}{key}", "unknown field")
+                issues.append((f"{prefix}{key}", "unknown field"))
         for name in missing:
             if name not in value:
-                check.add(prefix + name, "required field missing")
+                issues.append((prefix + name, "required field missing"))
         if root:
             prefix = ""
         loaded = value
@@ -322,7 +320,7 @@ def _object(
                 field = None
             else:
                 continue
-            result = schema(check, field, prefix + name)
+            result = schema(issues, field, prefix + name)
             if result is not field:
                 if loaded is value:
                     loaded = dict(value)
@@ -335,20 +333,20 @@ def _document(key: str, noun: str, item: _Schema) -> _Schema:
     """A registry or suite: a format version and an array ``key`` of
     objects with distinct ids, each checked by ``item``; the array loads as
     the list of the objects ``item`` loads."""
-    def items(check: _Checker, value: object, location: str) -> list[dict[str, Any]]:
+    def items(issues: _Issues, value: object, location: str) -> list[dict[str, Any]]:
         loaded: list[dict[str, Any]] = []
         if value.__class__ is not list and not isinstance(value, list):
-            _expected(check, location, "an array", value)
+            _expected(issues, location, "an array", value)
             return loaded
         seen: set[str] = set()
         for i, raw in enumerate(value):
-            fragment = item(check, raw, f"{location}[{i}]")
+            fragment = item(issues, raw, f"{location}[{i}]")
             if fragment is None:
                 continue
             item_id = fragment.get("id")
             if isinstance(item_id, str):
                 if item_id in seen:
-                    check.add(f"{location}[{i}].id", f"duplicate {noun} id {item_id!r}")
+                    issues.append((f"{location}[{i}].id", f"duplicate {noun} id {item_id!r}"))
                 seen.add(item_id)
             loaded.append(fragment)
         return loaded
@@ -358,10 +356,10 @@ def _document(key: str, noun: str, item: _Schema) -> _Schema:
 
 def _checked(raw: object, schema: _Schema) -> Any:
     """What ``schema`` loads of ``raw`` from ``$``; SchemaError with every finding."""
-    check = _Checker()
-    loaded = schema(check, raw, "$")
-    if check.issues:
-        raise SchemaError(check.issues)
+    issues: _Issues = []
+    loaded = schema(issues, raw, "$")
+    if issues:
+        raise SchemaError(issues)
     return loaded
 
 
@@ -514,15 +512,15 @@ _set_id, _set_display_name, _set_dimension, _set_stage, _set_characteristics = (
 )
 
 
-def _element_columns(check: _Checker, value: object, location: str) -> _Columns:
+def _element_columns(issues: _Issues, value: object, location: str) -> _Columns:
     """A bench's ``elements``, checked a column at a time where that finds
     nothing and entry by entry otherwise; loads as their columns."""
     columns = _elements(value) if isinstance(value, list) else None
     if columns is None:  # every entry takes the itemised checks
-        found = len(check.issues)
-        _ELEMENT_ARRAY(check, value, location)
+        found = len(issues)
+        _ELEMENT_ARRAY(issues, value, location)
         # Columns of entries that hold findings are never built.
-        columns = _columns(value) if len(check.issues) == found else _NO_ELEMENTS
+        columns = _columns(value) if len(issues) == found else _NO_ELEMENTS
     return columns
 
 
@@ -732,7 +730,7 @@ def save_suite(suite: LoadedSuite, path: str | os.PathLike[str]) -> None:
                     for c in tc.evaluation_criteria
                 ],
                 "overrides": {
-                    dim: sorted((s.value for s in stages), key=_STAGES.index)
+                    dim: [s.value for s in sorted(stages, key=attrgetter("bit"))]
                     for dim, stages in sorted(suite.overrides.get(tc.id, {}).items())
                 },
             }
@@ -768,6 +766,23 @@ def save_budget(budget: CapacityBudget, path: str | os.PathLike[str]) -> None:
 
 
 def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
+    """The plan document of ``plan``, each exact cost and time converted to
+    a float once. Raises :class:`BenchlatticeError` naming the first value,
+    in the order converted, that is past the float range."""
+    try:
+        return _plan_document(plan)
+    except OverflowError:
+        for location, value in _plan_numbers(plan):
+            try:
+                float(value)
+            except OverflowError:
+                raise BenchlatticeError(
+                    f"{location}: value past the float range; no plan is written"
+                ) from None
+        raise
+
+
+def _plan_document(plan: AssignmentPlan) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "assignments": {
@@ -806,5 +821,20 @@ def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
     }
 
 
-def save_plan(plan: AssignmentPlan, path: str | os.PathLike[str]) -> None:
-    write_text_atomic(path, _dump(plan_to_raw(plan)))
+def _plan_numbers(plan: AssignmentPlan) -> Iterator[tuple[str, Fraction]]:
+    """Each number of the plan document with its location, in the order
+    :func:`_plan_document` converts them."""
+    for tc_id, a in plan.assignments.items():
+        yield f"assignments.{tc_id}.execution_time_s", a.cost.execution_time
+        yield f"assignments.{tc_id}.monetary_cost", a.cost.monetary_cost
+    yield "total_cost", plan.total_cost
+    for bench_id, seconds in sorted(plan.total_bench_time.items()):
+        yield f"total_bench_time_s.{bench_id}", seconds
+
+
+def save_plan(plan: AssignmentPlan, path: str | os.PathLike[str]) -> dict[str, Any]:
+    """Write the plan document of ``plan`` (:func:`plan_to_raw`) and return
+    it; nothing is written when a value is past the float range."""
+    document = plan_to_raw(plan)
+    write_text_atomic(path, _dump(document))
+    return document

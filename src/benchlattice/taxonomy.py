@@ -57,17 +57,25 @@ __all__ = [
 class Stage(Enum):
     """Nominal classification of an element.
 
-    The scale carries no order for matching purposes; ``chart_index`` exists
-    only to place radar-chart rings (1 = simulated, 2 = emulated, 3 = real).
+    The scale carries no order for matching purposes. Each member carries
+    one ``bit`` (simulated 1, emulated 2, real 4), so that a set of stages
+    is an int; ``chart_index``, the bit's length, exists only to place
+    radar-chart rings (1 = simulated, 2 = emulated, 3 = real).
     """
 
-    SIMULATED = "simulated"
-    EMULATED = "emulated"
-    REAL = "real"
+    SIMULATED = "simulated", 1
+    EMULATED = "emulated", 2
+    REAL = "real", 4
+
+    def __new__(cls, value: str, bit: int) -> "Stage":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.bit = bit
+        return member
 
     @property
     def chart_index(self) -> int:
-        return _CHART_INDEX[self]
+        return self.bit.bit_length()
 
     @classmethod
     def from_name(cls, name: str) -> "Stage":
@@ -80,7 +88,6 @@ class Stage(Enum):
             ) from None
 
 
-_CHART_INDEX = {Stage.SIMULATED: 1, Stage.EMULATED: 2, Stage.REAL: 3}
 _BY_NAME = {stage.value: stage for stage in Stage}
 _FLOAT_MAX = sys.float_info.max
 
@@ -480,12 +487,9 @@ def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:
     for node in nodes:
         if node.parent is None:
             continue
+        # Every canonical id is in the tree by now: a canonical parent is there.
         if node.parent not in _CANONICAL_ORDER:
             raise TaxonomyError(
                 f"sub-dimension {node.id!r} hangs off non-canonical {node.parent!r}; "
                 "substantiation depth is one level"
-            )
-        if node.parent not in seen:
-            raise UnknownDimension(
-                f"sub-dimension {node.id!r} references missing parent {node.parent!r}"
             )

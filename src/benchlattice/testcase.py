@@ -12,6 +12,7 @@ thresholds on an ordering.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 ALL_STAGES = frozenset(Stage)
-_RANK = {stage: rank for rank, stage in enumerate(Stage)}
 
 #: Required for every test case, whatever the scenario contains.
 ALWAYS_REQUIRED_DIMENSIONS = frozenset(
@@ -116,7 +116,7 @@ class DimensionRequirement(Frozen):
     def __init__(self, admissible_stages: frozenset[Stage], required: bool) -> None:
         # Built in the stages' declared order, so that a copy or an unpickled
         # value, built here again, lays its set out and prints it alike.
-        stages = frozenset(sorted(admissible_stages, key=_RANK.__getitem__))
+        stages = frozenset(sorted(admissible_stages, key=attrgetter("bit")))
         _set(self, "admissible_stages", stages)
         _set(self, "required", required)
 
@@ -178,6 +178,11 @@ _SENSOR_NEEDLES = {dim_id: _normalize(dim_id) for dim_id in CONDITIONAL_SENSOR_D
 
 StageOverrides = Mapping[str, Iterable[Stage]]
 
+#: Every canonical dimension in canonical order, True where always required.
+_ALWAYS_REQUIRED = {
+    dim_id: dim_id in ALWAYS_REQUIRED_DIMENSIONS for dim_id in CANONICAL_DIMENSION_IDS
+}
+
 # The entry of a dimension no override names, shared by every profile: the
 # values are immutable.
 _DEFAULT_REQUIREMENTS = {
@@ -207,38 +212,28 @@ def derive_requirement_profile(
     }
 
     scenario = tc.scenario
-    layer_required = {
-        "scenery": any(
-            layer.strip()
-            for layer in (
-                scenario.road_level,
-                scenario.traffic_infrastructure,
-                scenario.temporary_manipulation,
-            )
-        ),
-        "movable-objects": bool(scenario.movable_objects),
-        "environmental-conditions": bool(scenario.environment_conditions),
-    }
-
     # A criterion references a dimension when the dimension id occurs in its
     # name or threshold text (word separators normalised).
     texts = [_normalize(text) for c in tc.evaluation_criteria for text in (c.name, c.threshold)]
-    entries: dict[str, DimensionRequirement] = {}
-    for dim_id in CANONICAL_DIMENSION_IDS:
-        if dim_id in ALWAYS_REQUIRED_DIMENSIONS:
-            required = True
-        elif dim_id in layer_required:
-            required = layer_required[dim_id]
-        elif dim_id in _SENSOR_NEEDLES:
-            needle = _SENSOR_NEEDLES[dim_id]
-            required = dim_id in override_sets or any(needle in text for text in texts)
-        else:
-            required = False
-        stages = override_sets.get(dim_id)
-        entries[dim_id] = (
-            _DEFAULT_REQUIREMENTS[required] if stages is None
-            else DimensionRequirement(admissible_stages=stages, required=required)
+    # Whether each canonical dimension is required, in canonical order, each
+    # from its one source: always, a scenario layer, or a sensor reference.
+    required = _ALWAYS_REQUIRED.copy()
+    required["scenery"] = any(
+        layer.strip()
+        for layer in (
+            scenario.road_level, scenario.traffic_infrastructure, scenario.temporary_manipulation,
         )
+    )
+    required["movable-objects"] = bool(scenario.movable_objects)
+    required["environmental-conditions"] = bool(scenario.environment_conditions)
+    for dim_id, needle in _SENSOR_NEEDLES.items():
+        required[dim_id] = dim_id in override_sets or any(needle in text for text in texts)
+
+    entries: dict[str, DimensionRequirement] = {
+        dim_id: _DEFAULT_REQUIREMENTS[flag] if dim_id not in override_sets
+        else DimensionRequirement(override_sets[dim_id], flag)
+        for dim_id, flag in required.items()
+    }
 
     # Overrides naming a sub-dimension add an explicit, required entry.
     for dim_id in sorted(set(override_sets) - set(CANONICAL_DIMENSION_IDS)):

@@ -672,7 +672,7 @@ def random_admissibility_instance(rng: random.Random):
 # goes through every itemised schema check, and every bench is built through
 # the public draft operations (new_bench, substantiate_dimension with its
 # re-sort per call, with_elements), then validated with the tree sorted again
-# for its leaves. Kept independent of registry._Checker and of
+# for its leaves. Kept independent of the registry's schema walker and of
 # taxonomy.validate_bench.
 
 _REF_STAGES = tuple(stage.value for stage in Stage)

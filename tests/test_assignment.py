@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from benchlattice import assignment
 from benchlattice.assignment import (
     CapacityBudget,
+    CostEstimate,
     ReasonCode,
     assign_exact,
     assign_greedy,
@@ -114,6 +115,20 @@ def test_cost_monotone_when_adding_to_combinable_selection():
             if set(smaller) < set(larger):
                 assert cost_large.monetary_cost >= cost_small.monetary_cost
                 assert cost_large.execution_time >= cost_small.execution_time
+
+
+@pytest.mark.parametrize(
+    "seconds, money, message",
+    [
+        (Fraction(1), Fraction(-1, 3), "monetary_cost must be >= 0, got -1/3"),
+        (Fraction(0), Fraction(1), "execution_time must be > 0, got 0"),
+    ],
+)
+def test_cost_estimate_refuses_negative_money_and_no_time(seconds, money, message):
+    with pytest.raises(ValueError) as caught:
+        CostEstimate(execution_time=seconds, monetary_cost=money)
+    assert str(caught.value) == message
+    assert CostEstimate(Fraction(1), Fraction(0)).monetary_cost == 0
 
 
 # --- admissibility -------------------------------------------------------------
@@ -1077,6 +1092,24 @@ def test_exact_refuses_a_reference_before_its_size_guard(sil_bench, monkeypatch)
     # Assigning the first test case or skipping it leaves two partial plans.
     with pytest.raises(InstanceTooLarge):
         assign_exact(suite, [sil_bench], CapacityBudget({"sil": 1e6}))
+
+
+@pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
+def test_solvers_refuse_duplicate_test_case_ids(sil_bench, solver):
+    suite = [make_test_case("b-case"), make_test_case("a-case"), make_test_case("b-case")]
+    with pytest.raises(ValueError) as caught:
+        solver(suite, [sil_bench])
+    assert str(caught.value) == (
+        "duplicate test case ids in suite: ['a-case', 'b-case', 'b-case']"
+    )
+
+
+@pytest.mark.parametrize("solver", [assign_greedy, assign_exact])
+def test_solvers_refuse_duplicate_bench_ids(sil_bench, vehicle_bench, solver):
+    benches = [sil_bench, vehicle_bench, sil_bench]
+    with pytest.raises(ValueError) as caught:
+        solver([make_test_case()], benches)
+    assert str(caught.value) == "duplicate bench ids: ['sil', 'sil', 'test-vehicle']"
 
 
 # --- exact prices -----------------------------------------------------------------

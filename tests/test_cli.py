@@ -234,6 +234,57 @@ def test_assign_accepts_an_override_of_a_sub_dimension_one_bench_lacks(tmp_path,
     assert "error" not in capsys.readouterr().err
 
 
+def test_assign_prints_budget_exhausted_cases_and_no_bench_time(tmp_path, capsys):
+    # One second per bench: every test case is admissible somewhere, none fits.
+    budget_path = tmp_path / "tiny.budget.json"
+    save_budget(CapacityBudget({"sil": 1.0, "test-vehicle": 1.0}), budget_path)
+    out = tmp_path / "plan.json"
+    assert run(["assign", FLEET, SUITE, "--budget", str(budget_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "test case  bench  config  method  cost  time [s]\n"
+        "cut-in-rain  UNASSIGNABLE (bench-time-exhausted)\n"
+        "    sil: admissible, but no bench time left\n"
+        "    test-vehicle: admissible, but no bench time left\n"
+        "sensor-stimulus-check  UNASSIGNABLE (bench-time-exhausted)\n"
+        "    sil: STAGE_NOT_ADMISSIBLE on camera, STAGE_NOT_ADMISSIBLE on radar\n"
+        "    test-vehicle: admissible, but no bench time left\n"
+        "v2x-handover  UNASSIGNABLE (bench-time-exhausted)\n"
+        "    sil: admissible, but no bench time left\n"
+        "    test-vehicle: admissible, but no bench time left\n"
+        "total cost: 0.00\n"
+        f"wrote {out}\n"
+    )
+    payload = json.loads(out.read_text())
+    assert payload["assignments"] == {} and payload["total_bench_time_s"] == {}
+
+
+def test_assign_refuses_a_plan_value_past_the_float_range(tmp_path, capsys):
+    # Both documents validate: a time factor of 4 and a duration of 1e308 s
+    # are finite, but the run takes 4e308 s, which no float holds.
+    registry = json.loads(Path(FLEET).read_text(encoding="utf-8"))
+    for bench in registry["benches"]:
+        for element in bench["elements"]:
+            element["time_factor"] = 4.0
+    suite = json.loads(Path(SUITE).read_text(encoding="utf-8"))
+    suite["test_cases"][0]["scenario"]["nominal_duration"] = 1e308
+    registry_path, suite_path = tmp_path / "slow.bench.json", tmp_path / "long.suite.json"
+    registry_path.write_text(json.dumps(registry), encoding="utf-8")
+    suite_path.write_text(json.dumps(suite), encoding="utf-8")
+    assert run(["validate", str(registry_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "plan.json"
+    assert run(["assign", str(registry_path), str(suite_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: assignments.cut-in-rain.execution_time_s: value past the float range; "
+        "no plan is written\n"
+    )
+    assert not out.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["enumerate", SIL]) == 2  # --bench missing

@@ -17,6 +17,7 @@ from benchlattice.configuration import (
     count_configurations,
     enumerate_configurations,
     iter_configurations,
+    require_same_bench,
 )
 from benchlattice.assignment import _refusals
 from benchlattice.errors import (
@@ -466,3 +467,25 @@ def test_multi_selection_on_non_combinable_leaf_rejected(sil_bench):
     )
     with pytest.raises(ForeignConfiguration):
         classify_test_method(overfull, sil_bench)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"radar": None}, "configuration leaves {} do not match bench leaves {}"),
+        ({"holodeck": ("deck",)}, "configuration leaves {} do not match bench leaves {}"),
+        ({"scenery": ()}, "empty selection on leaf 'scenery'"),
+        ({"movable-objects": ("traffic-model", "traffic-model")},
+         "repeated elements selected on 'movable-objects'"),
+    ],
+    ids=["leaf-missing", "leaf-unknown", "empty-selection", "repeated-element"],
+)
+def test_require_same_bench_names_the_mismatch(sil_bench, change, message):
+    config = enumerate_configurations(sil_bench)[0]
+    selection = {**config.selection, **change}
+    selection = {leaf: picked for leaf, picked in selection.items() if picked is not None}
+    leaves = sorted(leaf.id for leaf in leaf_dimensions(sil_bench))
+    with pytest.raises(ForeignConfiguration) as excinfo:
+        require_same_bench(replace(config, selection=selection), sil_bench)
+    assert str(excinfo.value) == message.format(sorted(selection), leaves)
+    require_same_bench(config, sil_bench)  # the configuration itself passes

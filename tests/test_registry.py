@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import benchlattice
 import benchlattice.data
+from benchlattice import registry
 from benchlattice.assignment import CapacityBudget, assign_greedy
 from benchlattice.cli import _named_bench
 from benchlattice.chart import render_bench_chart
@@ -31,6 +33,7 @@ from benchlattice.errors import (
     BenchlatticeError,
     DocumentSyntaxError,
     DuplicateId,
+    EmptyLeaf,
     SchemaError,
     ValidationError,
 )
@@ -62,6 +65,7 @@ from helpers import (
     reference_case_issues,
     reference_load_registry,
     reference_suite_issues,
+    uniform_bench,
 )
 
 
@@ -1089,3 +1093,74 @@ def test_registry_extra_with_non_text_keys_is_written_as_json_writes_it(tmp_path
     save_registry([bench], path)
     payload = {"format_version": "1", "benches": [bench_to_raw(bench)]}
     assert path.read_text(encoding="utf-8") == _json_dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "durations, characteristics, location",
+    [
+        ((1e308,), {"time_factor": 4.0, "cost_rate": 0.0}, "assignments.case-0.execution_time_s"),
+        ((1.0, 1e308), {"time_factor": 1.0, "cost_rate": 1e300},
+         "assignments.case-1.monetary_cost"),
+        ((1e308, 1e308), {"time_factor": 1.0, "cost_rate": 0.0}, "total_bench_time_s.bench"),
+        ((1e308, 1e308), {"time_factor": 0.01, "cost_rate": 5e4}, "total_cost"),
+    ],
+    ids=["execution-time", "money", "bench-time", "total-cost"],
+)
+def test_a_plan_value_past_the_float_range_is_refused_by_location(
+    tmp_path, durations, characteristics, location
+):
+    bench = uniform_bench(**characteristics)
+    suite = [make_test_case(f"case-{i}", duration=d) for i, d in enumerate(durations)]
+    plan = assign_greedy(suite, [bench])
+    assert len(plan.assignments) == len(suite)
+    message = f"{location}: value past the float range; no plan is written"
+    with pytest.raises(BenchlatticeError) as excinfo:
+        plan_to_raw(plan)
+    assert str(excinfo.value) == message
+    path = tmp_path / "over.plan.json"
+    with pytest.raises(BenchlatticeError, match=f"^{re.escape(message)}$"):
+        save_plan(plan, path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_plan_in_the_float_range_is_written_without_locating_values(
+    tmp_path, fleet, demo_suite, monkeypatch
+):
+    # Values are located only after a conversion failed: the plan writer
+    # never walks them on its way to a written plan.
+    monkeypatch.setattr(registry, "_plan_numbers", None)
+    plan = assign_greedy(demo_suite.test_cases, fleet, overrides=demo_suite.overrides)
+    path = tmp_path / "demo.plan.json"
+    document = save_plan(plan, path)
+    assert document == plan_to_raw(plan)
+    assert path.read_bytes() == _json_dumps(document).encode("utf-8")
+
+
+@pytest.mark.parametrize("elements", [[], None], ids=["empty", "absent"])
+def test_a_bench_without_elements_names_its_first_empty_leaf(tmp_path, elements):
+    doc = sil_raw()
+    if elements is None:
+        del doc["benches"][0]["elements"]
+    else:
+        doc["benches"][0]["elements"] = elements
+    message = "leaf dimension 'test-object' of bench 'sil' holds no element"
+    with pytest.raises(EmptyLeaf) as excinfo:
+        bench_from_raw(doc["benches"][0])
+    assert str(excinfo.value) == message
+    path = tmp_path / "bare.bench.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as excinfo:
+        load_registry(path)
+    assert str(excinfo.value) == f"sil: {message}"
+
+
+def test_a_suite_case_without_scenario_is_validation_error(tmp_path):
+    doc = json.loads(fixture_path("demo_suite.suite.json").read_text())
+    del doc["test_cases"][1]["scenario"]
+    path = tmp_path / "bare.suite.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as excinfo:
+        load_suite(path)
+    assert str(excinfo.value) == (
+        "sensor-stimulus-check: test case 'sensor-stimulus-check' has no scenario"
+    )

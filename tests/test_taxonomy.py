@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from benchlattice import replace
 
@@ -40,6 +41,16 @@ def test_exactly_three_stages_with_bijective_chart_index():
     assert Stage.SIMULATED.chart_index == 1
     assert Stage.EMULATED.chart_index == 2
     assert Stage.REAL.chart_index == 3
+
+
+def test_each_stage_carries_one_bit_in_declared_order():
+    assert [(stage.value, stage.bit) for stage in Stage] == [
+        ("simulated", 1), ("emulated", 2), ("real", 4),
+    ]
+    assert all(stage.chart_index == stage.bit.bit_length() for stage in Stage)
+    # Members are still looked up, copied and pickled by their value alone.
+    assert Stage("emulated") is Stage.EMULATED
+    assert pickle.loads(pickle.dumps(Stage.REAL)) is Stage.REAL
 
 
 def test_canonical_dimensions_present_and_ordered():
@@ -384,3 +395,49 @@ def test_the_first_empty_leaf_in_leaf_order_is_named():
     ]
     with pytest.raises(EmptyLeaf, match="leaf dimension 'track' of bench 'b' holds no element"):
         validate_bench(with_elements(bench, elements[::-1]))
+
+
+def test_a_canonical_node_with_a_parent_is_refused():
+    with pytest.raises(TaxonomyError) as excinfo:
+        DimensionNode("scenery", "Scenery", DimensionKind.CANONICAL, parent="test-object")
+    assert str(excinfo.value) == "canonical dimension 'scenery' cannot have a parent"
+
+
+def test_new_bench_refuses_a_combinable_override_of_an_unknown_dimension():
+    with pytest.raises(UnknownDimension) as excinfo:
+        new_bench("b", combinable_overrides={"scenery": True, "holodeck": True, "aether": False})
+    assert str(excinfo.value) == (
+        "combinable overrides for unknown dimensions: ['aether', 'holodeck']"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, error, message",
+    [
+        ((_sub("radar", "environment-sensor-system"), _sub("radar", "scenery")), DuplicateId,
+         "duplicate dimension id 'radar' in bench 'b'"),
+        ((_sub("radar", "environment-sensor-system"), _sub("lidar", "radar")), TaxonomyError,
+         "sub-dimension 'lidar' hangs off non-canonical 'radar'; "
+         "substantiation depth is one level"),
+        ((DimensionNode("holodeck", "Holodeck", DimensionKind.CANONICAL),
+          _sub("deck-a", "holodeck")), TaxonomyError,
+         "sub-dimension 'deck-a' hangs off non-canonical 'holodeck'; "
+         "substantiation depth is one level"),
+    ],
+    ids=["duplicate-dimension", "sub-of-a-sub", "sub-of-an-unknown-canonical"],
+)
+def test_validate_bench_refuses_a_malformed_tree(extra, error, message):
+    bench = TestBench("b", "b", (*_CANONICAL_TREE, *extra))
+    with pytest.raises(error) as excinfo:
+        validate_bench(bench)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_a_sub_dimension_whose_parent_is_missing_misses_a_canonical_dimension():
+    # A sub-dimension's parent is canonical, and every canonical dimension is
+    # checked for before any parent: a missing parent is a missing canonical one.
+    tree = (*(n for n in _CANONICAL_TREE if n.id != "scenery"), _sub("road", "scenery"))
+    with pytest.raises(TaxonomyError) as excinfo:
+        validate_bench(TestBench("b", "b", tree))
+    assert str(excinfo.value) == "bench 'b' misses canonical dimension 'scenery'"

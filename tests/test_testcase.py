@@ -87,6 +87,26 @@ def test_blank_road_level_rejected():
         case_from_raw(raw)
 
 
+@pytest.mark.parametrize("purpose", ["", " \t "])
+def test_blank_purpose_rejected(purpose):
+    with pytest.raises(TestCaseError) as caught:
+        validate_test_case(make_test_case(purpose=purpose))
+    assert str(caught.value) == "test case 'cut-in': purpose must not be blank"
+    # A suite fragment without a purpose loads it as blank.
+    raw = raw_case()
+    del raw["purpose"]
+    with pytest.raises(TestCaseError, match="^test case 'cut-in': purpose must not be blank$"):
+        case_from_raw(raw)
+
+
+def test_case_without_scenario_rejected():
+    raw = raw_case()
+    del raw["scenario"]
+    with pytest.raises(MissingLayer) as caught:
+        case_from_raw(raw)
+    assert str(caught.value) == "test case 'cut-in' has no scenario"
+
+
 def test_default_profile_requirements():
     profile = derive_requirement_profile(case_from_raw(raw_case()))
     required = {dim for dim, entry in profile.entries.items() if entry.required}
