@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration
 from .frozen import Frozen
-from .taxonomy import Element, TestBench
+from .taxonomy import TestBench
 
 __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 
@@ -82,33 +82,32 @@ def _attr(value: str) -> str:
 
 
 class _Layout:
-    """Shared geometry: spoke angles and per-element dot positions."""
+    """Shared geometry: spoke angles and dot positions, of every element or
+    only of the ``drawn`` ids. Either way a dot sits where the bench chart
+    puts it: its fan counts every element of its leaf and stage."""
 
-    def __init__(self, space: ConfigurationSpace, style: ChartStyle) -> None:
+    def __init__(
+        self, space: ConfigurationSpace, style: ChartStyle, drawn: set[str] | None = None
+    ) -> None:
         self.style = style
         self.center = style.size / 2
         self.leaves = space.leaves
         self.spoke_angle = {
             leaf.id: i * 360.0 / len(self.leaves) for i, leaf in enumerate(self.leaves)
         }
-        self.grouped = {
-            leaf.id: [space.elements[eid] for eid in ids]
-            for leaf, ids in zip(space.leaves, space.ids_per_leaf)
-        }
         self.dot_position: dict[str, tuple[float, float]] = {}
-        for leaf in self.leaves:
-            by_stage: dict[int, list[Element]] = {}
-            for elem in self.grouped[leaf.id]:
-                by_stage.setdefault(elem.stage.chart_index, []).append(elem)
-            for stage_index, elems in by_stage.items():
-                radius = style.stage_radii[stage_index] * self.center
-                for i, elem in enumerate(elems, start=1):
-                    offset = 0.0
-                    if len(elems) > 1:
-                        step = math.ceil(i / 2) * style.offset_step
-                        offset = step if i % 2 == 1 else -step
-                    angle = self.spoke_angle[leaf.id] + offset
-                    self.dot_position[elem.id] = self.point(radius, angle)
+        for leaf, ids in zip(self.leaves, space.ids_per_leaf):
+            stages = [space.stage_bit[eid] for eid in ids]
+            for i, (eid, bit) in enumerate(zip(ids, stages)):
+                if drawn is not None and eid not in drawn:
+                    continue
+                offset = 0.0
+                if stages.count(bit) > 1:  # the n-th of several on its stage
+                    n = stages[: i + 1].count(bit)
+                    step = math.ceil(n / 2) * style.offset_step
+                    offset = step if n % 2 == 1 else -step
+                radius = style.stage_radii[bit.bit_length()] * self.center
+                self.dot_position[eid] = self.point(radius, self.spoke_angle[leaf.id] + offset)
 
     def point(self, radius: float, angle_deg: float) -> tuple[float, float]:
         # 12 o'clock is 0 degrees, growing clockwise; SVG y points down.
@@ -199,18 +198,19 @@ def _chart(
     """:func:`render_configuration_chart` of a configuration of ``space``;
     with no configuration, :func:`render_bench_chart`: every element drawn
     unselected and an empty composition group."""
-    layout = _Layout(space, style)
     selected = set() if config is None else {
         eid for ids in config.selection.values() for eid in ids
     }
+    draw_all = config is None or style.show_unselected
+    layout = _Layout(space, style, None if draw_all else selected)
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
-    for leaf in layout.leaves:
-        for elem in layout.grouped[leaf.id]:
-            if elem.id in selected:
-                body.append(_dot(layout, elem.id, selected=True))
-            elif config is None or style.show_unselected:
-                body.append(_dot(layout, elem.id, selected=False))
+    for ids in space.ids_per_leaf:
+        for eid in ids:
+            if eid in selected:
+                body.append(_dot(layout, eid, selected=True))
+            elif draw_all:
+                body.append(_dot(layout, eid, selected=False))
     body.append("  </g>")
 
     body.append('  <g id="composition">')

@@ -154,11 +154,32 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return 1 if plan.unassignable else 0
 
 
+# Each subcommand's grammar: its help, its handler, its positionals and its
+# options, each by its flags (the long one last names its destination) as
+# (value type, required); a value type of None marks a switch. ``_parser``
+# builds the argparse parsers from it and ``_plain`` reads plain argvs by it.
+_GRAMMAR: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, ...], dict]] = {
+    "validate": ("load a registry and report every bench", cmd_validate, ("registry",), {}),
+    "enumerate": ("list or count a bench's configurations", cmd_enumerate, ("registry",), {
+        ("--bench",): (str, True), ("--count-only",): (None, False),
+    }),
+    "chart": ("render a bench or configuration radar chart", cmd_chart, ("registry",), {
+        ("--bench",): (str, True), ("--config",): (int, False), ("-o", "--output"): (str, True),
+    }),
+    "classify": ("print a configuration's test method", cmd_classify, ("registry",), {
+        ("--bench",): (str, True), ("--config",): (int, True),
+    }),
+    "assign": ("assign a suite to configurations", cmd_assign, ("registry", "suite"), {
+        ("--budget",): (str, False), ("--exact",): (None, False), ("-o", "--output"): (str, True),
+    }),
+}
+
+
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own, built on the first run,
-    not at import. Parsing leaves them unchanged, so every later call in
-    the process reuses them."""
+    """The full parser and each subcommand's own, built from ``_GRAMMAR``
+    on the first run that needs them, not at import. Parsing leaves them
+    unchanged, so every later call in the process reuses them."""
     parser = argparse.ArgumentParser(
         prog="benchlattice",
         description=(
@@ -167,38 +188,67 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="load a registry and report every bench")
-    p.add_argument("registry")
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("enumerate", help="list or count a bench's configurations")
-    p.add_argument("registry")
-    p.add_argument("--bench", required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("chart", help="render a bench or configuration radar chart")
-    p.add_argument("registry")
-    p.add_argument("--bench", required=True)
-    p.add_argument("--config", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_chart)
-
-    p = sub.add_parser("classify", help="print a configuration's test method")
-    p.add_argument("registry")
-    p.add_argument("--bench", required=True)
-    p.add_argument("--config", type=int, required=True)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("assign", help="assign a suite to configurations")
-    p.add_argument("registry")
-    p.add_argument("suite")
-    p.add_argument("--budget", default=None)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_assign)
+    for name, (help_text, handler, positionals, options) in _GRAMMAR.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flags, (kind, required) in options.items():
+            if kind is None:
+                p.add_argument(*flags, action="store_true")
+            else:
+                p.add_argument(*flags, type=kind, required=required)
+        p.set_defaults(handler=handler)
     return parser, sub.choices
+
+
+# Per subcommand, what ``_plain`` reads: the handler, the positionals and
+# each flag's destination, value type and whether it is required.
+_PLAIN = {
+    name: (handler, positionals, {
+        flag: (flags[-1][2:].replace("-", "_"), kind, required)
+        for flags, (kind, required) in options.items() for flag in flags
+    })
+    for name, (_, handler, positionals, options) in _GRAMMAR.items()
+}
+
+
+def _plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``argv`` read by ``_GRAMMAR`` in one pass, when it is plainly spelled:
+    a subcommand first, every option in full and at most once, each value
+    the next token, and no other token starting with ``-``. Argparse reads
+    such an argv to the same namespace; None for any other argv."""
+    grammar = _PLAIN.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    handler, positionals, by_flag = grammar
+    values: dict[str, Any] = {"handler": handler}
+    free = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.__class__ is not str:
+            return None
+        if token[:1] != "-":
+            free.append(token)
+            continue
+        dest, kind, _ = by_flag.get(token, (None, None, False))
+        if dest is None or dest in values:
+            return None
+        if kind is not None:
+            token = next(tokens, None)
+            if token.__class__ is not str or token[:1] == "-":
+                return None
+        try:
+            values[dest] = True if kind is None else kind(token)
+        except (TypeError, ValueError):
+            return None
+    if len(free) != len(positionals):
+        return None
+    for dest, kind, required in by_flag.values():
+        if required and dest not in values:
+            return None
+        values.setdefault(dest, False if kind is None else None)
+    values.update(zip(positionals, free))
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
@@ -219,7 +269,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _plain(argv) or _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -310,7 +310,7 @@ def substantiate_dimension(
     one level.
     """
     subs = _sub_dimensions(bench.id, bench.dimension_tree, parent, sub_names, bench.elements)
-    return replace(bench, dimension_tree=_canonical_tree_order(bench.dimension_tree + subs))
+    return replace(bench, dimension_tree=_layout(bench.dimension_tree + subs)[0])
 
 
 def _sub_dimensions(
@@ -354,33 +354,36 @@ def _sub_dimensions(
     return tuple(subs)
 
 
-def _canonical_tree_order(nodes: Iterable[DimensionNode]) -> tuple[DimensionNode, ...]:
-    """Canonical dimension order, each parent directly followed by its subs
-    in declaration order. The canonical nodes alone, in that order, are
-    that order already: they are returned without a sort."""
-    nodes = tuple(nodes)
+def _layout(tree: Iterable[DimensionNode]) -> tuple[
+    tuple[DimensionNode, ...], tuple[DimensionNode, ...], Mapping[str, int]
+]:
+    """A tree in canonical order (each parent directly followed by its subs
+    in declaration order, unknown dimensions last), its leaves and each leaf
+    id's rank (leaf ids in leaf order). A tree of exactly the canonical
+    nodes with no parents, whatever their flags, is its own order and its
+    own leaves, and is ranked by ``_CANONICAL_ORDER`` itself: the identity
+    tells callers that the tree checks hold and no node substantiates the
+    test object."""
+    nodes = tuple(tree)
     if tuple(map(_ID, nodes)) == CANONICAL_DIMENSION_IDS and set(map(_PARENT, nodes)) == {None}:
-        return nodes
-    order = {node.id: i for i, node in enumerate(nodes)}
+        return nodes, nodes, _CANONICAL_ORDER
+    position = {node.id: i for i, node in enumerate(nodes)}
 
-    def key(node: DimensionNode) -> tuple[int, int, int]:
-        anchor = node.parent if node.parent is not None else node.id
-        canonical_rank = _CANONICAL_ORDER.get(anchor, len(_CANONICAL_NODES))
-        is_sub = 1 if node.parent is not None else 0
-        return (canonical_rank, is_sub, order[node.id])
+    def key(node: DimensionNode) -> tuple[int, bool, int]:
+        anchor = node.id if node.parent is None else node.parent
+        rank = _CANONICAL_ORDER.get(anchor, len(_CANONICAL_ORDER))
+        return rank, node.parent is not None, position[node.id]
 
-    return tuple(sorted(nodes, key=key))
+    nodes = tuple(sorted(nodes, key=key))
+    parents = set(map(_PARENT, nodes))
+    leaves = tuple(node for node in nodes if node.id not in parents)
+    return nodes, leaves, {node.id: i for i, node in enumerate(leaves)}
 
 
 def leaf_dimensions(bench: TestBench) -> tuple[DimensionNode, ...]:
     """The bench's leaves: canonical order, sub-dimensions replacing their
     parent in place (declaration order). Stable across runs."""
-    return _leaves(_canonical_tree_order(bench.dimension_tree))
-
-
-def _leaves(ordered: tuple[DimensionNode, ...]) -> tuple[DimensionNode, ...]:
-    parents_with_children = {node.parent for node in ordered if node.parent is not None}
-    return tuple(node for node in ordered if node.id not in parents_with_children)
+    return _layout(bench.dimension_tree)[1]
 
 
 def canonical_dimension_of(bench: TestBench, leaf_id: str) -> str:
@@ -428,14 +431,16 @@ def _invariants(
     Raises the first violation: of the tree, then of the elements in
     declaration order (a duplicate id, then a dimension that is not a leaf),
     then the first empty leaf; warns on a test-object substantiation. The
-    elements are checked a column at a time, and one by one only to name
-    the first offender.
+    tree comes from :func:`_layout`; the plain canonical tree, which it
+    returns as the module's constants, is not checked again. The elements
+    are checked a column at a time, and one by one only to name the first
+    offender.
     """
-    nodes = _canonical_tree_order(tree)
-    _check_tree(bench_id, nodes)
+    nodes, _, leaf_rank = _layout(tree)
+    canonical = leaf_rank is _CANONICAL_ORDER
+    if not canonical:
+        _check_tree(bench_id, nodes)
 
-    leaf_ids = [node.id for node in _leaves(nodes)]
-    leaf_rank = {dim_id: i for i, dim_id in enumerate(leaf_ids)}
     populated = set(dimensions)
     if len(set(ids)) != len(ids) or not populated <= leaf_rank.keys():
         non_leaves = {node.id for node in nodes} - leaf_rank.keys()
@@ -452,14 +457,14 @@ def _invariants(
                 raise UnknownDimension(
                     f"element {elem_id!r} references unknown dimension {dimension!r}"
                 )
-    if len(populated) != len(leaf_ids):
-        for leaf_id in leaf_ids:
+    if len(populated) != len(leaf_rank):
+        for leaf_id in leaf_rank:
             if leaf_id not in populated:
                 raise EmptyLeaf(
                     f"leaf dimension {leaf_id!r} of bench {bench_id!r} holds no element"
                 )
 
-    if any(node.parent == "test-object" for node in nodes):
+    if not canonical and any(node.parent == "test-object" for node in nodes):
         warnings.warn(
             f"bench {bench_id!r} substantiates the test-object dimension",
             BenchValidationWarning,
@@ -474,21 +479,21 @@ def _invariants(
 
 
 def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:
-    seen: set[str] = set()
+    by_id: dict[str, DimensionNode] = {}
     for node in nodes:
-        if node.id in seen:
+        if node.id in by_id:
             raise DuplicateId(f"duplicate dimension id {node.id!r} in bench {bench_id!r}")
-        seen.add(node.id)
+        by_id[node.id] = node
     for dim_id in CANONICAL_DIMENSION_IDS:
-        if dim_id not in seen:
-            raise TaxonomyError(
-                f"bench {bench_id!r} misses canonical dimension {dim_id!r}"
-            )
+        if dim_id not in by_id:
+            raise TaxonomyError(f"bench {bench_id!r} misses canonical dimension {dim_id!r}")
     for node in nodes:
         if node.parent is None:
             continue
-        # Every canonical id is in the tree by now: a canonical parent is there.
-        if node.parent not in _CANONICAL_ORDER:
+        # Every canonical id is in the tree by now, but a sub-dimension may
+        # hold one: the parent node itself must be canonical.
+        parent = by_id[node.parent] if node.parent in _CANONICAL_ORDER else None
+        if parent is None or parent.kind is not DimensionKind.CANONICAL:
             raise TaxonomyError(
                 f"sub-dimension {node.id!r} hangs off non-canonical {node.parent!r}; "
                 "substantiation depth is one level"

@@ -42,6 +42,7 @@ from benchlattice.registry import FORMAT_VERSION, _load_json, bench_from_raw
 from benchlattice.taxonomy import (
     CANONICAL_DIMENSION_IDS,
     Characteristics,
+    DimensionKind,
     Element,
     Stage,
     TestBench,
@@ -873,7 +874,10 @@ def reference_validate_bench(raw: Mapping[str, Any]) -> TestBench:
     for node in nodes:
         if node.parent is None:
             continue
-        if node.parent not in _REF_CANONICAL_RANK:
+        if node.parent not in _REF_CANONICAL_RANK or any(
+            other.id == node.parent and other.kind is not DimensionKind.CANONICAL
+            for other in nodes
+        ):
             raise TaxonomyError(
                 f"sub-dimension {node.id!r} hangs off non-canonical {node.parent!r}; "
                 "substantiation depth is one level"

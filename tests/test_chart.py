@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import xml.etree.ElementTree as ET
 from benchlattice import replace
 from xml.sax.saxutils import escape
@@ -19,7 +20,7 @@ from benchlattice.chart import (
 from benchlattice.configuration import enumerate_configurations
 from benchlattice.errors import ForeignConfiguration
 from benchlattice.taxonomy import Stage, leaf_dimensions
-from helpers import make_element, uniform_bench
+from helpers import make_element, random_bench, uniform_bench
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -250,3 +251,41 @@ def test_bench_chart_contains_empty_composition_group(sil_bench):
     root = parse(render_bench_chart(sil_bench))
     (composition,) = [g for g in root.findall(f"{SVG}g") if g.get("id") == "composition"]
     assert len(list(composition)) == 0
+
+
+# Every element of these dimensions sits on one stage, so that their
+# elements are fanned around the spoke.
+_ONE_STAGE = {
+    "vehicle-dynamics": (Stage.EMULATED,),
+    "scenery": (Stage.REAL,),
+    "movable-objects": (Stage.SIMULATED,),
+    "environment-sensor-system": (Stage.REAL, Stage.REAL, Stage.SIMULATED),
+}
+
+
+def _dot_centres(root: ET.Element) -> dict[str, tuple[str, str]]:
+    return {c.get("id"): (c.get("cx"), c.get("cy")) for c in dots(root)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("show_unselected", [False, True])
+def test_configuration_charts_overlay_the_bench_chart(seed, show_unselected):
+    """Every dot of every configuration chart sits where the bench chart
+    puts the same element, fanned ones included."""
+    bench = random_bench(
+        random.Random(seed), f"fan-{seed}", max_elements=4, count_cap=120, stages=_ONE_STAGE
+    )
+    fanned = [
+        leaf.id for leaf in leaf_dimensions(bench)
+        if len({e.stage for e in bench.elements if e.dimension == leaf.id})
+        < sum(e.dimension == leaf.id for e in bench.elements)
+    ]
+    assert fanned  # some leaf holds two elements on one stage
+    style = ChartStyle(show_unselected=show_unselected)
+    placed = _dot_centres(parse(render_bench_chart(bench, style)))
+    for config in enumerate_configurations(bench):
+        drawn = _dot_centres(parse(render_configuration_chart(config, bench, style)))
+        expected = placed if show_unselected else {
+            f"dot-{eid}": placed[f"dot-{eid}"] for eid in config.selected_ids()
+        }
+        assert drawn == expected

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -310,7 +311,9 @@ REUSE_SEQUENCES = {
 
 
 @pytest.mark.parametrize("name", sorted(REUSE_SEQUENCES))
-def test_reused_parser_matches_fresh_parsers(tmp_path, capsys, name):
+def test_reused_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch, name):
+    # The parsers under test are argparse's; the plain pass keeps no state.
+    monkeypatch.setattr(cli, "_plain", lambda argv: None)
     out = tmp_path / "out.file"
 
     def replay(fresh: bool) -> list:
@@ -397,27 +400,88 @@ def _invocation(argv: list[str], out: Path, capsys) -> tuple:
 
 
 def test_argv_corpus_parses_as_the_full_parser_parses_it(tmp_path, monkeypatch, capsys):
-    """``run`` hands an argv straight to the parser of the subcommand it
-    names; exit codes, both streams and the written file are the full
-    parser's, which runs only for an argv that names no subcommand first or
-    leaves arguments over."""
+    """``run`` reads a plainly spelled argv by the grammar table and hands
+    any other straight to the parser of the subcommand it names; exit codes,
+    both streams and the written file are the full parser's, which runs
+    only for an argv that names no subcommand first or leaves arguments
+    over."""
     out = tmp_path / "out.file"
     parser, _ = cli._parser()
-    full_runs = []
-    parse_args = parser.parse_args
+    full_runs, plain_reads = [], []
+    parse_args, plain = parser.parse_args, cli._plain
     monkeypatch.setattr(
         parser, "parse_args", lambda argv: full_runs.append(argv) or parse_args(argv)
     )
+    monkeypatch.setattr(
+        cli, "_plain", lambda argv: (args := plain(argv)) and (plain_reads.append(argv) or args)
+    )
     direct = [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
     fallbacks = len(full_runs)
+    monkeypatch.setattr(cli, "_plain", lambda argv: None)
     monkeypatch.setattr(cli, "_parse", parse_args)
     assert direct == [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
     assert fallbacks == len(LEFT_OVER_ARGVS) + len(NO_COMMAND_ARGVS)
+    out_path = str(out)
+    assert plain_reads == [[arg.format(out=out_path) for arg in argv] for argv in VALID_ARGVS]
     results = dict(zip(map(tuple, ARGV_CORPUS), direct))
     assert [results[tuple(argv)][0] for argv in VALID_ARGVS] == [0] * len(VALID_ARGVS)
     for argv in LEFT_OVER_ARGVS:
         code, _, err, _ = results[tuple(argv)]
         assert code == 2 and err.splitlines()[0] == TOP_LEVEL_USAGE
+
+
+def _generated_argvs(command: str, rng) -> list[list[str]]:
+    """Argvs for one subcommand from its grammar: full, abbreviated and
+    ``=``-joined spellings, repeats, ``--``, ``-h``, bad ints, negative and
+    empty values, missing and extra arguments, in random orders."""
+    _, _, positionals, options = cli._GRAMMAR[command]
+    values = ["sil", "3", "0", "-3", "", "x", " 7 ", "1_0", "\u0663", "-", "--", "-h", "a b"]
+    pieces = [[value] for value in ("reg.json", "suite.json", "extra", "", "-x", "--")]
+    pieces += [["-h"], ["--help"], ["--bogus"], ["--bogus", "1"]]
+    for flags, (kind, _) in options.items():
+        long = flags[-1]
+        for spelling in (*flags, long[:-1], long[:4]):
+            if kind is None:
+                pieces += [[spelling], [spelling + "=1"]]
+            else:
+                pieces += [[spelling, value] for value in values]
+                pieces += [[spelling + "=" + value] for value in values[:3]]
+                pieces.append([spelling])
+        if flags[0] == "-o":
+            pieces.append(["-ofile.svg"])
+    # A valid argv of full spellings, to reorder and to break.
+    valid = [name for name, _ in zip(("reg.json", "suite.json"), positionals)]
+    for flags, (kind, _) in options.items():
+        valid += [flags[-1]] if kind is None else [flags[-1], "3"]
+    argvs = [[command, *valid]]
+    for _ in range(300):
+        chosen = [rng.choice(pieces) for _ in range(rng.randrange(6))]
+        argvs.append([command, *(token for piece in chosen for token in piece)])
+        shuffled = valid[:]
+        rng.shuffle(shuffled)  # option names apart from their values, too
+        argvs.append([command, *shuffled])
+        cut = valid[:]
+        del cut[rng.randrange(len(cut))]
+        argvs.append([command, *cut, *rng.choice(pieces)])
+    return argvs
+
+
+@pytest.mark.parametrize("command", sorted(cli._GRAMMAR))
+def test_plain_pass_declines_or_agrees_with_argparse(command, capsys):
+    """On generated argvs the plain pass either declines or gives the
+    namespace argparse gives."""
+    read = 0
+    for argv in _generated_argvs(command, random.Random(command)):
+        args = cli._plain(argv)
+        try:
+            expected = cli._parse(argv)
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        if args is not None:
+            assert expected is not None and vars(args) == vars(expected), argv
+            read += 1
+    assert read >= 20  # it declines the odd spelling, not every argv
 
 
 def test_parser_built_on_first_run_not_on_import(tmp_path):
@@ -431,8 +495,9 @@ def counting_init(self, *args, **kwargs):
 argparse.ArgumentParser.__init__ = counting_init
 import benchlattice, benchlattice.cli
 counts = [len(built)]
-for _ in range(3):
-    benchlattice.cli.run(["validate", {SIL!r}])
+# A plainly spelled argv builds no parser; an abbreviated one needs them.
+for argv in (["validate", {SIL!r}], *[["enumerate", {SIL!r}, "--be", "sil", "--count"]] * 3):
+    assert benchlattice.cli.run(argv) == 0
     counts.append(len(built))
 print(json.dumps(counts), file=sys.stderr)
 """
@@ -442,8 +507,8 @@ print(json.dumps(counts), file=sys.stderr)
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    on_import, first, second, third = json.loads(proc.stderr)
-    assert on_import == 0
+    on_import, plain, first, second, third = json.loads(proc.stderr)
+    assert on_import == plain == 0
     assert first > 0  # the parser and its subcommand parsers
     assert second == third == first
 

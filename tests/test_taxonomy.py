@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pickle
 import random
+import warnings
 from benchlattice import replace
 
 import pytest
 
+from benchlattice import taxonomy
 from benchlattice.configuration import ConfigurationSpace
 from benchlattice.errors import (
     AlreadySubstantiated,
@@ -293,9 +295,11 @@ def test_missing_canonical_dimension_rejected():
         validate_bench(broken)
 
 
-def _reference_leaves(nodes):
-    """Leaves by the documented order, sorted from scratch: canonical rank,
-    each parent followed by its subs, declaration order among equals."""
+def _reference_layout(nodes):
+    """The tree by the documented order, sorted from scratch (canonical
+    rank, each parent followed by its subs, declaration order among
+    equals), its leaves and their ranks: ``taxonomy._layout`` without its
+    shortcut for the canonical tree."""
     position = {node.id: i for i, node in enumerate(nodes)}
     rank = {dim_id: i for i, dim_id in enumerate(CANONICAL_DIMENSION_IDS)}
 
@@ -303,9 +307,14 @@ def _reference_leaves(nodes):
         anchor = node.id if node.parent is None else node.parent
         return (rank.get(anchor, len(rank)), node.parent is not None, position[node.id])
 
-    ordered = sorted(nodes, key=key)
+    ordered = tuple(sorted(nodes, key=key))
     parents = {node.parent for node in ordered if node.parent is not None}
-    return tuple(node for node in ordered if node.id not in parents)
+    leaves = tuple(node for node in ordered if node.id not in parents)
+    return ordered, leaves, {node.id: i for i, node in enumerate(leaves)}
+
+
+def _reference_leaves(nodes):
+    return _reference_layout(nodes)[1]
 
 
 def _sub(sub_id, parent):
@@ -441,3 +450,107 @@ def test_a_sub_dimension_whose_parent_is_missing_misses_a_canonical_dimension():
     with pytest.raises(TaxonomyError) as excinfo:
         validate_bench(TestBench("b", "b", tree))
     assert str(excinfo.value) == "bench 'b' misses canonical dimension 'scenery'"
+
+
+def test_a_canonical_id_held_by_a_sub_dimension_cannot_be_substantiated_further():
+    # The canonical scenery node dropped, scenery a sub-dimension of the test
+    # object and road one of scenery: two levels, whose leaves would lack both
+    # the test object and scenery.
+    tree = (
+        *(n for n in _CANONICAL_TREE if n.id != "scenery"),
+        _sub("scenery", "test-object"),
+        _sub("road", "scenery"),
+    )
+    elements = [make_element(f"{leaf.id}-el", leaf.id) for leaf in _reference_leaves(tree)]
+    with pytest.raises(TaxonomyError) as excinfo:
+        validate_bench(with_elements(TestBench("b", "b", tree), elements))
+    assert str(excinfo.value) == (
+        "sub-dimension 'road' hangs off non-canonical 'scenery'; "
+        "substantiation depth is one level"
+    )
+
+
+def _outcome(bench):
+    """What validating ``bench`` and listing its leaves give: the values or
+    the error, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = validate_bench(bench)
+        except TaxonomyError as exc:
+            result = (type(exc), str(exc))
+    return leaf_dimensions(bench), result, [(w.category, str(w.message)) for w in caught]
+
+
+def _flipped(tree, *ids):
+    return tuple(replace(n, combinable=not n.combinable) if n.id in ids else n for n in tree)
+
+
+def _elements_for(tree, *extra):
+    leaves = _reference_layout(tree)[1]
+    return [make_element(f"{leaf.id}-el", leaf.id) for leaf in leaves] + [
+        make_element(elem_id, dimension) for elem_id, dimension in extra
+    ]
+
+
+_LIBRARY_TREES = {
+    "duplicate-dimension": (*_CANONICAL_TREE, _sub("scenery-a", "scenery"),
+                            _sub("scenery-a", "scenery")),
+    "missing-canonical": _CANONICAL_TREE[:-1],
+    "sub-of-a-sub": (*_CANONICAL_TREE, _sub("radar", "environment-sensor-system"),
+                     _sub("lidar", "radar")),
+    "sub-of-an-unknown-canonical": (
+        *_CANONICAL_TREE, DimensionNode("holodeck", "Holodeck", DimensionKind.CANONICAL),
+        _sub("deck", "holodeck"),
+    ),
+    "sub-of-a-sub-with-a-canonical-id": (
+        *(n for n in _CANONICAL_TREE if n.id != "scenery"), _sub("scenery", "test-object"),
+        _sub("road", "scenery"),
+    ),
+    "canonical-ids-one-a-sub": (
+        *_CANONICAL_TREE[:4], _sub("scenery", "test-object"), *_CANONICAL_TREE[5:],
+    ),
+    "test-object-substantiated": (*_CANONICAL_TREE, _sub("planner", "test-object")),
+    "canonical-reversed": _CANONICAL_TREE[::-1],
+    "canonical-flags-flipped": _flipped(_CANONICAL_TREE, "scenery", "movable-objects"),
+}
+
+
+def _layout_cases():
+    for seed in range(40):
+        rng = random.Random(seed)
+        bench = random_bench(rng, f"rand-{seed}", allow_substantiation=seed % 2 == 1)
+        yield f"random-{seed}", bench
+        yield f"random-{seed}-flags", TestBench(
+            bench.id, bench.id, _flipped(bench.dimension_tree, "test-object", "scenery"),
+            bench.elements,
+        )
+    for name, tree in _LIBRARY_TREES.items():
+        yield name, TestBench("b", "b", tree, tuple(_elements_for(tree)))
+    # Each element rule broken, in reverse declaration order.
+    road = (*_CANONICAL_TREE, _sub("road", "scenery"))
+    for name, tree, extra, empty in [
+        ("duplicate-element", _CANONICAL_TREE, [("scenery-el", "scenery")], None),
+        ("unknown-dimension", _CANONICAL_TREE, [("x", "holodeck")], None),
+        ("element-on-a-parent", road, [("y", "scenery")], None),
+        ("empty-leaf", _CANONICAL_TREE, [], "v2x-communication"),
+    ]:
+        elements = [e for e in _elements_for(tree, *extra) if e.dimension != empty]
+        yield name, TestBench("b", "b", tree, tuple(elements[::-1]))
+
+
+@pytest.mark.parametrize("bench", [pytest.param(b, id=name) for name, b in _layout_cases()])
+def test_canonical_layout_shortcut_matches_the_general_path(bench, monkeypatch):
+    """Validating a bench and listing its leaves give the same values, or
+    the same error, and the same warnings, with and without the layout
+    that ``_layout`` returns for the plain canonical tree unsorted and
+    unchecked; the shortcut is taken exactly for that tree."""
+    tree = bench.dimension_tree
+    plain = [n.id for n in tree] == list(CANONICAL_DIMENSION_IDS) and all(
+        n.parent is None for n in tree
+    )
+    assert (taxonomy._layout(tree)[2] is taxonomy._CANONICAL_ORDER) is plain
+    assert taxonomy._layout(tree) == _reference_layout(tree)
+    shortcut = _outcome(bench)
+    monkeypatch.setattr(taxonomy, "_layout", _reference_layout)
+    assert shortcut == _outcome(bench)
