@@ -82,9 +82,10 @@ def _attr(value: str) -> str:
 
 
 class _Layout:
-    """Shared geometry: spoke angles and dot positions, of every element or
-    only of the ``drawn`` ids. Either way a dot sits where the bench chart
-    puts it: its fan counts every element of its leaf and stage."""
+    """Shared geometry: spoke angles and the dots to draw, in spoke order,
+    each at its position: every element, or only the ``drawn`` ids. Either
+    way a dot sits where the bench chart puts it: its fan counts every
+    element of its leaf and stage."""
 
     def __init__(
         self, space: ConfigurationSpace, style: ChartStyle, drawn: set[str] | None = None
@@ -201,16 +202,11 @@ def _chart(
     selected = set() if config is None else {
         eid for ids in config.selection.values() for eid in ids
     }
-    draw_all = config is None or style.show_unselected
-    layout = _Layout(space, style, None if draw_all else selected)
+    drawn = None if config is None or style.show_unselected else selected
+    layout = _Layout(space, style, drawn)
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
-    for ids in space.ids_per_leaf:
-        for eid in ids:
-            if eid in selected:
-                body.append(_dot(layout, eid, selected=True))
-            elif draw_all:
-                body.append(_dot(layout, eid, selected=False))
+    body += [_dot(layout, eid, eid in selected) for eid in layout.dot_position]
     body.append("  </g>")
 
     body.append('  <g id="composition">')

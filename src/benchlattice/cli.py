@@ -156,8 +156,9 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 # Each subcommand's grammar: its help, its handler, its positionals and its
 # options, each by its flags (the long one last names its destination) as
-# (value type, required); a value type of None marks a switch. ``_parser``
-# builds the argparse parsers from it and ``_plain`` reads plain argvs by it.
+# (value type, required); a value type of None marks a switch. ``_plain``
+# reads plain argvs by it and ``_parser`` builds the one argparse parser,
+# which reads every other argv, from it.
 _GRAMMAR: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, ...], dict]] = {
     "validate": ("load a registry and report every bench", cmd_validate, ("registry",), {}),
     "enumerate": ("list or count a bench's configurations", cmd_enumerate, ("registry",), {
@@ -176,10 +177,10 @@ _GRAMMAR: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own, built from ``_GRAMMAR``
-    on the first run that needs them, not at import. Parsing leaves them
-    unchanged, so every later call in the process reuses them."""
+def _parser() -> argparse.ArgumentParser:
+    """The full parser, built from ``_GRAMMAR`` on the first run that needs
+    it, not at import. Parsing leaves it unchanged, so every later call in
+    the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="benchlattice",
         description=(
@@ -198,7 +199,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
             else:
                 p.add_argument(*flags, type=kind, required=required)
         p.set_defaults(handler=handler)
-    return parser, sub.choices
+    return parser
 
 
 # Per subcommand, what ``_plain`` reads: the handler, the positionals and
@@ -215,13 +216,14 @@ _PLAIN = {
 def _plain(argv: Sequence[str]) -> argparse.Namespace | None:
     """``argv`` read by ``_GRAMMAR`` in one pass, when it is plainly spelled:
     a subcommand first, every option in full and at most once, each value
-    the next token, and no other token starting with ``-``. Argparse reads
-    such an argv to the same namespace; None for any other argv."""
+    the next token, and no other token starting with ``-``. The full parser
+    reads such an argv to the same namespace, ``command`` included; None
+    for any other argv."""
     grammar = _PLAIN.get(argv[0]) if argv else None
     if grammar is None:
         return None
     handler, positionals, by_flag = grammar
-    values: dict[str, Any] = {"handler": handler}
+    values: dict[str, Any] = {"command": argv[0], "handler": handler}
     free = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -251,26 +253,11 @@ def _plain(argv: Sequence[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it. The full parser hands
-    everything after the subcommand's name to that subcommand's parser, so
-    that parser is run directly; only an argv that names no subcommand
-    first, or leaves arguments over, which the full parser reports with its
-    own usage, goes through the full parser."""
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = _plain(argv) or _parse(argv)
+        args = _plain(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -32,10 +32,10 @@ from .errors import (
     BenchlatticeError, DocumentSyntaxError, MissingLayer, SchemaError, UnknownDimension,
     ValidationError,
 )
-from .frozen import Frozen, replace
+from .frozen import Frozen
 from .taxonomy import (
-    _BY_NAME, _CANONICAL_ORDER, _FLOAT_MAX, CapacityBudget, Characteristics, DimensionKind,
-    DimensionNode, Element, Stage, TestBench, _canonical_nodes, _invariants, _sub_dimensions,
+    _BY_NAME, _FLOAT_MAX, CapacityBudget, Characteristics, DimensionKind, DimensionNode, Element,
+    Stage, TestBench, _canonical_nodes, _invariants, _sub_dimensions,
 )
 from .testcase import (
     EvaluationCriterion, ObjectDescriptor, ScenarioLayers, StageOverrides, TestCase,
@@ -43,7 +43,6 @@ from .testcase import (
 )
 
 if TYPE_CHECKING:  # plans are only written here: loading imports no solver
-    from collections.abc import Iterator
     from fractions import Fraction
 
     from .assignment import AssignmentPlan
@@ -537,23 +536,17 @@ _REGISTRY = _document("benches", "bench", _BENCH)
 
 def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
     """The bench of a fragment ``_BENCH`` has loaded, checked against the
-    invariants and built when called: canonical flags, substantiations in
-    document order, then sub-dimension flags;
-    :func:`~benchlattice.taxonomy._invariants` orders the tree and the
-    elements."""
+    invariants and built when called: canonical nodes with their flags,
+    then substantiations in document order, each sub-dimension with its
+    own flag or its parent's; :func:`~benchlattice.taxonomy._invariants`
+    orders the tree and the elements."""
     bench_id, flags = fragment["id"], fragment.get("combinable", {})
     nodes = _canonical_nodes(flags)
     for parent, names in fragment.get("substantiations", {}).items():
-        nodes += _sub_dimensions(bench_id, nodes, parent, names)
-    sub_flags = flags.keys() - _CANONICAL_ORDER.keys()
-    if sub_flags:
-        unknown = sorted(sub_flags - {node.id for node in nodes})
-        if unknown:
-            raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
-        nodes = [
-            replace(node, combinable=flags[node.id]) if node.id in sub_flags else node
-            for node in nodes
-        ]
+        nodes += _sub_dimensions(bench_id, nodes, parent, names, flags)
+    unknown = sorted(flags.keys() - {node.id for node in nodes})
+    if unknown:
+        raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
     columns = fragment.get("elements", _NO_ELEMENTS)
     tree, order = _invariants(bench_id, nodes, columns[0], columns[2])
     display_name = fragment.get("display_name", bench_id)
@@ -768,21 +761,7 @@ def save_budget(budget: CapacityBudget, path: str | os.PathLike[str]) -> None:
 def plan_to_raw(plan: AssignmentPlan) -> dict[str, Any]:
     """The plan document of ``plan``, each exact cost and time converted to
     a float once. Raises :class:`BenchlatticeError` naming the first value,
-    in the order converted, that is past the float range."""
-    try:
-        return _plan_document(plan)
-    except OverflowError:
-        for location, value in _plan_numbers(plan):
-            try:
-                float(value)
-            except OverflowError:
-                raise BenchlatticeError(
-                    f"{location}: value past the float range; no plan is written"
-                ) from None
-        raise
-
-
-def _plan_document(plan: AssignmentPlan) -> dict[str, Any]:
+    in document order, that is past the float range."""
     return {
         "format_version": FORMAT_VERSION,
         "assignments": {
@@ -791,8 +770,12 @@ def _plan_document(plan: AssignmentPlan) -> dict[str, Any]:
                 "config_index": a.config_index,
                 "method": a.method.value,
                 "selection": {leaf: list(ids) for leaf, ids in a.configuration.selection.items()},
-                "execution_time_s": float(a.cost.execution_time),
-                "monetary_cost": float(a.cost.monetary_cost),
+                "execution_time_s": _float(
+                    a.cost.execution_time, "assignments", tc_id, "execution_time_s"
+                ),
+                "monetary_cost": _float(
+                    a.cost.monetary_cost, "assignments", tc_id, "monetary_cost"
+                ),
             }
             for tc_id, a in plan.assignments.items()
         },
@@ -813,23 +796,23 @@ def _plan_document(plan: AssignmentPlan) -> dict[str, Any]:
             }
             for case in plan.unassignable
         ],
-        "total_cost": float(plan.total_cost),
+        "total_cost": _float(plan.total_cost, "total_cost"),
         "total_bench_time_s": {
-            bench_id: float(seconds)
+            bench_id: _float(seconds, "total_bench_time_s", bench_id)
             for bench_id, seconds in sorted(plan.total_bench_time.items())
         },
     }
 
 
-def _plan_numbers(plan: AssignmentPlan) -> Iterator[tuple[str, Fraction]]:
-    """Each number of the plan document with its location, in the order
-    :func:`_plan_document` converts them."""
-    for tc_id, a in plan.assignments.items():
-        yield f"assignments.{tc_id}.execution_time_s", a.cost.execution_time
-        yield f"assignments.{tc_id}.monetary_cost", a.cost.monetary_cost
-    yield "total_cost", plan.total_cost
-    for bench_id, seconds in sorted(plan.total_bench_time.items()):
-        yield f"total_bench_time_s.{bench_id}", seconds
+def _float(value: Fraction, *location: str) -> float:
+    """``float(value)``; past the float range, a :class:`BenchlatticeError`
+    at ``location``, its keys joined by dots."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise BenchlatticeError(
+            f"{'.'.join(location)}: value past the float range; no plan is written"
+        ) from None
 
 
 def save_plan(plan: AssignmentPlan, path: str | os.PathLike[str]) -> dict[str, Any]:

@@ -309,16 +309,17 @@ def substantiate_dimension(
     sub-dimension inherits the parent's combinable flag. Depth is limited to
     one level.
     """
-    subs = _sub_dimensions(bench.id, bench.dimension_tree, parent, sub_names, bench.elements)
+    subs = _sub_dimensions(bench.id, bench.dimension_tree, parent, sub_names, {}, bench.elements)
     return replace(bench, dimension_tree=_layout(bench.dimension_tree + subs)[0])
 
 
 def _sub_dimensions(
     bench_id: str, nodes: Sequence[DimensionNode], parent: str, sub_names: Sequence[str],
-    elements: Iterable[Element] = (),
+    flags: Mapping[str, bool], elements: Iterable[Element] = (),
 ) -> tuple[DimensionNode, ...]:
     """The new nodes of :func:`substantiate_dimension` on a bench of these
-    nodes and elements, after its checks."""
+    nodes and elements, after its checks. Each takes its flag from
+    ``flags`` by its id, or else its parent's flag."""
     if not sub_names:
         raise EmptySubNames(f"substantiating {parent!r} needs at least one name")
     parent_node = _node(bench_id, nodes, parent)
@@ -348,7 +349,7 @@ def _sub_dimensions(
                 display_name=name,
                 kind=DimensionKind.SUB_DIMENSION,
                 parent=parent,
-                combinable=parent_node.combinable,
+                combinable=flags.get(sub_id, parent_node.combinable),
             )
         )
     return tuple(subs)

@@ -401,12 +401,10 @@ def _invocation(argv: list[str], out: Path, capsys) -> tuple:
 
 def test_argv_corpus_parses_as_the_full_parser_parses_it(tmp_path, monkeypatch, capsys):
     """``run`` reads a plainly spelled argv by the grammar table and hands
-    any other straight to the parser of the subcommand it names; exit codes,
-    both streams and the written file are the full parser's, which runs
-    only for an argv that names no subcommand first or leaves arguments
-    over."""
+    every other to the full parser; exit codes, both streams and the
+    written file are the full parser's."""
     out = tmp_path / "out.file"
-    parser, _ = cli._parser()
+    parser = cli._parser()
     full_runs, plain_reads = [], []
     parse_args, plain = parser.parse_args, cli._plain
     monkeypatch.setattr(
@@ -418,9 +416,8 @@ def test_argv_corpus_parses_as_the_full_parser_parses_it(tmp_path, monkeypatch, 
     direct = [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
     fallbacks = len(full_runs)
     monkeypatch.setattr(cli, "_plain", lambda argv: None)
-    monkeypatch.setattr(cli, "_parse", parse_args)
     assert direct == [_invocation(argv, out, capsys) for argv in ARGV_CORPUS]
-    assert fallbacks == len(LEFT_OVER_ARGVS) + len(NO_COMMAND_ARGVS)
+    assert fallbacks == len(ARGV_CORPUS) - len(VALID_ARGVS)
     out_path = str(out)
     assert plain_reads == [[arg.format(out=out_path) for arg in argv] for argv in VALID_ARGVS]
     results = dict(zip(map(tuple, ARGV_CORPUS), direct))
@@ -474,7 +471,7 @@ def test_plain_pass_declines_or_agrees_with_argparse(command, capsys):
     for argv in _generated_argvs(command, random.Random(command)):
         args = cli._plain(argv)
         try:
-            expected = cli._parse(argv)
+            expected = cli._parser().parse_args(argv)
         except SystemExit:
             expected = None
         capsys.readouterr()

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 import benchlattice
 import benchlattice.data
-from benchlattice import registry
 from benchlattice.assignment import CapacityBudget, assign_greedy
 from benchlattice.cli import _named_bench
 from benchlattice.chart import render_bench_chart
@@ -35,6 +34,7 @@ from benchlattice.errors import (
     DuplicateId,
     EmptyLeaf,
     SchemaError,
+    UnknownDimension,
     ValidationError,
 )
 from benchlattice.registry import (
@@ -1124,16 +1124,43 @@ def test_a_plan_value_past_the_float_range_is_refused_by_location(
 
 
 def test_a_plan_in_the_float_range_is_written_without_locating_values(
-    tmp_path, fleet, demo_suite, monkeypatch
+    tmp_path, fleet, demo_suite
 ):
-    # Values are located only after a conversion failed: the plan writer
-    # never walks them on its way to a written plan.
-    monkeypatch.setattr(registry, "_plan_numbers", None)
     plan = assign_greedy(demo_suite.test_cases, fleet, overrides=demo_suite.overrides)
     path = tmp_path / "demo.plan.json"
     document = save_plan(plan, path)
     assert document == plan_to_raw(plan)
     assert path.read_bytes() == _json_dumps(document).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "parent_flag, radar_flag, camera_flag",
+    [(None, True, False), (True, False, True)],
+    ids=["canonical-parent", "overridden-parent"],
+)
+def test_a_sub_dimension_takes_its_own_flag_or_its_parents(parent_flag, radar_flag, camera_flag):
+    flags = {"radar": radar_flag}
+    if parent_flag is not None:
+        flags["environment-sensor-system"] = parent_flag
+    bench = bench_from_raw(_bench_fragment(combinable=flags))
+    combinable = {node.id: node.combinable for node in bench.dimension_tree}
+    assert combinable["radar"] is radar_flag
+    # The unflagged sibling keeps its parent's flag, the canonical default
+    # or the registry's override.
+    assert combinable["camera"] is combinable["environment-sensor-system"] is camera_flag
+    assert combinable["movable-objects"] is True and combinable["scenery"] is False
+
+
+@pytest.mark.parametrize("elements", [None, []], ids=["elements", "no-elements"])
+def test_a_flag_for_a_sub_dimension_no_substantiation_makes_is_refused(elements):
+    # No substantiation makes "lidar" or "gnss". Their flags are refused
+    # before the elements are checked, which an empty list would fail.
+    fragment = _bench_fragment(combinable={"lidar": True, "gnss": False, "radar": True})
+    if elements is not None:
+        fragment["elements"] = elements
+    with pytest.raises(UnknownDimension) as excinfo:
+        bench_from_raw(fragment)
+    assert str(excinfo.value) == "combinable overrides for unknown dimensions: ['gnss', 'lidar']"
 
 
 @pytest.mark.parametrize("elements", [[], None], ids=["empty", "absent"])
