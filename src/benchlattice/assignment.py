@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .configuration import ConfigurationSpace, TestBenchConfiguration, TestMethodName
 from .errors import InstanceTooLarge, SchemaError
 from .frozen import Frozen
-from .taxonomy import CANONICAL_DIMENSION_IDS, CapacityBudget, TestBench
+from .taxonomy import CANONICAL_DIMENSION_IDS, CapacityBudget, Element, TestBench
 from .testcase import (
     RequirementProfile,
     StageOverrides,
@@ -179,7 +179,7 @@ def check_admissibility(
     """
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
-    codes = _refusals(space, profile)
+    codes = _refusals(space, {e.id: e for e in bench.elements}, profile)
     # An insertion-ordered set: the first occurrence of each violation wins.
     violations = dict.fromkeys(_missing(space, profile))
     for leaf_id in space.leaf_ids:  # an element's dimension is its leaf
@@ -202,13 +202,15 @@ _STAGE, _PURPOSE = ReasonCode.STAGE_NOT_ADMISSIBLE, ReasonCode.NOT_VALIDATED_FOR
 _REASONS = ((), (_STAGE,), (_PURPOSE,), (_STAGE, _PURPOSE))  # by _refusals code
 
 
-def _refusals(space: ConfigurationSpace, profile: RequirementProfile) -> dict[str, int]:
+def _refusals(
+    space: ConfigurationSpace, elements: Mapping[str, Element], profile: RequirementProfile
+) -> dict[str, int]:
     """Each element's code by id, in leaf order: 0 when it passes on its own,
     else 1 if the entry governing its leaf refuses its stage (rule b) plus 2
     if it is not validated for the purpose (rule c). Stages are compared as
     bits (:attr:`ConfigurationSpace.stage_bit`), and not at all on a leaf
-    whose entry admits every stage."""
-    purpose, elements, bit = profile.purpose, space.elements, space.stage_bit
+    whose entry admits every stage; ``elements`` are the bench's by id."""
+    purpose, bit = profile.purpose, space.stage_bit
     codes = {}
     for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
         entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
@@ -231,15 +233,14 @@ def estimate_cost(
     that time (in hours) times the summed cost rates, plus every selected
     element's setup cost.
     """
-    space = ConfigurationSpace(bench)
-    space.require_same_bench(config)
-    return _cost(space, config, tc)
+    ConfigurationSpace(bench).require_same_bench(config)
+    return _cost({e.id: e for e in bench.elements}, config, tc)
 
 
 def _cost(
-    space: ConfigurationSpace, config: TestBenchConfiguration, tc: TestCase
+    elements: Mapping[str, Element], config: TestBenchConfiguration, tc: TestCase
 ) -> CostEstimate:
-    selected = [space.elements[eid] for eid in config.selected_ids()]
+    selected = [elements[eid] for eid in config.selected_ids()]
 
     execution_time = Fraction(tc.scenario.nominal_duration) * max(
         Fraction(e.characteristics.time_factor) for e in selected
@@ -254,22 +255,23 @@ def _cost(
 
 
 class _Prices:
-    """Each element's time factor, cost rate and setup cost in one space as
-    integers ``(t, r, s)`` over one common denominator ``scale``, so that
-    the values are exactly t/scale, r/scale and s/scale (floats are dyadic:
-    ``scale`` is a power of two)."""
+    """One bench's space, its elements by id, and each element's time
+    factor, cost rate and setup cost as integers ``(t, r, s)`` over one
+    common denominator ``scale``, so that the values are exactly t/scale,
+    r/scale and s/scale (floats are dyadic: ``scale`` is a power of two)."""
 
-    def __init__(self, space: ConfigurationSpace) -> None:
+    def __init__(self, bench: TestBench) -> None:
+        self.space = ConfigurationSpace(bench)
+        self.elements = elements = {e.id: e for e in bench.elements}
         ratios = {}
         scale = 1
-        for elem_id, elem in space.elements.items():
+        for elem_id, elem in elements.items():
             c = elem.characteristics
             ratios[elem_id] = (_, td), (_, rd), (_, sd) = (
                 c.time_factor.as_integer_ratio(), c.cost_rate.as_integer_ratio(),
                 c.setup_cost.as_integer_ratio(),
             )
             scale = math.lcm(scale, td, rd, sd)
-        self.space = space
         self.scale = scale
         self.of: dict[str, tuple[int, ...]] = {
             elem_id: (t * (scale // td), r * (scale // rd), s * (scale // sd))
@@ -307,7 +309,7 @@ class _Options:
         fixed = SECONDS_PER_HOUR * dd * prices.scale
         #: Each element's code (:func:`_refusals`) and the bench's coverage
         #: violations (:func:`_missing`), which report() reads.
-        self.codes = codes = _refusals(space, profile)
+        self.codes = codes = _refusals(space, prices.elements, profile)
         self.missing = _missing(space, profile)
         # Per leaf, each element that passes on its own as (t, dn·r,
         # 3600·dd·scale·s, singleton offset).
@@ -361,7 +363,7 @@ class _Options:
             if best is None or (value, index) < best:
                 best = (value, index)
                 points.append(_Candidate(
-                    Fraction(value, money), space.bench.id, index,
+                    Fraction(value, money), space.bench_id, index,
                     Fraction(dn * time, dd * prices.scale), space,
                 ))
         self.frontier = tuple(points)
@@ -383,12 +385,13 @@ class _Options:
             return AdmissibilityReport(admissible=True, violations=())
         # With nothing admissible, every configuration is rejected, and every
         # element is selected by one: the union of their violations is the
-        # coverage violations plus every element's own.
-        elements = self.space.elements
+        # coverage violations plus every element's own, on its leaf.
+        codes, space = self.codes, self.space
         union = set(self.missing)
         union.update(
-            Violation(elements[elem_id].dimension, reason)
-            for elem_id, code in self.codes.items() for reason in _REASONS[code]
+            Violation(leaf_id, reason)
+            for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf)
+            for elem_id in elem_ids for reason in _REASONS[codes[elem_id]]
         )
         return AdmissibilityReport(
             admissible=False,
@@ -423,9 +426,7 @@ def _analyse(
     if len(set(bench_ids)) != len(bench_ids):
         raise ValueError(f"duplicate bench ids: {sorted(bench_ids)}")
 
-    prices = [
-        _Prices(ConfigurationSpace(bench)) for bench in sorted(benches, key=lambda b: b.id)
-    ]
+    prices = [_Prices(bench) for bench in sorted(benches, key=lambda b: b.id)]
     analysed = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
@@ -434,7 +435,7 @@ def _analyse(
 
 
 def _reports(options: Sequence[_Options]) -> dict[str, AdmissibilityReport]:
-    return {opts.space.bench.id: opts.report() for opts in options}
+    return {opts.space.bench_id: opts.report() for opts in options}
 
 
 def _candidates(options: Sequence[_Options]) -> list[_Candidate]:

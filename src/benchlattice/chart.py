@@ -81,6 +81,13 @@ def _attr(value: str) -> str:
     return _text(value).replace('"', "&quot;")
 
 
+def _direction(angle_deg: float) -> tuple[float, float]:
+    """The sine and cosine of an angle in degrees: 12 o'clock is 0 degrees,
+    growing clockwise."""
+    rad = math.radians(angle_deg)
+    return math.sin(rad), math.cos(rad)
+
+
 class _Layout:
     """Shared geometry: spoke angles and the dots to draw, in spoke order,
     each at its position: every element, or only the ``drawn`` ids. Either
@@ -108,15 +115,15 @@ class _Layout:
                     step = math.ceil(n / 2) * style.offset_step
                     offset = step if n % 2 == 1 else -step
                 radius = style.stage_radii[bit.bit_length()] * self.center
-                self.dot_position[eid] = self.point(radius, self.spoke_angle[leaf.id] + offset)
+                self.dot_position[eid] = self.point(
+                    radius, _direction(self.spoke_angle[leaf.id] + offset)
+                )
 
-    def point(self, radius: float, angle_deg: float) -> tuple[float, float]:
-        # 12 o'clock is 0 degrees, growing clockwise; SVG y points down.
-        rad = math.radians(angle_deg)
-        return (
-            self.center + radius * math.sin(rad),
-            self.center - radius * math.cos(rad),
-        )
+    def point(self, radius: float, direction: tuple[float, float]) -> tuple[float, float]:
+        """The point at ``radius`` from the centre in a :func:`_direction`;
+        SVG y points down."""
+        sin, cos = direction
+        return self.center + radius * sin, self.center - radius * cos
 
 
 def _ring_group(layout: _Layout) -> list[str]:
@@ -144,9 +151,9 @@ def _spoke_groups(layout: _Layout) -> list[str]:
     outer = style.stage_radii[3] * layout.center
     lines = []
     for leaf in layout.leaves:
-        angle = layout.spoke_angle[leaf.id]
-        tip = layout.point(outer, angle)
-        label = layout.point(style.label_radius * layout.center, angle)
+        direction = _direction(layout.spoke_angle[leaf.id])
+        tip = layout.point(outer, direction)
+        label = layout.point(style.label_radius * layout.center, direction)
         lines.append(f'  <g id="spoke-{_attr(leaf.id)}">')
         lines.append(
             f'    <line x1="{c}" y1="{c}" x2="{_fmt(tip[0])}" y2="{_fmt(tip[1])}" '
@@ -160,15 +167,14 @@ def _spoke_groups(layout: _Layout) -> list[str]:
     return lines
 
 
-def _dot(layout: _Layout, elem_id: str, selected: bool) -> str:
-    style = layout.style
-    x, y = layout.dot_position[elem_id]
+def _dot(elem_id: str, position: tuple[float, float], paint: str, selected: bool) -> str:
+    """One element's dot; ``paint`` is the chart's radius and fill attributes."""
+    x, y = position
     cls = "element-dot selected" if selected else "element-dot"
     stroke = ' stroke="#1a1a1a" stroke-width="1.00"' if selected else ""
     return (
         f'    <circle id="dot-{_attr(elem_id)}" class="{cls}" '
-        f'cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(style.dot_radius)}" '
-        f'fill="{_attr(style.dot_color)}"{stroke}/>'
+        f'cx="{_fmt(x)}" cy="{_fmt(y)}" {paint}{stroke}/>'
     )
 
 
@@ -206,7 +212,11 @@ def _chart(
     layout = _Layout(space, style, drawn)
     body = _ring_group(layout) + _spoke_groups(layout)
     body.append('  <g id="elements">')
-    body += [_dot(layout, eid, eid in selected) for eid in layout.dot_position]
+    paint = f'r="{_fmt(style.dot_radius)}" fill="{_attr(style.dot_color)}"'
+    body += [
+        _dot(eid, position, paint, eid in selected)
+        for eid, position in layout.dot_position.items()
+    ]
     body.append("  </g>")
 
     body.append('  <g id="composition">')

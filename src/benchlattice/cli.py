@@ -7,9 +7,10 @@ failure (including plans with unassignable test cases), 2 usage errors or a
 refused ``--exact`` instance. Configuration indices always refer to the
 deterministic enumeration order printed by ``enumerate``.
 
-Every command checks the whole registry and prints its warnings; the
-lookups (``enumerate``, ``classify``, ``chart``) then build only the bench
-``--bench`` names.
+Every command checks the whole registry and prints its warnings. Only
+``assign`` builds the benches' elements: ``validate`` and the lookups
+(``enumerate``, ``classify``, ``chart``) derive the configuration spaces
+they need from the registry's checked columns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import BenchlatticeError, InstanceTooLarge
 from .registry import (
     _checked_registry, load_budget, load_registry, load_suite, save_plan, write_text_atomic,
 )
-from .taxonomy import TestBench
 
 __all__ = ["run", "main"]
 
@@ -44,24 +44,24 @@ def _load(load: Callable[[str], _T], path: str) -> _T:
     return loaded
 
 
-def _named_bench(args: argparse.Namespace) -> TestBench:
-    """The bench ``--bench`` names. Every bench of the registry is checked,
-    but only this one is built."""
+def _named_space(args: argparse.Namespace) -> ConfigurationSpace:
+    """The configuration space of the bench ``--bench`` names. Every bench
+    of the registry is checked, but no element is built."""
     benches = _load(_checked_registry, args.registry)
-    build = benches.get(args.bench)
-    if build is None:
+    bench = benches.get(args.bench)
+    if bench is None:
         known = ", ".join(benches) or "none"
         raise BenchlatticeError(f"no bench {args.bench!r} in registry (available: {known})")
-    return build()
+    return bench.space()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    benches = _load(load_registry, args.registry)
-    for bench in benches:
-        space = ConfigurationSpace(bench)
+    benches = _load(_checked_registry, args.registry)
+    for bench in benches.values():
+        space = bench.space()
         print(
             f"{bench.id}: {len(space.leaves)} leaf dimensions, "
-            f"{len(bench.elements)} elements, "
+            f"{len(space.stage_bit)} elements, "
             f"{space.count} configurations"
         )
     print(f"OK: {len(benches)} bench(es) valid")
@@ -69,7 +69,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    space = ConfigurationSpace(_named_bench(args))
+    space = _named_space(args)
     if args.count_only:
         print(space.count)
         return 0
@@ -84,7 +84,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    space = ConfigurationSpace(_named_bench(args))
+    space = _named_space(args)
     config = None if args.config is None else space.at(args.config)
     write_text_atomic(args.output, _chart(space, config, ChartStyle()))
     print(f"wrote {args.output}")
@@ -92,7 +92,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    space = ConfigurationSpace(_named_bench(args))
+    space = _named_space(args)
     print(space.classify(space.at(args.config)).value)
     return 0
 

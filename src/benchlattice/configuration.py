@@ -23,11 +23,11 @@ import math
 import os
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
 from .frozen import Frozen
-from .taxonomy import DimensionNode, Element, Stage, TestBench, leaf_dimensions
+from .taxonomy import DimensionNode, Stage, TestBench, leaf_dimensions
 
 __all__ = [
     "DEFAULT_CONFIGURATION_CAP",
@@ -94,20 +94,43 @@ def configuration_cap(cap: int | None = None) -> int:
 class ConfigurationSpace:
     """The configurations of one bench, derived once from its structure.
 
-    Holds the leaves in spoke order, each leaf's canonical dimension, the
-    element map and each element's stage bit, the per-leaf element ids and
-    choice counts, and the mixed-radix weights of the enumeration order.
-    Building a space costs O(leaves + elements); :meth:`at` names any
-    configuration by index in O(leaves + elements) without materialising the
-    others, so lookups work far past the enumeration cap. Callers build one
-    space per bench and pass it along; the space never changes after
-    construction, except that it lists each leaf's choices and singletons
-    once, on first use.
+    Holds the bench id, the leaves in spoke order, each leaf's canonical
+    dimension, each element's stage bit, the per-leaf element ids and choice
+    counts, and the mixed-radix weights of the enumeration order. Building a
+    space costs O(leaves + elements); :meth:`at` names any configuration by
+    index in O(leaves + elements) without materialising the others, so
+    lookups work far past the enumeration cap. Callers build one space per
+    bench and pass it along; the space never changes after construction,
+    except that it lists each leaf's choices and singletons once, on first
+    use.
     """
 
     def __init__(self, bench: TestBench) -> None:
-        self.bench = bench
-        self.leaves: tuple[DimensionNode, ...] = leaf_dimensions(bench)
+        elements = bench.elements
+        self._derive(
+            bench.id, leaf_dimensions(bench), [e.id for e in elements],
+            [e.dimension for e in elements], [e.stage.bit for e in elements],
+        )
+
+    @classmethod
+    def from_columns(
+        cls, bench_id: str, leaves: tuple[DimensionNode, ...], ids: Sequence[str],
+        dimensions: Iterable[str], bits: Iterable[int],
+    ) -> ConfigurationSpace:
+        """The space of a bench given by its leaves in spoke order and its
+        elements' id, dimension and stage bit (:attr:`Stage.bit`) columns,
+        in the order the bench holds its elements; equal to the space of the
+        bench, and builds no element."""
+        space = cls.__new__(cls)
+        space._derive(bench_id, leaves, ids, dimensions, bits)
+        return space
+
+    def _derive(
+        self, bench_id: str, leaves: tuple[DimensionNode, ...], ids: Sequence[str],
+        dimensions: Iterable[str], bits: Iterable[int],
+    ) -> None:
+        self.bench_id = bench_id
+        self.leaves: tuple[DimensionNode, ...] = leaves
         self.leaf_ids: tuple[str, ...] = tuple(leaf.id for leaf in self.leaves)
         self.canonical_of: dict[str, str] = {
             leaf.id: leaf.parent if leaf.parent is not None else leaf.id
@@ -117,12 +140,13 @@ class ConfigurationSpace:
         self.dimensions = frozenset(self.canonical_of) | frozenset(
             self.canonical_of.values()
         )
-        self.elements: dict[str, Element] = {e.id: e for e in bench.elements}
         #: Each element's stage bit (:attr:`Stage.bit`) by element id.
-        self.stage_bit: dict[str, int] = {e.id: e.stage.bit for e in bench.elements}
+        self.stage_bit: dict[str, int] = dict(zip(ids, bits))
         grouped: dict[str, list[str]] = {leaf_id: [] for leaf_id in self.leaf_ids}
-        for elem in bench.elements:  # a draft's elements off the leaves are left out
-            grouped.get(elem.dimension, []).append(elem.id)
+        # A draft's elements off the leaves are left out.
+        for elem_id, dimension in zip(ids, dimensions):
+            if dimension in grouped:
+                grouped[dimension].append(elem_id)
         self.ids_per_leaf: tuple[tuple[str, ...], ...] = tuple(
             tuple(grouped[leaf_id]) for leaf_id in self.leaf_ids
         )
@@ -167,11 +191,11 @@ class ConfigurationSpace:
         """
         if not 0 <= index < self.count:
             raise ConfigurationError(
-                f"bench {self.bench.id!r} has {self.count} configurations; "
+                f"bench {self.bench_id!r} has {self.count} configurations; "
                 f"index {index} is out of range"
             )
         return TestBenchConfiguration(
-            bench_id=self.bench.id,
+            bench_id=self.bench_id,
             selection={
                 leaf_id: self._choice(i, index // weight % count)
                 for i, (leaf_id, weight, count) in enumerate(
@@ -204,7 +228,7 @@ class ConfigurationSpace:
         """Stream configurations in enumeration order, without a cap."""
         for combo in itertools.product(*self._choices):
             yield TestBenchConfiguration(
-                bench_id=self.bench.id, selection=dict(zip(self.leaf_ids, combo))
+                bench_id=self.bench_id, selection=dict(zip(self.leaf_ids, combo))
             )
 
     def require_within_cap(self, cap: int | None = None) -> None:
@@ -217,9 +241,9 @@ class ConfigurationSpace:
     def require_same_bench(self, config: TestBenchConfiguration) -> None:
         """Raise :class:`ForeignConfiguration` unless ``config`` can have
         been derived from this space's bench."""
-        if config.bench_id != self.bench.id:
+        if config.bench_id != self.bench_id:
             raise ForeignConfiguration(
-                f"configuration belongs to bench {config.bench_id!r}, not {self.bench.id!r}"
+                f"configuration belongs to bench {config.bench_id!r}, not {self.bench_id!r}"
             )
         leaves = dict(zip(self.leaf_ids, zip(self.leaves, self.ids_per_leaf)))
         if config.selection.keys() != leaves.keys():

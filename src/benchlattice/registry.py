@@ -10,7 +10,8 @@ built and validated. :func:`bench_from_raw` and :func:`case_from_raw` do the
 same for one fragment. A bench's elements are checked a column at a time,
 and entry by entry only where some entry may hold a finding; the bench
 invariants are checked on its dimension tree and its id and dimension
-columns, and elements are built only for the benches a caller uses.
+columns. Elements are built only for the benches a caller uses, and a
+configuration space comes from the checked columns without them.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and writes are atomic via temp file + rename, so no partial files survive a
 failure.
@@ -22,11 +23,10 @@ import json
 import math
 import os
 import re
-from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     BenchlatticeError, DocumentSyntaxError, MissingLayer, SchemaError, UnknownDimension,
@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # plans are only written here: loading imports no solver
     from fractions import Fraction
 
     from .assignment import AssignmentPlan
+    from .configuration import ConfigurationSpace
 
 __all__ = [
     "FORMAT_VERSION",
@@ -66,6 +67,7 @@ FORMAT_VERSION = "1"
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # whole values only: fullmatch
 _STAGES = tuple(_BY_NAME)
+_STAGE_BITS = {name: stage.bit for name, stage in _BY_NAME.items()}
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 _T = TypeVar("_T")
@@ -469,16 +471,43 @@ def _elements(entries: list[Any]) -> _Columns | None:
     return columns
 
 
-def _built(
-    bench_id: str, display_name: str, nodes: tuple[DimensionNode, ...], columns: _Columns,
-    order: list[int] | None,
-) -> TestBench:
-    """The bench of checked columns, its elements put in ``order``; integer
-    numbers load as floats."""
+class _CheckedBench(NamedTuple):
+    """A bench fragment past the schema and the invariants: its id and
+    display name, its tree in canonical order and its leaves in spoke
+    order, its element columns in declaration order, and the order of
+    element indices that puts them in leaf order (None when they are in
+    it)."""
+
+    id: str
+    display_name: str
+    tree: tuple[DimensionNode, ...]
+    leaves: tuple[DimensionNode, ...]
+    columns: _Columns
+    order: list[int] | None
+
+    def space(self) -> ConfigurationSpace:
+        """The bench's configuration space, derived from its leaves and its
+        id, dimension and stage columns; no element is built."""
+        # Imported here, so that loading a document imports no configuration module.
+        from .configuration import ConfigurationSpace
+
+        ids, _, dimensions, stages = self.columns[:4]
+        if self.order is not None:  # in leaf order, as the built bench holds them
+            ids, dimensions, stages = (
+                list(map(column.__getitem__, self.order)) for column in (ids, dimensions, stages)
+            )
+        return ConfigurationSpace.from_columns(
+            self.id, self.leaves, ids, dimensions, map(_STAGE_BITS.__getitem__, stages)
+        )
+
+
+def _built(bench: _CheckedBench) -> TestBench:
+    """The bench of a checked fragment, its elements put in leaf order;
+    integer numbers load as floats."""
     # Written straight into each frozen value: the checks of the columns
     # stand in for the Characteristics constructor's.
     new, elements = object.__new__, []
-    ids, names, dimensions, stages, tags, *numbers, extras = columns
+    ids, names, dimensions, stages, tags, *numbers, extras = bench.columns
     costs, factors, setups = (map(float, column) for column in numbers)
     for element_id, name, dimension, stage, purposes, cost, factor, setup, extra in zip(
         ids, names, dimensions, stages, tags, costs, factors, setups, extras
@@ -497,9 +526,9 @@ def _built(
         _set_stage(element, _BY_NAME[stage])
         _set_characteristics(element, characteristics)
         elements.append(element)
-    if order is not None:
-        elements = list(map(elements.__getitem__, order))
-    return TestBench(bench_id, display_name, nodes, tuple(elements))
+    if bench.order is not None:
+        elements = list(map(elements.__getitem__, bench.order))
+    return TestBench(bench.id, bench.display_name, bench.tree, tuple(elements))
 
 
 # The slots' own setters, which bypass the values' refusal of assignment.
@@ -534,12 +563,12 @@ _BENCH = _object(
 _REGISTRY = _document("benches", "bench", _BENCH)
 
 
-def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
-    """The bench of a fragment ``_BENCH`` has loaded, checked against the
-    invariants and built when called: canonical nodes with their flags,
-    then substantiations in document order, each sub-dimension with its
-    own flag or its parent's; :func:`~benchlattice.taxonomy._invariants`
-    orders the tree and the elements."""
+def _bench(fragment: dict[str, Any]) -> _CheckedBench:
+    """A fragment ``_BENCH`` has loaded, checked against the invariants:
+    canonical nodes with their flags, then substantiations in document
+    order, each sub-dimension with its own flag or its parent's;
+    :func:`~benchlattice.taxonomy._invariants` orders the tree and the
+    elements."""
     bench_id, flags = fragment["id"], fragment.get("combinable", {})
     nodes = _canonical_nodes(flags)
     for parent, names in fragment.get("substantiations", {}).items():
@@ -548,9 +577,9 @@ def _bench(fragment: dict[str, Any]) -> Callable[[], TestBench]:
     if unknown:
         raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
     columns = fragment.get("elements", _NO_ELEMENTS)
-    tree, order = _invariants(bench_id, nodes, columns[0], columns[2])
+    tree, leaves, order = _invariants(bench_id, nodes, columns[0], columns[2])
     display_name = fragment.get("display_name", bench_id)
-    return partial(_built, bench_id, display_name, tree, columns, order)
+    return _CheckedBench(bench_id, display_name, tree, leaves, columns, order)
 
 
 def bench_from_raw(raw: object) -> TestBench:
@@ -558,30 +587,30 @@ def bench_from_raw(raw: object) -> TestBench:
     ``benches``), by the checks of :func:`load_registry`. Raises
     :class:`SchemaError` with every finding, located from ``$``
     (``$.elements[3].stage``), or the bench's domain error."""
-    return _bench(_checked(raw, _BENCH))()
+    return _built(_bench(_checked(raw, _BENCH)))
 
 
-def _checked_registry(path: str | os.PathLike[str]) -> dict[str, Callable[[], TestBench]]:
+def _checked_registry(path: str | os.PathLike[str]) -> dict[str, _CheckedBench]:
     """Every bench of a registry file by id, in document order, checked as
     :func:`load_registry` checks them (the same errors and warnings) and
-    each built when called."""
-    return {
-        fragment["id"]: build
-        for fragment, build in _load_items(path, _REGISTRY, "benches", _bench)
-    }
+    not built: :func:`_built` builds its elements, and
+    :meth:`_CheckedBench.space` derives its configuration space without
+    them."""
+    return {bench.id: bench for _, bench in _load_items(path, _REGISTRY, "benches", _bench)}
 
 
 def load_registry(path: str | os.PathLike[str]) -> list[TestBench]:
     """Load and validate every bench in a registry file. Every bench is
-    checked before any is built; the CLI's lookups build only the bench
-    they name from the same checks.
+    checked before any is built; the CLI's commands other than ``assign``
+    build none, and derive the configuration spaces they need from the same
+    checks.
 
     Raises :class:`DocumentSyntaxError` for a file that is not UTF-8 JSON,
     :class:`SchemaError` with every located finding for schema violations,
     and :class:`ValidationError` with (bench id, error) pairs when benches
     violate the domain invariants.
     """
-    return [build() for build in _checked_registry(path).values()]
+    return list(map(_built, _checked_registry(path).values()))
 
 
 def bench_to_raw(bench: TestBench) -> dict[str, Any]:

@@ -413,7 +413,7 @@ def validate_bench(bench: TestBench) -> TestBench:
     checks it so.
     """
     elements = tuple(bench.elements)
-    nodes, order = _invariants(
+    nodes, _, order = _invariants(
         bench.id, bench.dimension_tree, list(map(_ID, elements)), list(map(_DIMENSION, elements))
     )
     if order is not None:
@@ -423,11 +423,12 @@ def validate_bench(bench: TestBench) -> TestBench:
 
 def _invariants(
     bench_id: str, tree: Iterable[DimensionNode], ids: Sequence[str], dimensions: Sequence[str],
-) -> tuple[tuple[DimensionNode, ...], list[int] | None]:
+) -> tuple[tuple[DimensionNode, ...], tuple[DimensionNode, ...], list[int] | None]:
     """The bench invariants over a bench's dimension tree and its elements'
     ids and dimensions, in declaration order. Returns the tree in canonical
-    order and the order of element indices that puts the elements in leaf
-    order, declaration order within each leaf (None when they are in it).
+    order, its leaves in spoke order and the order of element indices that
+    puts the elements in leaf order, declaration order within each leaf
+    (None when they are in it).
 
     Raises the first violation: of the tree, then of the elements in
     declaration order (a duplicate id, then a dimension that is not a leaf),
@@ -437,7 +438,7 @@ def _invariants(
     are checked a column at a time, and one by one only to name the first
     offender.
     """
-    nodes, _, leaf_rank = _layout(tree)
+    nodes, leaves, leaf_rank = _layout(tree)
     canonical = leaf_rank is _CANONICAL_ORDER
     if not canonical:
         _check_tree(bench_id, nodes)
@@ -475,8 +476,8 @@ def _invariants(
     # Leaf order, declaration order within each leaf: sorted() is stable.
     ranks = list(map(leaf_rank.__getitem__, dimensions))
     if any(map(gt, ranks, ranks[1:])):
-        return nodes, sorted(range(len(ranks)), key=ranks.__getitem__)
-    return nodes, None
+        return nodes, leaves, sorted(range(len(ranks)), key=ranks.__getitem__)
+    return nodes, leaves, None
 
 
 def _check_tree(bench_id: str, nodes: tuple[DimensionNode, ...]) -> None:

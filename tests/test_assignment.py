@@ -488,7 +488,7 @@ def _assert_frontier_matches_reference(suite, benches, overrides, label):
     for (_, options), (candidates, reports) in zip(analysed, expected):
         assert assignment._reports(options) == reports, label
         for opts in options:
-            on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
+            on_bench = [c for c in candidates if c.bench_id == opts.space.bench_id]
             assert bool(opts.frontier) == bool(on_bench), label
             built = sorted(
                 (assignment._build(cand) for cand in opts.frontier),
@@ -534,7 +534,7 @@ def test_runner_up_matches_brute_force():
         analysed = assignment._analyse(suite, benches, overrides)
         for (_, options), (candidates, _) in zip(analysed, expected):
             for opts in options:
-                on_bench = [c for c in candidates if c.bench_id == opts.space.bench.id]
+                on_bench = [c for c in candidates if c.bench_id == opts.space.bench_id]
                 if len(on_bench) < 2:
                     assert opts.runner_up is None
                     continue
@@ -1131,17 +1131,16 @@ def test_prices_scale_is_the_lcm_of_every_denominator(prices):
             for i, (r, t, s) in enumerate(prices)
         ],
     )
-    space = ConfigurationSpace(bench)
     ratios = {
-        elem_id: [
+        e.id: [
             value.as_integer_ratio()
             for value in (e.characteristics.time_factor, e.characteristics.cost_rate,
                           e.characteristics.setup_cost)
         ]
-        for elem_id, e in space.elements.items()
+        for e in bench.elements
     }
     scale = math.lcm(*(den for pairs in ratios.values() for _, den in pairs))
-    priced = assignment._Prices(space)
+    priced = assignment._Prices(bench)
     assert priced.scale == scale
     assert priced.of == {
         elem_id: tuple(num * (scale // den) for num, den in pairs)
@@ -1155,7 +1154,7 @@ def test_prices_take_the_lcm_of_denominators_that_are_not_powers_of_two(sil_benc
     bench = replace(
         sil_bench, elements=(replace(element, characteristics=thirds), *sil_bench.elements[1:])
     )
-    priced = assignment._Prices(ConfigurationSpace(bench))
+    priced = assignment._Prices(bench)
     assert priced.scale % 15 == 0
     _, rate, setup = priced.of[element.id]
     assert Fraction(rate, priced.scale) == Fraction(1, 3)

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import benchlattice
-from benchlattice import assignment, cli
+from benchlattice import assignment, cli, registry
 from benchlattice.assignment import CapacityBudget, estimate_cost
+from benchlattice.chart import render_bench_chart, render_configuration_chart
 from benchlattice.cli import run
 from benchlattice.configuration import ConfigurationSpace
 from benchlattice.data import fixture_path
@@ -30,7 +31,8 @@ from benchlattice.registry import (
 )
 from benchlattice.taxonomy import Stage
 from helpers import (
-    make_element, make_test_case, reference_greedy, repeated_cases, uniform_bench,
+    make_element, make_test_case, random_bench, reference_classify, reference_configurations,
+    reference_greedy, repeated_cases, uniform_bench,
 )
 
 FLEET = str(fixture_path("fleet_bench.json"))
@@ -978,4 +980,95 @@ def test_exact_refuses_an_unknown_budget_bench_before_its_size_guard(
     assert capsys.readouterr().err == (
         "error: max_bench_time.sill: unknown bench (available: sil)\n"
     )
+    assert not out.exists()
+
+
+def _lookup_registries(tmp_path) -> list[Path]:
+    """The shipped fleet registry, and random registries whose benches
+    substantiate dimensions and choose subsets on combinable leaves, each
+    bench's elements shuffled so that the loader puts them in leaf order."""
+    paths = [Path(FLEET)]
+    rng, shuffle = random.Random(2030), random.Random(7).shuffle
+    substantiated = combinable = 0
+    for i in range(6):
+        benches = [random_bench(rng, f"bench-{j}", count_cap=96) for j in range(rng.randint(1, 3))]
+        for bench in benches:
+            space = ConfigurationSpace(bench)
+            substantiated += any(leaf.parent for leaf in space.leaves)
+            combinable += any(
+                leaf.combinable and len(ids) > 1
+                for leaf, ids in zip(space.leaves, space.ids_per_leaf)
+            )
+        path = tmp_path / f"random-{i}.bench.json"
+        save_registry(benches, path)
+        doc = json.loads(path.read_text())
+        for raw in doc["benches"]:
+            shuffle(raw["elements"])
+        path.write_text(json.dumps(doc))
+        paths.append(path)
+    assert substantiated >= 4 and combinable >= 4, (substantiated, combinable)
+    return paths
+
+
+
+def _selection(config) -> str:
+    return " ".join(f"{leaf}={'+'.join(ids)}" for leaf, ids in config.selection.items())
+
+
+def _lookups_by_reference(path: Path, out: Path) -> dict[tuple[str, ...], tuple]:
+    """``validate`` and each lookup on one registry, and what the benches a
+    load builds say it gives: (exit code, standard output, standard error,
+    written bytes), every index classified by brute force."""
+    benches = load_registry(path)
+    summary = "".join(
+        f"{bench.id}: {len(space.leaves)} leaf dimensions, {len(bench.elements)} elements, "
+        f"{space.count} configurations\n"
+        for bench, space in zip(benches, map(ConfigurationSpace, benches))
+    )
+    wrote = f"wrote {out}\n"
+    expected = {("validate", str(path)): (0, f"{summary}OK: {len(benches)} bench(es) valid\n")}
+    for bench in benches:
+        common = (str(path), "--bench", bench.id)
+        configs = list(reference_configurations(bench))
+        methods = [reference_classify(config, bench).value for config in configs]
+        expected[("enumerate", *common)] = (0, "".join(
+            f"{index}\t{method}\t{_selection(config)}\n"
+            for index, (config, method) in enumerate(zip(configs, methods))
+        ))
+        expected[("enumerate", *common, "--count-only")] = (0, f"{len(configs)}\n")
+        expected[("chart", *common, "-o", str(out))] = (0, wrote, render_bench_chart(bench))
+        for index, method in enumerate(methods):
+            expected[("classify", *common, "--config", str(index))] = (0, f"{method}\n")
+        for index in sorted({0, len(configs) // 2, len(configs) - 1}):
+            expected[("chart", *common, "--config", str(index), "-o", str(out))] = (
+                0, wrote, render_configuration_chart(configs[index], bench),
+            )
+    return {
+        argv: (code, stdout, "", svg[0].encode("utf-8") if svg else None)
+        for argv, (code, stdout, *svg) in expected.items()
+    }
+
+
+def test_commands_but_assign_build_no_element(tmp_path, capsys, monkeypatch):
+    """``validate``, ``enumerate``, ``classify`` and ``chart`` derive the
+    spaces they need from the registry's checked columns: with the
+    loader's element builder refusing, each gives the exit code, output and
+    written bytes it gives without, which agree at every index with the
+    brute-force enumeration of the benches a load builds. ``assign`` still
+    builds its benches."""
+    out = tmp_path / "out"
+    expected = {}
+    for path in _lookup_registries(tmp_path):
+        expected.update(_lookups_by_reference(path, out))
+    unpatched = {argv: _invocation(list(argv), out, capsys) for argv in expected}
+
+    def refuse(bench):
+        raise AssertionError(f"built bench {bench.id!r}")
+
+    monkeypatch.setattr(registry, "_built", refuse)
+    for argv, reference in expected.items():
+        assert _invocation(list(argv), out, capsys) == unpatched[argv] == reference, argv
+    out.unlink()
+    with pytest.raises(AssertionError, match="built bench 'sil'"):
+        run(["assign", FLEET, SUITE, "-o", str(out)])
     assert not out.exists()

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 import benchlattice
 import benchlattice.data
 from benchlattice.assignment import CapacityBudget, assign_greedy
-from benchlattice.cli import _named_bench
+from benchlattice.cli import _named_space
 from benchlattice.chart import render_bench_chart
+from benchlattice.configuration import ConfigurationSpace
 from benchlattice.data import FIXTURES, fixture_path
 from benchlattice.errors import (
     BenchlatticeError,
@@ -893,7 +894,27 @@ def _variants(doc, rng):
     yield "itemised", huge, True
 
 
-def _lookups_build_what_loads_build(doc, tmp_path, rng):
+# What a configuration space holds; dicts are compared with their order.
+_SPACE_FIELDS = (
+    "bench_id", "leaves", "leaf_ids", "canonical_of", "dimensions", "stage_bit",
+    "ids_per_leaf", "choice_counts", "weights", "count",
+)
+# Spaces up to this many configurations are compared at every index.
+_EVERY_INDEX = 2048
+
+
+def _space_fields(space):
+    fields = {name: getattr(space, name) for name in _SPACE_FIELDS}
+    return {
+        name: list(value.items()) if isinstance(value, dict) else value
+        for name, value in fields.items()
+    }
+
+
+def _lookups_derive_the_space_of_what_loads_build(doc, tmp_path, rng):
+    """The space a lookup derives from a registry's checked columns equals
+    the space of the bench a load builds, field by field and at every
+    index of the small benches (a sample of the others)."""
     for label, variant, itemised in _variants(doc, rng):
         path = tmp_path / f"{label}.bench.json"
         path.write_text(json.dumps(variant))
@@ -903,12 +924,20 @@ def _lookups_build_what_loads_build(doc, tmp_path, rng):
         assert loaded == reference_load_registry(path), label
         for bench in loaded:
             args = argparse.Namespace(registry=str(path), bench=bench.id)
-            assert _named_bench(args) == bench, (label, bench.id)
+            looked_up, space = _named_space(args), ConfigurationSpace(bench)
+            assert _space_fields(looked_up) == _space_fields(space), (label, bench.id)
+            indices = range(space.count)
+            if space.count > _EVERY_INDEX:
+                indices = [0, space.count - 1, *rng.sample(indices, 64)]
+            for index in indices:
+                config = looked_up.at(index)
+                assert config == space.at(index), (label, bench.id, index)
+                assert looked_up.classify(config) is space.classify(config), (label, index)
 
 
 @pytest.mark.parametrize("name", _SHIPPED_REGISTRIES)
 def test_a_lookup_builds_the_bench_a_load_builds_on_shipped_registries(tmp_path, name):
-    _lookups_build_what_loads_build(_SHIPPED_DOCS[name], tmp_path, random.Random(name))
+    _lookups_derive_the_space_of_what_loads_build(_SHIPPED_DOCS[name], tmp_path, random.Random(name))
 
 
 def test_a_lookup_builds_the_bench_a_load_builds_on_random_registries(tmp_path):
@@ -917,7 +946,7 @@ def test_a_lookup_builds_the_bench_a_load_builds_on_random_registries(tmp_path):
         benches = [random_bench(rng, f"bench-{i}") for i in range(rng.randint(1, 3))]
         path = tmp_path / "random.bench.json"
         save_registry(benches, path)
-        _lookups_build_what_loads_build(json.loads(path.read_text()), tmp_path, rng)
+        _lookups_derive_the_space_of_what_loads_build(json.loads(path.read_text()), tmp_path, rng)
 
 
 def test_integer_numbers_load_as_floats(tmp_path):
