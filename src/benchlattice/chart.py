@@ -8,9 +8,12 @@ Configuration charts add a closed orange polygon through the selected
 element positions, one vertex per leaf (the centroid of the selection where
 a combinable leaf picked several elements).
 
-Rendering is pure text assembly: identical inputs yield byte-identical
-documents, which makes the charts golden-testable. Stable group ids:
-``spoke-<dimension>``, ``elements``, ``composition``.
+Rendering is pure text assembly, written top to bottom in one pass: the
+stage rings, each spoke in spoke order (placing its dots and its polygon
+vertex as it is drawn), the elements group, then the composition polygon.
+Identical inputs yield byte-identical documents, which makes the charts
+golden-testable. Stable group ids: ``spoke-<dimension>``, ``elements``,
+``composition``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration
 from .frozen import Frozen
-from .taxonomy import TestBench
+from .taxonomy import Stage, TestBench
 
 __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 
@@ -29,8 +32,9 @@ _set = object.__setattr__
 
 
 class ChartStyle(Frozen):
-    """Chart geometry and colours. ``stage_radii`` maps each stage index to
-    its ring's radius; None stands for ``{1: 0.32, 2: 0.55, 3: 0.78}``."""
+    """Chart geometry and colours. ``stage_radii`` maps each stage's
+    :attr:`~benchlattice.taxonomy.Stage.chart_index` to its ring's radius;
+    None stands for ``{1: 0.32, 2: 0.55, 3: 0.78}``."""
 
     __slots__ = (
         "size", "stage_radii", "dot_color", "dot_radius", "line_color", "line_width",
@@ -47,14 +51,17 @@ class ChartStyle(Frozen):
     ) -> None:
         if stage_radii is None:
             stage_radii = {1: 0.32, 2: 0.55, 3: 0.78}
-        radii = [stage_radii[i] for i in (1, 2, 3)]
-        if not (0 < radii[0] < radii[1] < radii[2] <= 1):
+        try:  # a stage without a radius, or a radius that is no number, fails
+            increasing = 0 < stage_radii[1] < stage_radii[2] < stage_radii[3] <= 1
+        except (LookupError, TypeError):
+            increasing = False
+        if not increasing:
             raise ValueError(
-                f"stage radii must increase strictly with the stage index "
-                f"and stay within the plot, got {radii}"
+                f"stage radii must be numbers for stages 1, 2 and 3 that increase "
+                f"strictly and stay within the plot, got {stage_radii!r}"
             )
-        if not offset_step > 0:
-            raise ValueError(f"offset_step must be > 0, got {offset_step}")
+        if not (isinstance(offset_step, (int, float)) and offset_step > 0):
+            raise ValueError(f"offset_step must be a number > 0, got {offset_step!r}")
         _set(self, "size", size)
         _set(self, "stage_radii", stage_radii)
         _set(self, "dot_color", dot_color)
@@ -82,100 +89,14 @@ def _attr(value: str) -> str:
 
 
 def _direction(angle_deg: float) -> tuple[float, float]:
-    """The sine and cosine of an angle in degrees: 12 o'clock is 0 degrees,
-    growing clockwise."""
+    """The sine and cosine of an angle in degrees, clockwise from 12 o'clock."""
     rad = math.radians(angle_deg)
     return math.sin(rad), math.cos(rad)
 
 
-class _Layout:
-    """Shared geometry: spoke angles and the dots to draw, in spoke order,
-    each at its position: every element, or only the ``drawn`` ids. Either
-    way a dot sits where the bench chart puts it: its fan counts every
-    element of its leaf and stage."""
-
-    def __init__(
-        self, space: ConfigurationSpace, style: ChartStyle, drawn: set[str] | None = None
-    ) -> None:
-        self.style = style
-        self.center = style.size / 2
-        self.leaves = space.leaves
-        self.spoke_angle = {
-            leaf.id: i * 360.0 / len(self.leaves) for i, leaf in enumerate(self.leaves)
-        }
-        self.dot_position: dict[str, tuple[float, float]] = {}
-        for leaf, ids in zip(self.leaves, space.ids_per_leaf):
-            stages = [space.stage_bit[eid] for eid in ids]
-            for i, (eid, bit) in enumerate(zip(ids, stages)):
-                if drawn is not None and eid not in drawn:
-                    continue
-                offset = 0.0
-                if stages.count(bit) > 1:  # the n-th of several on its stage
-                    n = stages[: i + 1].count(bit)
-                    step = math.ceil(n / 2) * style.offset_step
-                    offset = step if n % 2 == 1 else -step
-                radius = style.stage_radii[bit.bit_length()] * self.center
-                self.dot_position[eid] = self.point(
-                    radius, _direction(self.spoke_angle[leaf.id] + offset)
-                )
-
-    def point(self, radius: float, direction: tuple[float, float]) -> tuple[float, float]:
-        """The point at ``radius`` from the centre in a :func:`_direction`;
-        SVG y points down."""
-        sin, cos = direction
-        return self.center + radius * sin, self.center - radius * cos
-
-
-def _ring_group(layout: _Layout) -> list[str]:
-    style = layout.style
-    c = _fmt(layout.center)
-    lines = ['  <g id="stage-rings">']
-    for index in (1, 2, 3):
-        radius = style.stage_radii[index] * layout.center
-        lines.append(
-            f'    <circle cx="{c}" cy="{c}" r="{_fmt(radius)}" '
-            'fill="none" stroke="#b0b0b0" stroke-width="1.00"/>'
-        )
-        lines.append(
-            f'    <text x="{_fmt(layout.center + 5)}" '
-            f'y="{_fmt(layout.center - radius - 4)}" font-size="11" '
-            f'fill="#606060">{index}</text>'
-        )
-    lines.append("  </g>")
-    return lines
-
-
-def _spoke_groups(layout: _Layout) -> list[str]:
-    style = layout.style
-    c = _fmt(layout.center)
-    outer = style.stage_radii[3] * layout.center
-    lines = []
-    for leaf in layout.leaves:
-        direction = _direction(layout.spoke_angle[leaf.id])
-        tip = layout.point(outer, direction)
-        label = layout.point(style.label_radius * layout.center, direction)
-        lines.append(f'  <g id="spoke-{_attr(leaf.id)}">')
-        lines.append(
-            f'    <line x1="{c}" y1="{c}" x2="{_fmt(tip[0])}" y2="{_fmt(tip[1])}" '
-            'stroke="#404040" stroke-width="1.00"/>'
-        )
-        lines.append(
-            f'    <text x="{_fmt(label[0])}" y="{_fmt(label[1])}" '
-            f'font-size="11" text-anchor="middle">{_text(leaf.display_name)}</text>'
-        )
-        lines.append("  </g>")
-    return lines
-
-
-def _dot(elem_id: str, position: tuple[float, float], paint: str, selected: bool) -> str:
-    """One element's dot; ``paint`` is the chart's radius and fill attributes."""
-    x, y = position
-    cls = "element-dot selected" if selected else "element-dot"
-    stroke = ' stroke="#1a1a1a" stroke-width="1.00"' if selected else ""
-    return (
-        f'    <circle id="dot-{_attr(elem_id)}" class="{cls}" '
-        f'cx="{_fmt(x)}" cy="{_fmt(y)}" {paint}{stroke}/>'
-    )
+# A dot's class and stroke, selected or not.
+_SELECTED = "element-dot selected", ' stroke="#1a1a1a" stroke-width="1.00"'
+_UNSELECTED = "element-dot", ""
 
 
 def render_bench_chart(bench: TestBench, style: ChartStyle | None = None) -> str:
@@ -184,9 +105,7 @@ def render_bench_chart(bench: TestBench, style: ChartStyle | None = None) -> str
 
 
 def render_configuration_chart(
-    config: TestBenchConfiguration,
-    bench: TestBench,
-    style: ChartStyle | None = None,
+    config: TestBenchConfiguration, bench: TestBench, style: ChartStyle | None = None
 ) -> str:
     """Bench chart plus the closed composition line of one configuration.
 
@@ -204,41 +123,75 @@ def _chart(
 ) -> str:
     """:func:`render_configuration_chart` of a configuration of ``space``;
     with no configuration, :func:`render_bench_chart`: every element drawn
-    unselected and an empty composition group."""
-    selected = set() if config is None else {
-        eid for ids in config.selection.values() for eid in ids
-    }
-    drawn = None if config is None or style.show_unselected else selected
-    layout = _Layout(space, style, drawn)
-    body = _ring_group(layout) + _spoke_groups(layout)
-    body.append('  <g id="elements">')
-    paint = f'r="{_fmt(style.dot_radius)}" fill="{_attr(style.dot_color)}"'
-    body += [
-        _dot(eid, position, paint, eid in selected)
-        for eid, position in layout.dot_position.items()
-    ]
-    body.append("  </g>")
-
-    body.append('  <g id="composition">')
-    if config is not None:
-        vertices = []
-        for leaf in layout.leaves:
-            picked = config.selection[leaf.id]
-            xs = [layout.dot_position[eid][0] for eid in picked]
-            ys = [layout.dot_position[eid][1] for eid in picked]
-            vertices.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
-        body.append(
-            f'    <polygon points="{points}" fill="none" '
-            f'stroke="{_attr(style.line_color)}" stroke-width="{_fmt(style.line_width)}"/>'
-        )
-    body.append("  </g>")
-
-    size = style.size
-    head = [
+    unselected and an empty composition group. Written top to bottom in one
+    pass: each spoke places its dots and its polygon vertex as it is drawn."""
+    size, center = style.size, style.size / 2
+    c = _fmt(center)
+    # Each stage's ring radius by its bit, the ring of its chart index.
+    ring = {stage.bit: style.stage_radii[stage.chart_index] * center for stage in Stage}
+    lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'  <rect width="{size}" height="{size}" fill="white"/>',
+        '  <g id="stage-rings">',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    for stage in Stage:
+        radius = ring[stage.bit]
+        lines += [
+            f'    <circle cx="{c}" cy="{c}" r="{_fmt(radius)}" '
+            'fill="none" stroke="#b0b0b0" stroke-width="1.00"/>',
+            f'    <text x="{_fmt(center + 5)}" y="{_fmt(center - radius - 4)}" font-size="11" '
+            f'fill="#606060">{stage.chart_index}</text>',
+        ]
+    lines.append("  </g>")
+
+    selected = set() if config is None else set(config.selected_ids())
+    every = config is None or style.show_unselected
+    paint = f'r="{_fmt(style.dot_radius)}" fill="{_attr(style.dot_color)}"'
+    outer, label = ring[Stage.REAL.bit], style.label_radius * center
+    dots, vertices = ['  <g id="elements">'], []
+    for i, (leaf, ids) in enumerate(zip(space.leaves, space.ids_per_leaf)):
+        angle = i * 360.0 / len(space.leaves)
+        spoke = sin, cos = _direction(angle)
+        lines += [
+            f'  <g id="spoke-{_attr(leaf.id)}">',
+            f'    <line x1="{c}" y1="{c}" x2="{_fmt(center + outer * sin)}" '
+            f'y2="{_fmt(center - outer * cos)}" stroke="#404040" stroke-width="1.00"/>',
+            f'    <text x="{_fmt(center + label * sin)}" y="{_fmt(center - label * cos)}" '
+            f'font-size="11" text-anchor="middle">{_text(leaf.display_name)}</text>',
+            "  </g>",
+        ]
+        bits = list(map(space.stage_bit.__getitem__, ids))
+        total: dict[int, int] = {}
+        for bit in bits:
+            total[bit] = total.get(bit, 0) + 1
+        seen, placed = {}, {}  # each stage's dots so far; each drawn dot's point
+        for eid, bit in zip(ids, bits):
+            seen[bit] = n = seen.get(bit, 0) + 1
+            if not (every or eid in selected):
+                continue
+            if total[bit] > 1:  # the n-th of several on its stage: fanned
+                step = (n + 1) // 2 * style.offset_step
+                sin, cos = _direction(angle + (step if n % 2 == 1 else -step))
+            else:
+                sin, cos = spoke
+            radius = ring[bit]
+            placed[eid] = x, y = center + radius * sin, center - radius * cos
+            cls, stroke = _SELECTED if eid in selected else _UNSELECTED
+            dots.append(
+                f'    <circle id="dot-{_attr(eid)}" class="{cls}" '
+                f'cx="{_fmt(x)}" cy="{_fmt(y)}" {paint}{stroke}/>'
+            )
+        if config is not None:
+            xs, ys = zip(*map(placed.__getitem__, config.selection[leaf.id]))
+            vertices.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+    lines += [*dots, "  </g>", '  <g id="composition">']
+    if config is not None:
+        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
+        lines.append(
+            f'    <polygon points="{points}" fill="none" '
+            f'stroke="{_attr(style.line_color)}" stroke-width="{_fmt(style.line_width)}"/>'
+        )
+    lines += ["  </g>", "</svg>"]
+    return "\n".join(lines) + "\n"

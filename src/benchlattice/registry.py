@@ -473,17 +473,15 @@ def _elements(entries: list[Any]) -> _Columns | None:
 
 class _CheckedBench(NamedTuple):
     """A bench fragment past the schema and the invariants: its id and
-    display name, its tree in canonical order and its leaves in spoke
-    order, its element columns in declaration order, and the order of
-    element indices that puts them in leaf order (None when they are in
-    it)."""
+    display name, its tree in canonical order, its leaves in spoke order and
+    its element columns in leaf order, declaration order within each leaf,
+    as the built bench holds its elements."""
 
     id: str
     display_name: str
     tree: tuple[DimensionNode, ...]
     leaves: tuple[DimensionNode, ...]
     columns: _Columns
-    order: list[int] | None
 
     def space(self) -> ConfigurationSpace:
         """The bench's configuration space, derived from its leaves and its
@@ -492,18 +490,13 @@ class _CheckedBench(NamedTuple):
         from .configuration import ConfigurationSpace
 
         ids, _, dimensions, stages = self.columns[:4]
-        if self.order is not None:  # in leaf order, as the built bench holds them
-            ids, dimensions, stages = (
-                list(map(column.__getitem__, self.order)) for column in (ids, dimensions, stages)
-            )
         return ConfigurationSpace.from_columns(
             self.id, self.leaves, ids, dimensions, map(_STAGE_BITS.__getitem__, stages)
         )
 
 
 def _built(bench: _CheckedBench) -> TestBench:
-    """The bench of a checked fragment, its elements put in leaf order;
-    integer numbers load as floats."""
+    """The bench of a checked fragment; integer numbers load as floats."""
     # Written straight into each frozen value: the checks of the columns
     # stand in for the Characteristics constructor's.
     new, elements = object.__new__, []
@@ -526,8 +519,6 @@ def _built(bench: _CheckedBench) -> TestBench:
         _set_stage(element, _BY_NAME[stage])
         _set_characteristics(element, characteristics)
         elements.append(element)
-    if bench.order is not None:
-        elements = list(map(elements.__getitem__, bench.order))
     return TestBench(bench.id, bench.display_name, bench.tree, tuple(elements))
 
 
@@ -567,8 +558,8 @@ def _bench(fragment: dict[str, Any]) -> _CheckedBench:
     """A fragment ``_BENCH`` has loaded, checked against the invariants:
     canonical nodes with their flags, then substantiations in document
     order, each sub-dimension with its own flag or its parent's;
-    :func:`~benchlattice.taxonomy._invariants` orders the tree and the
-    elements."""
+    :func:`~benchlattice.taxonomy._invariants` orders the tree, and its
+    permutation puts the element columns in leaf order once."""
     bench_id, flags = fragment["id"], fragment.get("combinable", {})
     nodes = _canonical_nodes(flags)
     for parent, names in fragment.get("substantiations", {}).items():
@@ -578,8 +569,10 @@ def _bench(fragment: dict[str, Any]) -> _CheckedBench:
         raise UnknownDimension(f"combinable overrides for unknown dimensions: {unknown}")
     columns = fragment.get("elements", _NO_ELEMENTS)
     tree, leaves, order = _invariants(bench_id, nodes, columns[0], columns[2])
+    if order is not None:
+        columns = [list(map(column.__getitem__, order)) for column in columns]
     display_name = fragment.get("display_name", bench_id)
-    return _CheckedBench(bench_id, display_name, tree, leaves, columns, order)
+    return _CheckedBench(bench_id, display_name, tree, leaves, columns)
 
 
 def bench_from_raw(raw: object) -> TestBench:

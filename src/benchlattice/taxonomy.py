@@ -13,6 +13,7 @@ bench returns a new value.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from enum import Enum
@@ -59,8 +60,9 @@ class Stage(Enum):
 
     The scale carries no order for matching purposes. Each member carries
     one ``bit`` (simulated 1, emulated 2, real 4), so that a set of stages
-    is an int; ``chart_index``, the bit's length, exists only to place
-    radar-chart rings (1 = simulated, 2 = emulated, 3 = real).
+    is an int; ``chart_index``, the bit's length, is what the radar chart
+    reads to size and label each stage's ring (1 = simulated, 2 = emulated,
+    3 = real).
     """
 
     SIMULATED = "simulated", 1
@@ -296,6 +298,11 @@ def with_elements(bench: TestBench, elements: Iterable[Element]) -> TestBench:
     return replace(bench, elements=bench.elements + tuple(elements))
 
 
+# The characters outside XML 1.0's ``Char`` production: a sub-dimension's
+# name labels its chart spoke, so none may hold one.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _slug(name: str) -> str:
     return "-".join(name.strip().lower().split()).replace("_", "-")
 
@@ -337,6 +344,12 @@ def _sub_dimensions(
     existing = {node.id for node in nodes}
     subs = []
     for name in sub_names:
+        char = _NOT_XML_CHAR.search(name)
+        if char:
+            raise TaxonomyError(
+                f"sub-dimension name {name!r} of bench {bench_id!r} holds "
+                f"U+{ord(char.group()):04X}, which XML 1.0 cannot carry"
+            )
         sub_id = _slug(name)
         if not sub_id:
             raise EmptySubNames(f"blank sub-dimension name for parent {parent!r}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -17,9 +18,9 @@ from benchlattice.chart import (
     render_bench_chart,
     render_configuration_chart,
 )
-from benchlattice.configuration import enumerate_configurations
+from benchlattice.configuration import ConfigurationSpace, enumerate_configurations
 from benchlattice.errors import ForeignConfiguration
-from benchlattice.taxonomy import Stage, leaf_dimensions
+from benchlattice.taxonomy import Stage, TestBench, leaf_dimensions
 from helpers import make_element, random_bench, uniform_bench
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -241,10 +242,17 @@ def test_escapes_match_saxutils_on_any_text(value):
 
 
 def test_style_invariants():
-    with pytest.raises(ValueError):
-        ChartStyle(stage_radii={1: 0.5, 2: 0.4, 3: 0.8})
-    with pytest.raises(ValueError):
-        ChartStyle(offset_step=0.0)
+    for fields in (
+        {"stage_radii": {1: 0.5, 2: 0.4, 3: 0.8}},
+        {"stage_radii": {1: 0.3, 2: 0.5}},  # no radius for stage 3
+        {"stage_radii": {1: 0.3, 2: "0.5", 3: 0.8}},
+        {"stage_radii": {1: None, 2: 0.5, 3: 0.8}},
+        {"offset_step": 0.0},
+        {"offset_step": "x"},
+        {"offset_step": None},
+    ):
+        with pytest.raises(ValueError):
+            ChartStyle(**fields)
 
 
 def test_bench_chart_contains_empty_composition_group(sil_bench):
@@ -289,3 +297,113 @@ def test_configuration_charts_overlay_the_bench_chart(seed, show_unselected):
             f"dot-{eid}": placed[f"dot-{eid}"] for eid in config.selected_ids()
         }
         assert drawn == expected
+
+
+_PIN_STYLES = {
+    "default": ChartStyle(),
+    "show-unselected": ChartStyle(show_unselected=True),
+    # Every other field off its default, the colours in need of escapes.
+    "every-knob": ChartStyle(
+        size=400, stage_radii={1: 0.25, 2: 0.5, 3: 0.7}, dot_color='#3366cc & "dots" <',
+        dot_radius=3.25, line_color='<line> & "orange"', line_width=1.5, offset_step=6.5,
+        label_radius=0.93,
+    ),
+}
+
+# The sha256 of the bench chart and of configuration charts 0, count // 2
+# and count - 1 of a fanned random bench, by seed and style.
+_PINNED_CHARTS = {
+    (1, "default"): (
+        "f5f696f96510e92c667c940ca5afbd19cb1af7b6112f13960d9efcb8025aba70",
+        "cbb8683d8fc71a0f69b512c316dbe395804fd5a9cdee2b9ca8bd2abed99dd876",
+        "fed97b4d2106ec03dfaa508266c1467903b168341e6078c150d680bc45484c15",
+        "9821e161917a0b6c5525e3fd707051fd2d03617eeaff824f487163e0ca809ab7",
+    ),
+    (1, "show-unselected"): (
+        "f5f696f96510e92c667c940ca5afbd19cb1af7b6112f13960d9efcb8025aba70",
+        "c5e7e6aa45c090071eb115163e80ba030270a2cdbc61258132e0939d723b8318",
+        "82f777e3312035c863d97f94c558a55a8a4c947a5cf41a8e410f1906a5cff79e",
+        "cdf1f24d19092c2c15338da47857c17369a9ec5d30ea1160daa46de16ca1c47e",
+    ),
+    (1, "every-knob"): (
+        "6f6c3e5a1b2a27053c603e1c47a8250732c58a6162844ef12579a7a93763334d",
+        "6bcd6dd59ea6e82a6195079599c8e289281beb18f2c17d60b869371d0756215d",
+        "71997165271539750ee37cd70ccd7541cbf1c0f5a718104c896ec823fc7e0abd",
+        "f3f25805ccd4e7c56b448b1549576de1379a22c76635857347a34f08af1f5741",
+    ),
+    (2, "default"): (
+        "078eb42de9d07b145ec66f814c67c4e908073df98aeba1f69d996c8aae9c6d14",
+        "58d2a95b91e54966a96c3618e34ded8a4b5777cd602d98298439b90ae551e67e",
+        "08ce19779765f630fd565dba07611e5f30d84816120f4c07205a1ffc0ed573a9",
+        "6d238a4a574e182e02d09141944251756dc483c58c9f4f0ac2dbb3ebd36ecd99",
+    ),
+    (2, "show-unselected"): (
+        "078eb42de9d07b145ec66f814c67c4e908073df98aeba1f69d996c8aae9c6d14",
+        "4e910b0ec8ec7eecab2c4a82e49df44dba052584e13a7070965488318d5ee8bf",
+        "e1077930830dc380b9947eac6ba39cd419d53d8c7c3399d72a29080d305701d2",
+        "522fdf793d5ec35734b07a5e61f6e9bca4291281fb7983d609c6b61845b1637a",
+    ),
+    (2, "every-knob"): (
+        "db4f7c560a3c6cc24254413ba9fd31aa7d2f247a82c0029f39a9f4f9362e46e4",
+        "770aa9eef105d5525f954e34c6996cfe9b7e7a77439a885a87d7537e78402d4c",
+        "a6b8f2dffef963bb69699d2c0e4afc78a8cffb723b473d6c270ef549a99a9122",
+        "5a7f020d42c862829c28cbd8346ff0db79db291b6e7869b558fa3117ed1e6963",
+    ),
+    (14, "default"): (
+        "8ad20b3a217e09547ee3d9b888f6f24760f9f48015115366e71408fb5184d165",
+        "7e1ff1328d1b7a791f3f762920fe1a4f9e2e1d1228fec9e6a2a5f0332abdb54e",
+        "fdc38581446321c09fa8c52d5e6370da12fcdcff07dd6cc45840ebdc775ff8bb",
+        "3da47b3064c4201150b88458ff138747b1a35d5a8ea28669ab76ebc1dc5f6e44",
+    ),
+    (14, "show-unselected"): (
+        "8ad20b3a217e09547ee3d9b888f6f24760f9f48015115366e71408fb5184d165",
+        "254466704071eb8df7e11d0aad184aa8caa36040d9cc3e1d9b88cbaa5b44fcc7",
+        "a6ce62512075b546b3f4320154ae77a3a751c56dcb2170fe78252051b51c2e17",
+        "b8279dd246ba22b502c665c6f15b608bcbc3c5e83128e5caa7a165d7d65ce799",
+    ),
+    (14, "every-knob"): (
+        "fdc4a3519a5a680c9736eeb4b4c381ad9d232c2c1df5d61070b69fc774a9bc54",
+        "e7817a367c8663d98627a21d2b11c82015264b00092b6e8f75fe7a55b49aeac5",
+        "2ac8888bbe45b546f022c70604b50723ad44d00a167bf0cf1091344ca7c53b9c",
+        "df7e059043ff9d39ac868709a44614e77333dc45161424f605484886d015be6f",
+    ),
+}
+
+
+def _pinned_bench(seed: int) -> TestBench:
+    return random_bench(
+        random.Random(seed), f"pin-{seed}", max_elements=4, count_cap=5000, stages=_ONE_STAGE
+    )
+
+
+def test_pinned_benches_cover_sub_dimensions_fans_and_multi_selections():
+    spaces = [ConfigurationSpace(_pinned_bench(seed)) for seed in (1, 2, 14)]
+    # Per space, the most elements of one leaf on one stage: fanned, and
+    # somewhere fanned three wide.
+    widest = [
+        max(
+            max(map([space.stage_bit[eid] for eid in ids].count, (1, 2, 4)))
+            for ids in space.ids_per_leaf
+        )
+        for space in spaces
+    ]
+    assert min(widest) > 1 and max(widest) > 2
+    assert [any(leaf.parent for leaf in space.leaves) for space in spaces] == [True, False, True]
+    assert all(
+        max(map(len, space.at(space.count // 2).selection.values())) > 1 for space in spaces
+    )
+
+
+@pytest.mark.parametrize("seed, style", list(_PINNED_CHARTS))
+def test_chart_bytes_are_pinned(seed, style):
+    bench, chart_style = _pinned_bench(seed), _PIN_STYLES[style]
+    space = ConfigurationSpace(bench)
+    charts = [render_bench_chart(bench, chart_style)] + [
+        render_configuration_chart(space.at(index), bench, chart_style)
+        for index in (0, space.count // 2, space.count - 1)
+    ]
+    for svg in charts:
+        parse(svg)
+    assert tuple(hashlib.sha256(svg.encode()).hexdigest() for svg in charts) == (
+        _PINNED_CHARTS[seed, style]
+    )

@@ -73,6 +73,32 @@ def test_enumerate_unknown_bench(capsys):
     assert "no bench 'nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\x0b", "\ud800"])
+def test_a_sub_dimension_name_xml_cannot_carry_fails_every_command(tmp_path, capsys, char):
+    """Such a name passes the schema and makes a valid id, but no chart
+    could carry it: each command exits 1 naming the bench and the
+    character, and writes nothing."""
+    doc = json.loads(Path(FLEET).read_text(encoding="utf-8"))
+    (sil,) = [bench for bench in doc["benches"] if bench["id"] == "sil"]
+    names = sil["substantiations"]["environment-sensor-system"]
+    names[0] = char + names[0]
+    path = str(tmp_path / "bad.bench.json")
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    chart, plan = tmp_path / "chart.svg", tmp_path / "plan.json"
+    for argv in (
+        ["validate", path],
+        ["enumerate", path, "--bench", "sil"],
+        ["classify", path, "--bench", "test-vehicle", "--config", "0"],
+        ["chart", path, "--bench", "sil", "-o", str(chart)],
+        ["chart", path, "--bench", "sil", "--config", "0", "-o", str(chart)],
+        ["assign", path, SUITE, "-o", str(plan)],
+    ):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"of bench 'sil' holds U+{ord(char):04X}," in err, argv
+        assert not chart.exists() and not plan.exists()
+
+
 def test_classify_test_vehicle(capsys):
     assert run(["classify", VEHICLE, "--bench", "test-vehicle", "--config", "0"]) == 0
     assert capsys.readouterr().out.strip() == "test-vehicle"

@@ -1077,8 +1077,10 @@ def test_dump_writes_subclasses_as_json_writes_them(value):
 def _odd_plan():
     """A plan over a bench built by the library whose leaf, element and test
     case ids hold quotes, backslashes, control characters and non-ASCII
-    text; one case is assigned, one refused on every leaf."""
-    names = ['Ra"dar\\ \u00fc\x01', "Cam\u00e9ra \u2603\x7f"]
+    text (a leaf's control characters are ones XML 1.0 can carry, as a
+    sub-dimension name must); one case is assigned, one refused on every
+    leaf."""
+    names = ['Ra"dar\\ \u00fc\x9f', "Cam\u00e9ra \u2603\x7f"]
     bench = substantiate_dimension(new_bench('b\\"\u00e9'), "environment-sensor-system", names)
     leaves = [node.id for node in bench.dimension_tree if node.parent]
     elements = [

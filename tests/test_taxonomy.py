@@ -186,6 +186,25 @@ def test_substantiate_duplicate_names_rejected():
         substantiate_dimension(new_bench("draft"), "scenery", ["a", "a"])
 
 
+# Outside XML 1.0's Char production; the first four are whitespace to
+# str.split(), so a name's slug drops them.
+_NOT_XML_CHARS = [
+    "\x0b", "\x0c", "\x1c", "\x1f", "\x00", "\x08", "\x0e", "\ud800", "\ufffe", "\uffff",
+]
+
+
+@pytest.mark.parametrize("char", _NOT_XML_CHARS)
+def test_substantiate_refuses_a_name_xml_cannot_carry(char):
+    with pytest.raises(TaxonomyError, match=rf"bench 'draft' holds U\+{ord(char):04X}\b"):
+        substantiate_dimension(new_bench("draft"), "scenery", ["road", f"{char}Radar"])
+
+
+def test_substantiate_keeps_names_xml_can_carry():
+    names = ["tab\there", "line\nbreak", "Fahrdynamik ä", "\ue000", "\ufffd", "\U0001f697 car"]
+    bench = substantiate_dimension(new_bench("draft"), "scenery", names)
+    assert [node.display_name for node in bench.dimension_tree if node.parent] == names
+
+
 def test_substantiate_sub_dimension_rejected():
     bench = substantiate_dimension(new_bench("draft"), "scenery", ["a"])
     with pytest.raises(TaxonomyError):
