@@ -8,14 +8,16 @@ elements admit no configuration reports its coverage violations plus every
 element's own. Costs use exact rational arithmetic (``fractions.Fraction``)
 so plans compare and scale without floating-point noise.
 
-Two solvers produce assignment plans: a regret-guided greedy heuristic and
-an exact solver. Both minimise (number of unassignable test cases, total
-cost) lexicographically, coverage before savings, and search one list per
-test case, ranked by cost, then bench id, then configuration index: the
-greedy takes the first candidate that fits the bench time left, the exact
-solver makes one label-setting pass over the same lists (:func:`_exact`).
-Ties therefore break identically, one plan builder turns either solver's
-picks into the plan, and plans are reproducible artifacts.
+Two solvers produce assignment plans, both by one label-setting pass
+(:func:`_pass`) over one list of candidates per test case, ranked by cost,
+then bench id, then configuration index, and both minimise (number of
+unassignable test cases, total cost) lexicographically, coverage before
+savings. The exact solver keeps every partial plan no other dominates; the
+greedy keeps one, each test case's first candidate that fits the bench
+time left, and takes the test cases in descending regret under a budget.
+Without a budget one partial plan survives either way, so the two plans are
+equal by construction. One plan builder turns the picks into the plan, and
+plans are reproducible artifacts.
 
 Neither solver walks the configurations. A configuration whose slowest
 element has time factor T costs the sum over its elements of
@@ -514,7 +516,9 @@ def _plan(
     for tc, options in cases:
         pick = picks[tc.id]
         if pick is None:
-            unassignable.append(_skip(tc, options))
+            admissible = any(opts.frontier for opts in options)
+            reason = "bench-time-exhausted" if admissible else "no-admissible-configuration"
+            unassignable.append(UnassignableCase(tc.id, reason, _reports(options)))
             continue
         assignments[tc.id] = _build(pick)
         total_cost += pick.cost
@@ -527,12 +531,6 @@ def _plan(
     )
 
 
-def _skip(tc: TestCase, options: Sequence[_Options]) -> UnassignableCase:
-    admissible = any(opts.frontier for opts in options)
-    reason = "bench-time-exhausted" if admissible else "no-admissible-configuration"
-    return UnassignableCase(test_case_id=tc.id, reason=reason, reports=_reports(options))
-
-
 def assign_greedy(
     suite: Sequence[TestCase],
     benches: Sequence[TestBench],
@@ -542,90 +540,17 @@ def assign_greedy(
 ) -> AssignmentPlan:
     """Assign each test case to the cheapest admissible configuration.
 
-    Each test case takes the first of its candidates (:func:`_candidates`)
-    whose bench still has time for it. Without a budget that is its
-    globally cheapest configuration (ties: bench id, then configuration
-    index). With a budget, test cases are processed in descending regret
-    (the cost gap to their second-cheapest configuration, infinite when
-    there is no alternative). Only the picked configurations are built and
-    classified. An override or budget that names nothing given raises
+    The label pass (:func:`_pass`) kept to one label per test case, which
+    takes the first of its candidates (:func:`_candidates`) whose bench
+    still has time for it. Without a budget that is its globally cheapest
+    configuration (ties: bench id, then configuration index). With a budget,
+    test cases are processed in descending regret (the cost gap to their
+    second-cheapest configuration, infinite when there is no alternative),
+    ties in suite order. Only the picks are built and classified. An
+    override or budget that names nothing given raises
     :class:`~benchlattice.errors.SchemaError`.
     """
-    _check_references(suite, benches, budget, overrides)
-    # Each limit as a Fraction once per solve, not once per candidate tried.
-    limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
-    cases = _analyse(suite, benches, overrides)
-    order = list(cases)
-    if budget is not None:
-        def urgency(case: tuple[TestCase, list[_Options]]) -> tuple[int, Fraction]:
-            regret = _regret(case[1])
-            return (0, Fraction(0)) if regret is None else (1, -regret)
-
-        order.sort(key=urgency)  # stable: ties keep suite order
-
-    picks: dict[str, _Candidate | None] = {}
-    used: dict[str, Fraction] = {}
-    for tc, options in order:
-        pick = next((  # the first candidate whose bench has time left for it
-            cand for cand in _candidates(options)
-            if cand.bench_id not in limits
-            or used.get(cand.bench_id, 0) + cand.seconds <= limits[cand.bench_id]
-        ), None)
-        picks[tc.id] = pick
-        if pick is not None:
-            used[pick.bench_id] = used.get(pick.bench_id, 0) + pick.seconds
-    return _plan(cases, picks)
-
-
-def _exact(
-    candidates: Sequence[Sequence[_Candidate]], limits: Mapping[str, Fraction]
-) -> list[_Candidate | None]:
-    """The picks of :func:`assign_exact` (None skips a test case), found by
-    one label pass over the test cases in order.
-
-    A label is a partial plan: (skipped count, cost, candidate positions,
-    seconds used per budgeted bench), a skip taking the position after the
-    last candidate. Each label is extended by every candidate that fits and
-    by skipping; the new labels are sorted, and one is kept only if no label
-    kept before it uses no more seconds on every budgeted bench. A dropped
-    label's completions fit the one kept, whose (skipped count, cost,
-    positions) is smaller, so the first label left at the end is the first
-    optimum a depth-first search in candidate order, skip last, would find.
-    Seconds and costs are integers over one common denominator each.
-    """
-    flat = [c for cands in candidates for c in cands]
-    unit = math.lcm(*(x.denominator for x in [*limits.values(), *(c.seconds for c in flat)]))
-    money = math.lcm(*(c.cost.denominator for c in flat))
-    room = [int(limit * unit) for limit in limits.values()]
-    labels = [(0, 0, (), (0,) * len(limits))]
-    for done, cands in enumerate(candidates):
-        steps = [  # (position, seconds on each budgeted bench, cost)
-            (pos, [int(c.seconds * unit) if b == c.bench_id else 0 for b in limits],
-             int(c.cost * money))
-            for pos, c in enumerate(cands)
-        ]
-        extended = []
-        for skipped, cost, positions, used in labels:
-            for pos, seconds, price in steps:
-                spent = tuple(map(operator.add, used, seconds))
-                if all(map(operator.le, spent, room)):
-                    extended.append((skipped, cost + price, positions + (pos,), spent))
-            extended.append((skipped + 1, cost, positions + (len(cands),), used))
-        extended.sort()  # positions differ, so the seconds are never compared
-        labels, least = [], []  # least: the minimal seconds of the labels kept
-        for label in extended:
-            used = label[3]
-            if not any(all(map(operator.le, kept, used)) for kept in least):
-                labels.append(label)
-                least = [kept for kept in least if not all(map(operator.le, used, kept))]
-                least.append(used)
-                if len(labels) > EXACT_MAX_LABELS:
-                    raise InstanceTooLarge(
-                        f"exact solver keeps at most {EXACT_MAX_LABELS} partial plans; "
-                        f"more survive test case {done + 1} of {len(candidates)}"
-                    )
-    positions = labels[0][2]
-    return [cands[pos] if pos < len(cands) else None for cands, pos in zip(candidates, positions)]
+    return _solve(suite, benches, budget, overrides, 1)
 
 
 def assign_exact(
@@ -640,17 +565,92 @@ def assign_exact(
     budget; the first such plan in (cost, bench id, configuration index)
     order of each test case's candidates, skipping last.
 
-    References are checked first, as :func:`assign_greedy` checks them. The
-    label pass (:func:`_exact`) runs over the greedy's candidates, each
-    bench's frontier points (:func:`_candidates`): a configuration off the
-    frontier is dominated by one on the same bench that runs in no more time
-    at a smaller (cost, index), so it is never in the plan returned. Without
-    a budget each test case takes its first candidate, as the greedy does.
-    When more than :data:`EXACT_MAX_LABELS` partial plans survive a test
-    case it raises :class:`InstanceTooLarge`; only the picks are built.
+    The label pass (:func:`_pass`) over the test cases in suite order, with
+    no cap on labels, over the greedy's candidates (:func:`_candidates`): a
+    configuration off its bench's frontier is dominated by one that runs in
+    no more time at a smaller (cost, index), so it is never in the plan.
+    Without a budget one label survives each test case, so the plan is the
+    greedy's. References are checked first, as :func:`assign_greedy` checks
+    them; when more than :data:`EXACT_MAX_LABELS` partial plans survive a
+    test case it raises :class:`InstanceTooLarge`. Only the picks are built.
     """
+    return _solve(suite, benches, budget, overrides, None)
+
+
+def _solve(
+    suite: Sequence[TestCase], benches: Sequence[TestBench], budget: CapacityBudget | None,
+    overrides: Mapping[str, StageOverrides] | None, width: int | None,
+) -> AssignmentPlan:
+    """The plan of the label pass kept to ``width`` labels a test case (None:
+    no cap), over the test cases in descending regret when kept to one."""
     _check_references(suite, benches, budget, overrides)
     limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
-    cases = _analyse(suite, benches, overrides)
-    picks = _exact([_candidates(options) for _, options in cases], limits)
-    return _plan(cases, {tc.id: pick for (tc, _), pick in zip(cases, picks)})
+    cases = order = _analyse(suite, benches, overrides)
+    if width == 1 and limits:  # no alternative first, then descending regret; stable
+        order = sorted(cases, key=lambda c: (0,) if (r := _regret(c[1])) is None else (1, -r))
+    picks = _pass([_candidates(options) for _, options in order], limits, width)
+    return _plan(cases, {tc.id: pick for (tc, _), pick in zip(order, picks)})
+
+
+def _pass(
+    candidates: Sequence[Sequence[_Candidate]], limits: Mapping[str, Fraction], width: int | None
+) -> list[_Candidate | None]:
+    """The picks (None skips a test case) of one label pass over the test
+    cases in order, keeping at most ``width`` labels (None: no cap) a case.
+
+    A label is a partial plan: (skipped count, cost, rank, seconds used per
+    budgeted bench, its parent's index, its position), a skip taking the
+    position after the last candidate; the trail keeps the last two of each
+    label kept. A layer is held in the lexicographic order of its labels'
+    positions, so extending each label in turn by every candidate that fits,
+    then by skipping, ranks the new labels in that order too. Sorted by
+    (skipped count, cost, rank), a label is kept only if no label kept
+    before it uses no more seconds on every budgeted bench. A dropped
+    label's completions fit the one kept, whose (skipped count, cost,
+    positions) is smaller, so the least label left at the end is the first
+    optimum a depth-first search in candidate order, skip last, would find;
+    its picks are read back through the parents. Seconds and costs are
+    integers over one common denominator each.
+    """
+    budgeted = [c.seconds for cands in candidates for c in cands if c.bench_id in limits]
+    unit = math.lcm(*(x.denominator for x in [*limits.values(), *budgeted]))
+    money = math.lcm(*(c.cost.denominator for cands in candidates for c in cands))
+    room = [limit.numerator * (unit // limit.denominator) for limit in limits.values()]
+    labels = [(0, 0, 0, (0,) * len(limits))]
+    trail = []  # per test case, each kept label's (parent's index, position)
+    for done, cands in enumerate(candidates):
+        steps = [  # (position, seconds on each budgeted bench, cost)
+            (pos, [c.seconds.numerator * (unit // c.seconds.denominator) if b == c.bench_id
+                   else 0 for b in limits], c.cost.numerator * (money // c.cost.denominator))
+            for pos, c in enumerate(cands)
+        ]
+        extended = []
+        for parent, (skipped, cost, _, used, *_) in enumerate(labels):
+            for pos, seconds, price in steps:
+                spent = tuple(map(operator.add, used, seconds))
+                if all(map(operator.le, spent, room)):
+                    extended.append((skipped, cost + price, len(extended), spent, parent, pos))
+            extended.append((skipped + 1, cost, len(extended), used, parent, len(cands)))
+        extended.sort()  # ranks differ, so the seconds are never compared
+        kept, least = [], []  # least: the minimal seconds of the labels kept
+        for label in extended:
+            used = label[3]
+            if not any(all(map(operator.le, k, used)) for k in least):
+                kept.append(label)
+                if len(kept) == width:
+                    break
+                if len(kept) > EXACT_MAX_LABELS:
+                    raise InstanceTooLarge(
+                        f"exact solver keeps at most {EXACT_MAX_LABELS} partial plans; "
+                        f"more survive test case {done + 1} of {len(candidates)}"
+                    )
+                least = [k for k in least if not all(map(operator.le, used, k))]
+                least.append(used)
+        labels = sorted(kept, key=operator.itemgetter(2))
+        trail.append([label[4:] for label in labels])
+    index = min(range(len(labels)), key=labels.__getitem__)  # the least label
+    picks = []
+    for cands, links in zip(reversed(candidates), reversed(trail)):
+        index, pos = links[index]
+        picks.append(cands[pos] if pos < len(cands) else None)
+    return picks[::-1]

@@ -31,6 +31,11 @@ __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 _set = object.__setattr__
 
 
+def _number(value: object) -> bool:
+    """Whether a geometry value is an int or a float; a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class ChartStyle(Frozen):
     """Chart geometry and colours. ``stage_radii`` maps each stage's
     :attr:`~benchlattice.taxonomy.Stage.chart_index` to its ring's radius;
@@ -52,7 +57,8 @@ class ChartStyle(Frozen):
         if stage_radii is None:
             stage_radii = {1: 0.32, 2: 0.55, 3: 0.78}
         try:  # a stage without a radius, or a radius that is no number, fails
-            increasing = 0 < stage_radii[1] < stage_radii[2] < stage_radii[3] <= 1
+            radii = [stage_radii[1], stage_radii[2], stage_radii[3]]
+            increasing = all(map(_number, radii)) and 0 < radii[0] < radii[1] < radii[2] <= 1
         except (LookupError, TypeError):
             increasing = False
         if not increasing:
@@ -60,7 +66,13 @@ class ChartStyle(Frozen):
                 f"stage radii must be numbers for stages 1, 2 and 3 that increase "
                 f"strictly and stay within the plot, got {stage_radii!r}"
             )
-        if not (isinstance(offset_step, (int, float)) and offset_step > 0):
+        for name, value in (
+            ("size", size), ("dot_radius", dot_radius), ("line_width", line_width),
+            ("label_radius", label_radius),
+        ):
+            if not _number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not (_number(offset_step) and offset_step > 0):
             raise ValueError(f"offset_step must be a number > 0, got {offset_step!r}")
         _set(self, "size", size)
         _set(self, "stage_radii", stage_radii)

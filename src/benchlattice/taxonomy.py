@@ -298,9 +298,20 @@ def with_elements(bench: TestBench, elements: Iterable[Element]) -> TestBench:
     return replace(bench, elements=bench.elements + tuple(elements))
 
 
-# The characters outside XML 1.0's ``Char`` production: a sub-dimension's
-# name labels its chart spoke, so none may hold one.
+# The characters outside XML 1.0's ``Char`` production: a leaf's name labels
+# its chart spoke and an element's id names its dot, so none may hold one.
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_xml_text(bench_id: str, what: str, text: str) -> None:
+    """Raise :class:`TaxonomyError` naming the bench and the code point when
+    ``text`` holds a character outside XML 1.0's ``Char`` production."""
+    char = _NOT_XML_CHAR.search(text)
+    if char:
+        raise TaxonomyError(
+            f"{what} {text!r} of bench {bench_id!r} holds "
+            f"U+{ord(char.group()):04X}, which XML 1.0 cannot carry"
+        )
 
 
 def _slug(name: str) -> str:
@@ -344,12 +355,7 @@ def _sub_dimensions(
     existing = {node.id for node in nodes}
     subs = []
     for name in sub_names:
-        char = _NOT_XML_CHAR.search(name)
-        if char:
-            raise TaxonomyError(
-                f"sub-dimension name {name!r} of bench {bench_id!r} holds "
-                f"U+{ord(char.group()):04X}, which XML 1.0 cannot carry"
-            )
+        _check_xml_text(bench_id, "sub-dimension name", name)
         sub_id = _slug(name)
         if not sub_id:
             raise EmptySubNames(f"blank sub-dimension name for parent {parent!r}")
@@ -423,9 +429,18 @@ def validate_bench(bench: TestBench) -> TestBench:
     registry loader checks the same way before it builds any element. A
     registry fragment goes through
     :func:`benchlattice.registry.bench_from_raw` instead, which reads it and
-    checks it so.
+    checks it so. Every node's id and name and every element's id must be
+    text XML 1.0 can carry, as the chart writes them; the loader's are so by
+    construction (fixed canonical nodes, checked sub-dimension names,
+    identifier ids).
     """
+    for node in bench.dimension_tree:
+        kind = "sub-dimension" if node.kind is DimensionKind.SUB_DIMENSION else "dimension"
+        _check_xml_text(bench.id, f"{kind} id", node.id)
+        _check_xml_text(bench.id, f"{kind} name", node.display_name)
     elements = tuple(bench.elements)
+    for elem in elements:
+        _check_xml_text(bench.id, "element id", elem.id)
     nodes, _, order = _invariants(
         bench.id, bench.dimension_tree, list(map(_ID, elements)), list(map(_DIMENSION, elements))
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import enum
+import hashlib
 import math
 import pstats
 import random
@@ -31,7 +32,7 @@ from benchlattice.taxonomy import (
     TestBench,
     leaf_dimensions,
 )
-from benchlattice.registry import load_budget, load_registry, load_suite
+from benchlattice.registry import _dump, load_budget, load_registry, load_suite, plan_to_raw
 from benchlattice.testcase import derive_requirement_profile
 from helpers import (
     PURPOSES,
@@ -917,9 +918,14 @@ def _campaign(rng, cases):
         )
         for j in range(cases)
     ]
+    return suite, benches, _campaign_budget(suite, benches)
+
+
+def _campaign_budget(suite, benches):
+    """Each bench the unbudgeted greedy plan uses, budgeted to 35% of the
+    time it spends there."""
     spent = assign_greedy(suite, benches).total_bench_time
-    budget = CapacityBudget({b: float(t * Fraction(7, 20)) for b, t in spent.items()})
-    return suite, benches, budget
+    return CapacityBudget({b: float(t * Fraction(7, 20)) for b, t in spent.items()})
 
 
 def _assert_plan_holds(plan, suite, benches, budget, label):
@@ -955,6 +961,104 @@ def test_exact_beats_greedy_on_budgeted_campaigns():
             better += cases == 16 and exact < greedy
             _assert_plan_holds(plans[1], suite, benches, budget, f"{cases} cases, seed {seed}")
     assert better >= 5
+
+
+# The sha256 of each plan's bytes (``_dump(plan_to_raw(plan))``): the
+# greedy's plan without and with the budget, then the exact solver's, for
+# campaigns at N = 64 and 128 (rng seed seed·1000 + N) and for a tie
+# instance whose repeated test cases tie in cost (its 2-4 cases eight times
+# over, under the campaign's budget rule). Recorded from the solvers as they
+# were before the label pass came to keep back-pointers; they hold which of
+# several optima each solver returns at sizes ``reference_exact`` cannot check.
+_PINNED_PLANS = {
+    (64, 100): (
+        "d229f812c75c188e8abac6d30a90c93338adae508cd25271140a5273dfe60e80",
+        "88b493cae3013268086463cf34b62b0fb8d4dcb2b402e8ef02700d000b2bd538",
+        "d229f812c75c188e8abac6d30a90c93338adae508cd25271140a5273dfe60e80",
+        "7e4eaf695cc3ecd0f96db7e48f0512ab4c32aed38da3ecb45baefa363253d2f2",
+    ),
+    (64, 101): (
+        "24343632615bc9fcae4f2ba92d57b627f4fd40ca761af8d69a50fd48f1740aff",
+        "3315973fd9290923fc60ad6134f2dae82e4512d8c42aedbb43808979835073e0",
+        "24343632615bc9fcae4f2ba92d57b627f4fd40ca761af8d69a50fd48f1740aff",
+        "4f6d7ed9674f2be9eaf73ffa08c3af172e54c8368253d80883b746e6cbb8b96a",
+    ),
+    (64, 102): (
+        "bb76dabaa444ac3fb0625bff0e65b193b899f384bce9fb761209017ab5274519",
+        "2f3fdc6d584824c5bff2b857a3ab06c6fc3697f80435f49de4d46d5a34aa41a8",
+        "bb76dabaa444ac3fb0625bff0e65b193b899f384bce9fb761209017ab5274519",
+        "4314b165c84649b356e30fdd859adb88da66cf45a3df52ffad92dff3602be637",
+    ),
+    (64, 103): (
+        "2afe875bc8cdf2727719615620270acf77adf5318910d40cb17d6d2e48115891",
+        "9d8f0d3614b3a9eb63690dcadda635bc85ac7eabd7eba3ec19d51b17e39c9d17",
+        "2afe875bc8cdf2727719615620270acf77adf5318910d40cb17d6d2e48115891",
+        "9af9a585300266a536344e6c54f8b5ea3f394e073d0aa37b64c0ccca0699bcd2",
+    ),
+    (64, 104): (
+        "5c993575b301d86fc9eb565165edf67f62b74c177ad39afb65ca2eff1a4bbfd4",
+        "d8fde6af6f9414d3b5426dbc93207f339b8afd9e6058d7f01caa581dfdec46c0",
+        "5c993575b301d86fc9eb565165edf67f62b74c177ad39afb65ca2eff1a4bbfd4",
+        "34b43523deee744843ab8464283d1b3a2bed2f1ebef372b444587a5bedd84113",
+    ),
+    (128, 100): (
+        "1156f4b140a0a54de8a7b286f17083753173c2d043495a1fdc08863163743824",
+        "2390f6749c0c9656836cc3827520e3987b00d6a9d69cc0f24a1f216857648db6",
+        "1156f4b140a0a54de8a7b286f17083753173c2d043495a1fdc08863163743824",
+        "9def3c4e613e6866838a54e6aef72fef6a2e7108c92cac2f0275195e1f568082",
+    ),
+    (128, 101): (
+        "8047c3cb22d67239f6b6954c786056d2cf2755d352c45529197887213b9694d1",
+        "26cafe92e3c66150c7408237b0f2f42ba9daae130e548c4ae6e7ca5de4ef61c0",
+        "8047c3cb22d67239f6b6954c786056d2cf2755d352c45529197887213b9694d1",
+        "8ab6ef9571da2c26c92ec62857d393ee67005653d388b4ddd87c258a75a9fcdb",
+    ),
+    (128, 102): (
+        "e09da69364448afabbde443d6b946a6386fb47a7cd3cfb32cbd71ccd8e162a49",
+        "4ecf0794fcdf111178a9df475397324e308da75ae61c014ef3212c9dcb234d62",
+        "e09da69364448afabbde443d6b946a6386fb47a7cd3cfb32cbd71ccd8e162a49",
+        "d4ed183b8f0f652a41719ad152a7fdfb88722f839a2d4315161c698814cde887",
+    ),
+    (128, 103): (
+        "f3d55728ede144a12b0cf644905b076b77e19eb5c823d3d87af7c3174e2c1f86",
+        "ad96becd9d57342d66e4c7ac6dae4bac3f2615016f2d86a562b4660858534d6b",
+        "f3d55728ede144a12b0cf644905b076b77e19eb5c823d3d87af7c3174e2c1f86",
+        "23c0944ac0bd35234f3bf9d5201c5898cfe8d07f19889a5c5f96db681f769675",
+    ),
+    (128, 104): (
+        "c0a632ae1f0d934984e07d89ae0d28fc14e727d27ed185f102d2c228677dde42",
+        "726f3528c6b89be339d95671f48ccf421a3731a91362f67ea3714fc0fa505708",
+        "c0a632ae1f0d934984e07d89ae0d28fc14e727d27ed185f102d2c228677dde42",
+        "0fa30a2090244261263b333f20c10b89bd02f186d682eb0b653fcb8b1e25880c",
+    ),
+    ('ties', 519): (
+        "a649012ae2bf31bc3d113c843e818221d56f7e813e1740e06b902d6bc721d881",
+        "003cbaab9f4fbdd270ee7c38d324301b429f19b63db9ff0b858406320326a932",
+        "a649012ae2bf31bc3d113c843e818221d56f7e813e1740e06b902d6bc721d881",
+        "f30a441f82bfd24397ebc34c4ece2c9a9017c8f9e861fc06d7b11216c8575194",
+    ),
+}
+
+
+def _pinned_instance(size, seed):
+    if size == "ties":
+        suite, benches = _tie_instance(random.Random(seed))
+        suite = repeated_cases(suite, 8)
+        return suite, benches, _campaign_budget(suite, benches)
+    return _campaign(random.Random(seed * 1000 + size), size)
+
+
+@pytest.mark.parametrize("size, seed", list(_PINNED_PLANS))
+def test_plan_bytes_are_pinned(size, seed):
+    suite, benches, budget = _pinned_instance(size, seed)
+    plans = [
+        solver(suite, benches, limits)
+        for solver in (assign_greedy, assign_exact)
+        for limits in (None, budget)
+    ]
+    assert plans[0] == plans[2] != plans[1]  # the budget binds
+    digests = tuple(hashlib.sha256(_dump(plan_to_raw(p)).encode()).hexdigest() for p in plans)
+    assert digests == _PINNED_PLANS[size, seed]
 
 
 def test_solvers_never_price_through_cost(monkeypatch):

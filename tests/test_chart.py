@@ -5,6 +5,7 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from benchlattice import replace
+from decimal import Decimal
 from xml.sax.saxutils import escape
 
 import pytest
@@ -247,9 +248,17 @@ def test_style_invariants():
         {"stage_radii": {1: 0.3, 2: 0.5}},  # no radius for stage 3
         {"stage_radii": {1: 0.3, 2: "0.5", 3: 0.8}},
         {"stage_radii": {1: None, 2: 0.5, 3: 0.8}},
+        {"stage_radii": {1: Decimal("0.3"), 2: Decimal("0.5"), 3: Decimal("0.8")}},
+        {"stage_radii": {1: 0.3, 2: 0.5, 3: True}},
         {"offset_step": 0.0},
         {"offset_step": "x"},
         {"offset_step": None},
+        {"offset_step": True},
+        {"size": "520"},
+        {"size": True},
+        {"dot_radius": "4"},
+        {"line_width": Decimal("2")},
+        {"label_radius": None},
     ):
         with pytest.raises(ValueError):
             ChartStyle(**fields)

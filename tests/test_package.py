@@ -104,3 +104,23 @@ print(json.dumps({{"import": on_import, "load": sorted(sys.modules)}}))
         "benchlattice.cli", "fractions", "decimal",
     }
     assert sorted(forbidden & set(loaded["load"])) == []
+
+
+def test_readme_library_example_runs():
+    """The README's Library example, run as written from the repository
+    root: one line per assignment, test case ids in plan order."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(benchlattice.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", example], cwd=root,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    suite = benchlattice.load_suite(fixture_path("demo_suite.suite.json"))
+    benches = benchlattice.load_registry(fixture_path("fleet_bench.json"))
+    plan = benchlattice.assign_greedy(suite.test_cases, benches, overrides=suite.overrides)
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(plan.assignments)
+    assert all(len(line.split()) == 5 for line in lines)

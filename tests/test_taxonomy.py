@@ -205,6 +205,52 @@ def test_substantiate_keeps_names_xml_can_carry():
     assert [node.display_name for node in bench.dimension_tree if node.parent] == names
 
 
+def _sil_with(fleet, target, char):
+    """The fleet's ``sil`` bench with ``char`` put before one text: an
+    element's id, a node's id (its elements moved along) or a node's name."""
+    (sil,) = [bench for bench in fleet if bench.id == "sil"]
+    kind, dim_id = target.split(":")
+    if kind == "element":
+        elements = [replace(e, id=char + e.id) if e.id == dim_id else e for e in sil.elements]
+        return replace(sil, elements=tuple(elements))
+    field = "display_name" if kind == "name" else "id"
+    tree = tuple(
+        replace(node, **{field: char + getattr(node, field)}) if node.id == dim_id else node
+        for node in sil.dimension_tree
+    )
+    elements = sil.elements
+    if kind == "id":
+        elements = tuple(
+            replace(e, dimension=char + dim_id) if e.dimension == dim_id else e for e in elements
+        )
+    return replace(sil, dimension_tree=tree, elements=elements)
+
+
+@pytest.mark.parametrize(
+    "target, char, shown",
+    [
+        ("name:radar", "\x1c", "sub-dimension name '\\x1cRadar'"),
+        ("name:scenery", "\x1c", "dimension name '\\x1cScenery'"),
+        ("element:control-software", "\x01", "element id '\\x01control-software'"),
+        ("id:camera", "\ufffe", "sub-dimension id '\\ufffecamera'"),
+    ],
+)
+def test_validate_refuses_text_xml_cannot_carry(fleet, target, char, shown):
+    """A library-built bench is refused as the loader refuses a sub-dimension
+    name: its chart would not be XML."""
+    bench = _sil_with(fleet, target, char)
+    message = f"{shown} of bench 'sil' holds U+{ord(char):04X}, which XML 1.0 cannot carry"
+    with pytest.raises(TaxonomyError) as raised:
+        validate_bench(bench)
+    assert str(raised.value) == message
+
+
+def test_validate_keeps_text_xml_can_carry(fleet):
+    for target in ("name:radar", "name:scenery", "element:control-software", "id:camera"):
+        bench = _sil_with(fleet, target, "\t\u00e4\x9f")
+        assert validate_bench(bench) == bench, target
+
+
 def test_substantiate_sub_dimension_rejected():
     bench = substantiate_dimension(new_bench("draft"), "scenery", ["a"])
     with pytest.raises(TaxonomyError):
