@@ -181,7 +181,7 @@ def check_admissibility(
     """
     space = ConfigurationSpace(bench)
     space.require_same_bench(config)
-    codes = _refusals(space, {e.id: e for e in bench.elements}, profile)
+    codes = _refusals(space, profile)
     # An insertion-ordered set: the first occurrence of each violation wins.
     violations = dict.fromkeys(_missing(space, profile))
     for leaf_id in space.leaf_ids:  # an element's dimension is its leaf
@@ -204,15 +204,13 @@ _STAGE, _PURPOSE = ReasonCode.STAGE_NOT_ADMISSIBLE, ReasonCode.NOT_VALIDATED_FOR
 _REASONS = ((), (_STAGE,), (_PURPOSE,), (_STAGE, _PURPOSE))  # by _refusals code
 
 
-def _refusals(
-    space: ConfigurationSpace, elements: Mapping[str, Element], profile: RequirementProfile
-) -> dict[str, int]:
+def _refusals(space: ConfigurationSpace, profile: RequirementProfile) -> dict[str, int]:
     """Each element's code by id, in leaf order: 0 when it passes on its own,
     else 1 if the entry governing its leaf refuses its stage (rule b) plus 2
     if it is not validated for the purpose (rule c). Stages are compared as
     bits (:attr:`ConfigurationSpace.stage_bit`), and not at all on a leaf
-    whose entry admits every stage; ``elements`` are the bench's by id."""
-    purpose, bit = profile.purpose, space.stage_bit
+    whose entry admits every stage."""
+    purpose, bit, validated_for = profile.purpose, space.stage_bit, space.validated_for
     codes = {}
     for leaf_id, elem_ids in zip(space.leaf_ids, space.ids_per_leaf):
         entry = profile.governing(leaf_id, space.canonical_of[leaf_id])
@@ -220,7 +218,7 @@ def _refusals(
         if entry is not None and len(entry.admissible_stages) < 3:
             refused = ~sum(stage.bit for stage in entry.admissible_stages)
         for elem_id in elem_ids:
-            code = (purpose not in elements[elem_id].characteristics.validated_for) << 1
+            code = (purpose not in validated_for[elem_id]) << 1
             codes[elem_id] = code | 1 if refused and refused & bit[elem_id] else code
     return codes
 
@@ -256,31 +254,6 @@ def _cost(
 # --- factored search ----------------------------------------------------------
 
 
-class _Prices:
-    """One bench's space, its elements by id, and each element's time
-    factor, cost rate and setup cost as integers ``(t, r, s)`` over one
-    common denominator ``scale``, so that the values are exactly t/scale,
-    r/scale and s/scale (floats are dyadic: ``scale`` is a power of two)."""
-
-    def __init__(self, bench: TestBench) -> None:
-        self.space = ConfigurationSpace(bench)
-        self.elements = elements = {e.id: e for e in bench.elements}
-        ratios = {}
-        scale = 1
-        for elem_id, elem in elements.items():
-            c = elem.characteristics
-            ratios[elem_id] = (_, td), (_, rd), (_, sd) = (
-                c.time_factor.as_integer_ratio(), c.cost_rate.as_integer_ratio(),
-                c.setup_cost.as_integer_ratio(),
-            )
-            scale = math.lcm(scale, td, rd, sd)
-        self.scale = scale
-        self.of: dict[str, tuple[int, ...]] = {
-            elem_id: (t * (scale // td), r * (scale // rd), s * (scale // sd))
-            for elem_id, ((t, td), (r, rd), (s, sd)) in ratios.items()
-        }
-
-
 class _Candidate(NamedTuple):
     """One frontier point of one bench for one test case: its cost, bench
     id, configuration index, execution time and the bench's space."""
@@ -300,18 +273,21 @@ class _Options:
     picked ones are built (:func:`_build`).
 
     The sweep works on integers. With the duration dn/dd and an element's
-    prices t/scale, r/scale, s/scale (see :class:`_Prices`), the value at
-    time t' is ``v = (t'·dn·r + 3600·dd·scale·s) / (3600·dd·scale²)``; only
-    the numerators are compared and summed.
+    prices t/scale, r/scale, s/scale (:attr:`ConfigurationSpace.prices`),
+    the value at time t' is ``v = (t'·dn·r + 3600·dd·scale·s) /
+    (3600·dd·scale²)``; only the numerators are compared and summed.
     """
 
-    def __init__(self, prices: _Prices, tc: TestCase, profile: RequirementProfile) -> None:
-        self.space = space = prices.space
+    def __init__(
+        self, space: ConfigurationSpace, tc: TestCase, profile: RequirementProfile
+    ) -> None:
+        self.space = space
+        scale, prices = space.prices
         dn, dd = tc.scenario.nominal_duration.as_integer_ratio()
-        fixed = SECONDS_PER_HOUR * dd * prices.scale
+        fixed = SECONDS_PER_HOUR * dd * scale
         #: Each element's code (:func:`_refusals`) and the bench's coverage
         #: violations (:func:`_missing`), which report() reads.
-        self.codes = codes = _refusals(space, prices.elements, profile)
+        self.codes = codes = _refusals(space, profile)
         self.missing = _missing(space, profile)
         # Per leaf, each element that passes on its own as (t, dn·r,
         # 3600·dd·scale·s, singleton offset).
@@ -320,7 +296,7 @@ class _Options:
             entries = []
             for elem_id, offset in zip(ids, offsets):
                 if not codes[elem_id]:
-                    t, r, s = prices.of[elem_id]
+                    t, r, s = prices[elem_id]
                     entries.append((t, dn * r, fixed * s, offset))
             leaves.append(entries)
         #: Every admissible configuration that no other one dominates, by
@@ -341,7 +317,7 @@ class _Options:
         # ascending T runs at exactly T: the improvements are the frontier,
         # and the last is the cheapest configuration, c.
         floor = max(min(leaf)[0] for leaf in leaves)
-        money = SECONDS_PER_HOUR * dd * prices.scale**2
+        money = SECONDS_PER_HOUR * dd * scale**2
         points = []
         sweep = []  # per T: (value, index, the least extra value of one leaf's next best)
         best = None
@@ -366,7 +342,7 @@ class _Options:
                 best = (value, index)
                 points.append(_Candidate(
                     Fraction(value, money), space.bench_id, index,
-                    Fraction(dn * time, dd * prices.scale), space,
+                    Fraction(dn * time, dd * scale), space,
                 ))
         self.frontier = tuple(points)
         if max(map(len, leaves)) == 1:  # one element a leaf: one admissible configuration
@@ -416,23 +392,23 @@ def _build(candidate: _Candidate) -> Assignment:
 
 def _analyse(
     suite: Sequence[TestCase],
-    benches: Sequence[TestBench],
+    spaces: Sequence[ConfigurationSpace],
     overrides: Mapping[str, StageOverrides] | None,
 ) -> list[tuple[TestCase, list[_Options]]]:
-    """Per test case, its options on every bench in bench-id order."""
+    """Per test case, its options on every bench's space in bench-id order."""
     overrides = overrides or {}
     ids = [tc.id for tc in suite]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate test case ids in suite: {sorted(ids)}")
-    bench_ids = [bench.id for bench in benches]
+    bench_ids = [space.bench_id for space in spaces]
     if len(set(bench_ids)) != len(bench_ids):
         raise ValueError(f"duplicate bench ids: {sorted(bench_ids)}")
 
-    prices = [_Prices(bench) for bench in sorted(benches, key=lambda b: b.id)]
+    spaces = sorted(spaces, key=lambda space: space.bench_id)
     analysed = []
     for tc in suite:
         profile = derive_requirement_profile(tc, overrides.get(tc.id))
-        analysed.append((tc, [_Options(p, tc, profile) for p in prices]))
+        analysed.append((tc, [_Options(space, tc, profile) for space in spaces]))
     return analysed
 
 
@@ -450,7 +426,7 @@ def _candidates(options: Sequence[_Options]) -> list[_Candidate]:
 
 
 def _check_references(
-    suite: Sequence[TestCase], benches: Sequence[TestBench], budget: CapacityBudget | None,
+    suite: Sequence[TestCase], spaces: Sequence[ConfigurationSpace], budget: CapacityBudget | None,
     overrides: Mapping[str, StageOverrides] | None,
 ) -> None:
     """Raise :class:`SchemaError` for overrides of a test case not in the
@@ -465,9 +441,8 @@ def _check_references(
         for case_id in overrides or ()
         if case_id not in case_ids
     ]
-    known = set(CANONICAL_DIMENSION_IDS).union(
-        *({node.id for node in bench.dimension_tree} for bench in benches)
-    )
+    # A bench's nodes are its leaves and their parents: sub-dimensions are leaves.
+    known = frozenset(CANONICAL_DIMENSION_IDS).union(*(space.dimensions for space in spaces))
     unknown = "unknown dimension: neither canonical nor a dimension of any bench in the registry"
     issues += [
         (f"test_cases[{i}].overrides.{dim}", unknown)
@@ -475,7 +450,7 @@ def _check_references(
         for dim in (overrides or {}).get(tc.id, {})
         if dim not in known
     ]
-    bench_ids = [bench.id for bench in benches]
+    bench_ids = [space.bench_id for space in spaces]
     available = ", ".join(bench_ids) or "none"
     issues += [
         (f"max_bench_time.{bench_id}", f"unknown bench (available: {available})")
@@ -550,7 +525,7 @@ def assign_greedy(
     override or budget that names nothing given raises
     :class:`~benchlattice.errors.SchemaError`.
     """
-    return _solve(suite, benches, budget, overrides, 1)
+    return _solve(suite, list(map(ConfigurationSpace, benches)), budget, overrides, 1)
 
 
 def assign_exact(
@@ -574,18 +549,18 @@ def assign_exact(
     them; when more than :data:`EXACT_MAX_LABELS` partial plans survive a
     test case it raises :class:`InstanceTooLarge`. Only the picks are built.
     """
-    return _solve(suite, benches, budget, overrides, None)
+    return _solve(suite, list(map(ConfigurationSpace, benches)), budget, overrides, None)
 
 
 def _solve(
-    suite: Sequence[TestCase], benches: Sequence[TestBench], budget: CapacityBudget | None,
+    suite: Sequence[TestCase], spaces: Sequence[ConfigurationSpace], budget: CapacityBudget | None,
     overrides: Mapping[str, StageOverrides] | None, width: int | None,
 ) -> AssignmentPlan:
     """The plan of the label pass kept to ``width`` labels a test case (None:
     no cap), over the test cases in descending regret when kept to one."""
-    _check_references(suite, benches, budget, overrides)
+    _check_references(suite, spaces, budget, overrides)
     limits = {b: budget.limit(b) for b in budget.max_bench_time} if budget is not None else {}
-    cases = order = _analyse(suite, benches, overrides)
+    cases = order = _analyse(suite, spaces, overrides)
     if width == 1 and limits:  # no alternative first, then descending regret; stable
         order = sorted(cases, key=lambda c: (0,) if (r := _regret(c[1])) is None else (1, -r))
     picks = _pass([_candidates(options) for _, options in order], limits, width)

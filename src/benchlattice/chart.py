@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .configuration import ConfigurationSpace, TestBenchConfiguration
 from .frozen import Frozen
-from .taxonomy import Stage, TestBench
+from .taxonomy import _FLOAT_MAX, _NOT_XML_CHAR, Stage, TestBench
 
 __all__ = ["ChartStyle", "render_bench_chart", "render_configuration_chart"]
 
@@ -68,12 +68,14 @@ class ChartStyle(Frozen):
             )
         for name, value in (
             ("size", size), ("dot_radius", dot_radius), ("line_width", line_width),
-            ("label_radius", label_radius),
+            ("offset_step", offset_step), ("label_radius", label_radius),
         ):
-            if not _number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (_number(offset_step) and offset_step > 0):
-            raise ValueError(f"offset_step must be a number > 0, got {offset_step!r}")
+            # False for NaN, and for an int past the float range.
+            if not (_number(value) and 0 < value <= _FLOAT_MAX):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        for name, value in (("dot_color", dot_color), ("line_color", line_color)):
+            if not isinstance(value, str) or _NOT_XML_CHAR.search(value):
+                raise ValueError(f"{name} must be text XML 1.0 can carry, got {value!r}")
         _set(self, "size", size)
         _set(self, "stage_radii", stage_radii)
         _set(self, "dot_color", dot_color)

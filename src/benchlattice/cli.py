@@ -7,10 +7,10 @@ failure (including plans with unassignable test cases), 2 usage errors or a
 refused ``--exact`` instance. Configuration indices always refer to the
 deterministic enumeration order printed by ``enumerate``.
 
-Every command checks the whole registry and prints its warnings. Only
-``assign`` builds the benches' elements: ``validate`` and the lookups
-(``enumerate``, ``classify``, ``chart``) derive the configuration spaces
-they need from the registry's checked columns.
+Every command checks the whole registry and prints its warnings, and none
+builds an element: ``validate``, the lookups (``enumerate``, ``classify``,
+``chart``) and ``assign`` derive the configuration spaces they need from
+the registry's checked columns, and the solvers run on those spaces.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ import sys
 import warnings
 from typing import Any, Callable, Sequence, TypeVar
 
-from .assignment import assign_exact, assign_greedy
+from .assignment import _solve
 from .chart import ChartStyle, _chart
 from .configuration import ConfigurationSpace
 from .errors import BenchlatticeError, InstanceTooLarge
-from .registry import (
-    _checked_registry, load_budget, load_registry, load_suite, save_plan, write_text_atomic,
-)
+from .registry import _checked_registry, load_budget, load_suite, save_plan, write_text_atomic
 
 __all__ = ["run", "main"]
 
@@ -138,14 +136,11 @@ def _print_summary(plan: dict[str, Any]) -> None:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    benches = _load(load_registry, args.registry)
+    spaces = [bench.space() for bench in _load(_checked_registry, args.registry).values()]
     suite = load_suite(args.suite)
     budget = load_budget(args.budget) if args.budget else None
-    solver = assign_exact if args.exact else assign_greedy
-    try:
-        plan = solver(
-            suite.test_cases, benches, budget, overrides=suite.overrides
-        )
+    try:  # assign_exact's pass, or assign_greedy's, on the spaces
+        plan = _solve(suite.test_cases, spaces, budget, suite.overrides, None if args.exact else 1)
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

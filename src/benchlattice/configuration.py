@@ -23,7 +23,8 @@ import math
 import os
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CombinatorialLimitExceeded, ConfigurationError, ForeignConfiguration
 from .frozen import Frozen
@@ -95,14 +96,14 @@ class ConfigurationSpace:
     """The configurations of one bench, derived once from its structure.
 
     Holds the bench id, the leaves in spoke order, each leaf's canonical
-    dimension, each element's stage bit, the per-leaf element ids and choice
-    counts, and the mixed-radix weights of the enumeration order. Building a
-    space costs O(leaves + elements); :meth:`at` names any configuration by
-    index in O(leaves + elements) without materialising the others, so
-    lookups work far past the enumeration cap. Callers build one space per
-    bench and pass it along; the space never changes after construction,
-    except that it lists each leaf's choices and singletons once, on first
-    use.
+    dimension, each element's stage bit and purposes, the per-leaf element
+    ids and choice counts, and the mixed-radix weights of the enumeration
+    order: the bench as lookups and solvers read it. Building a space costs
+    O(leaves + elements); :meth:`at` names any configuration by index in
+    O(leaves + elements) without materialising the others. Callers build one
+    space per bench and pass it along; it never changes after construction,
+    except that it lists each leaf's choices and singletons, and prices its
+    elements, once, on first use.
     """
 
     def __init__(self, bench: TestBench) -> None:
@@ -110,24 +111,27 @@ class ConfigurationSpace:
         self._derive(
             bench.id, leaf_dimensions(bench), [e.id for e in elements],
             [e.dimension for e in elements], [e.stage.bit for e in elements],
+            *(map(attrgetter(f"characteristics.{name}"), elements)
+              for name in ("validated_for", "cost_rate", "time_factor", "setup_cost")),
         )
 
     @classmethod
     def from_columns(
-        cls, bench_id: str, leaves: tuple[DimensionNode, ...], ids: Sequence[str],
-        dimensions: Iterable[str], bits: Iterable[int],
+        cls, bench_id: str, leaves: tuple[DimensionNode, ...], *columns: Iterable[Any]
     ) -> ConfigurationSpace:
         """The space of a bench given by its leaves in spoke order and its
-        elements' id, dimension and stage bit (:attr:`Stage.bit`) columns,
-        in the order the bench holds its elements; equal to the space of the
-        bench, and builds no element."""
+        elements' columns, in the order the bench holds its elements: ids,
+        dimensions, stage bits (:attr:`Stage.bit`), the purposes each is
+        validated for, cost rates, time factors and setup costs; equal to
+        the space of the bench, and builds no element."""
         space = cls.__new__(cls)
-        space._derive(bench_id, leaves, ids, dimensions, bits)
+        space._derive(bench_id, leaves, *columns)
         return space
 
     def _derive(
         self, bench_id: str, leaves: tuple[DimensionNode, ...], ids: Sequence[str],
-        dimensions: Iterable[str], bits: Iterable[int],
+        dimensions: Iterable[str], bits: Iterable[int], purposes: Iterable[Collection[str]],
+        costs: Iterable[float], factors: Iterable[float], setups: Iterable[float],
     ) -> None:
         self.bench_id = bench_id
         self.leaves: tuple[DimensionNode, ...] = leaves
@@ -142,6 +146,9 @@ class ConfigurationSpace:
         )
         #: Each element's stage bit (:attr:`Stage.bit`) by element id.
         self.stage_bit: dict[str, int] = dict(zip(ids, bits))
+        #: The purposes each element is validated for, by element id.
+        self.validated_for: dict[str, Collection[str]] = dict(zip(ids, purposes))
+        self._figures = ids, factors, costs, setups  # read once, by :attr:`prices`
         grouped: dict[str, list[str]] = {leaf_id: [] for leaf_id in self.leaf_ids}
         # A draft's elements off the leaves are left out.
         for elem_id, dimension in zip(ids, dimensions):
@@ -223,6 +230,25 @@ class ConfigurationSpace:
             else tuple(range(0, n * weight, weight))
             for leaf, n, weight in zip(self.leaves, map(len, self.ids_per_leaf), self.weights)
         )
+
+    @cached_property
+    def prices(self) -> tuple[int, dict[str, tuple[int, int, int]]]:
+        """A common denominator ``scale`` of every element's time factor,
+        cost rate and setup cost, and each element's three as integers
+        ``(t, r, s)`` over it by id, derived on first use: the values are
+        exactly t/scale, r/scale and s/scale (floats are dyadic, so for them
+        ``scale`` is a power of two)."""
+        ratios = {}
+        scale = 1
+        for elem_id, t, r, s in zip(*self._figures):
+            ratios[elem_id] = (_, td), (_, rd), (_, sd) = (
+                t.as_integer_ratio(), r.as_integer_ratio(), s.as_integer_ratio()
+            )
+            scale = math.lcm(scale, td, rd, sd)
+        return scale, {
+            elem_id: (t * (scale // td), r * (scale // rd), s * (scale // sd))
+            for elem_id, ((t, td), (r, rd), (s, sd)) in ratios.items()
+        }
 
     def __iter__(self) -> Iterator[TestBenchConfiguration]:
         """Stream configurations in enumeration order, without a cap."""

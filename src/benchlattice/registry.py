@@ -485,13 +485,15 @@ class _CheckedBench(NamedTuple):
 
     def space(self) -> ConfigurationSpace:
         """The bench's configuration space, derived from its leaves and its
-        id, dimension and stage columns; no element is built."""
+        element columns; no element is built, and numbers price as the
+        floats :func:`_built` makes of them."""
         # Imported here, so that loading a document imports no configuration module.
         from .configuration import ConfigurationSpace
 
-        ids, _, dimensions, stages = self.columns[:4]
+        ids, _, dimensions, stages, tags, *numbers, _ = self.columns
         return ConfigurationSpace.from_columns(
-            self.id, self.leaves, ids, dimensions, map(_STAGE_BITS.__getitem__, stages)
+            self.id, self.leaves, ids, dimensions, map(_STAGE_BITS.__getitem__, stages), tags,
+            *(map(float, column) for column in numbers),
         )
 
 
@@ -586,17 +588,16 @@ def bench_from_raw(raw: object) -> TestBench:
 def _checked_registry(path: str | os.PathLike[str]) -> dict[str, _CheckedBench]:
     """Every bench of a registry file by id, in document order, checked as
     :func:`load_registry` checks them (the same errors and warnings) and
-    not built: :func:`_built` builds its elements, and
-    :meth:`_CheckedBench.space` derives its configuration space without
-    them."""
+    not built: every CLI command reads the configuration space
+    :meth:`_CheckedBench.space` derives, and :func:`_built` builds the
+    elements for :func:`load_registry`."""
     return {bench.id: bench for _, bench in _load_items(path, _REGISTRY, "benches", _bench)}
 
 
 def load_registry(path: str | os.PathLike[str]) -> list[TestBench]:
     """Load and validate every bench in a registry file. Every bench is
-    checked before any is built; the CLI's commands other than ``assign``
-    build none, and derive the configuration spaces they need from the same
-    checks.
+    checked before any is built; the CLI's commands build none, and derive
+    the configuration spaces they need from the same checks.
 
     Raises :class:`DocumentSyntaxError` for a file that is not UTF-8 JSON,
     :class:`SchemaError` with every located finding for schema violations,

@@ -32,7 +32,9 @@ from benchlattice.taxonomy import (
     TestBench,
     leaf_dimensions,
 )
-from benchlattice.registry import _dump, load_budget, load_registry, load_suite, plan_to_raw
+from benchlattice.registry import (
+    _checked_registry, _dump, load_budget, load_registry, load_suite, plan_to_raw,
+)
 from benchlattice.testcase import derive_requirement_profile
 from helpers import (
     PURPOSES,
@@ -455,7 +457,7 @@ def test_frontier_hand_derived():
         time_factor=0.25,
     )
     tc = make_test_case("a", duration=100.0)
-    [(_, [opts])] = assignment._analyse([tc], [bench], {})
+    [(_, [opts])] = assignment._analyse([tc], [ConfigurationSpace(bench)], {})
     assert [
         (cand.index, cand.seconds, cand.cost) for cand in opts.frontier
     ] == [(2, 25, 3), (1, 50, 1), (0, 200, 1)]
@@ -484,7 +486,7 @@ def _assert_frontier_matches_reference(suite, benches, overrides, label):
     reference; returns the reference's (candidates, reports) per test case
     and how many frontiers of two or more points left candidates off."""
     expected = reference_candidates(suite, benches, overrides)
-    analysed = assignment._analyse(suite, benches, overrides)
+    analysed = assignment._analyse(suite, list(map(ConfigurationSpace, benches)), overrides)
     pruned = 0
     for (_, options), (candidates, reports) in zip(analysed, expected):
         assert assignment._reports(options) == reports, label
@@ -532,7 +534,7 @@ def test_runner_up_matches_brute_force():
     off_frontier = ties = 0
     for suite, benches, overrides in instances:
         expected = reference_candidates(suite, benches, overrides)
-        analysed = assignment._analyse(suite, benches, overrides)
+        analysed = assignment._analyse(suite, list(map(ConfigurationSpace, benches)), overrides)
         for (_, options), (candidates, _) in zip(analysed, expected):
             for opts in options:
                 on_bench = [c for c in candidates if c.bench_id == opts.space.bench_id]
@@ -574,7 +576,7 @@ def _assert_greedy_matches_reference(
 
 
 def _assert_regrets_match_reference(suite, benches, overrides, collected, label):
-    analysed = assignment._analyse(suite, benches, overrides)
+    analysed = assignment._analyse(suite, list(map(ConfigurationSpace, benches)), overrides)
     for (_, options), (candidates, _) in zip(analysed, collected):
         costs = [cand.cost.monetary_cost for cand in candidates[:2]]
         expected = costs[1] - costs[0] if len(costs) == 2 else None
@@ -1244,12 +1246,10 @@ def test_prices_scale_is_the_lcm_of_every_denominator(prices):
         for e in bench.elements
     }
     scale = math.lcm(*(den for pairs in ratios.values() for _, den in pairs))
-    priced = assignment._Prices(bench)
-    assert priced.scale == scale
-    assert priced.of == {
+    assert ConfigurationSpace(bench).prices == (scale, {
         elem_id: tuple(num * (scale // den) for num, den in pairs)
         for elem_id, pairs in ratios.items()
-    }
+    })
 
 
 def test_prices_take_the_lcm_of_denominators_that_are_not_powers_of_two(sil_bench):
@@ -1258,8 +1258,23 @@ def test_prices_take_the_lcm_of_denominators_that_are_not_powers_of_two(sil_benc
     bench = replace(
         sil_bench, elements=(replace(element, characteristics=thirds), *sil_bench.elements[1:])
     )
-    priced = assignment._Prices(bench)
-    assert priced.scale % 15 == 0
-    _, rate, setup = priced.of[element.id]
-    assert Fraction(rate, priced.scale) == Fraction(1, 3)
-    assert Fraction(setup, priced.scale) == Fraction(1, 5)
+    scale, prices = ConfigurationSpace(bench).prices
+    assert scale % 15 == 0
+    _, rate, setup = prices[element.id]
+    assert Fraction(rate, scale) == Fraction(1, 3)
+    assert Fraction(setup, scale) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("name", ["fleet_bench.json", "sil_bench.json", "test_vehicle_bench.json"])
+def test_checked_columns_compile_as_the_loaded_benches(name):
+    """The space a checked bench derives from its columns prices each
+    element, and holds its purposes, as the space of the bench a load
+    builds does."""
+    path = fixture_path(name)
+    checked = _checked_registry(path)
+    loaded = load_registry(path)
+    assert [bench.id for bench in loaded] == list(checked)
+    for bench in loaded:
+        compiled, space = checked[bench.id].space(), ConfigurationSpace(bench)
+        assert compiled.prices == space.prices
+        assert {k: frozenset(v) for k, v in compiled.validated_for.items()} == space.validated_for

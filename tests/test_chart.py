@@ -264,6 +264,29 @@ def test_style_invariants():
             ChartStyle(**fields)
 
 
+# Per field, values a chart cannot carry: geometry that is not finite or not
+# positive, and colours holding a character outside XML 1.0's Char (or no text).
+_UNCARRIED = {
+    "size": [-520, 0, math.nan, math.inf, 10**400],
+    "dot_radius": [-4.0, 0.0, math.nan, -math.inf],
+    "line_width": [-2.0, 0, math.nan, math.inf],
+    "label_radius": [-0.88, 0.0, math.nan, math.inf],
+    "offset_step": [math.inf],
+    "dot_color": ["\x01blue", "blue\x0b", "\ud800", "\ufffe", None, 5],
+    "line_color": ["orange\x1f", "\uffff", "\x00", b"orange"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_UNCARRIED))
+def test_style_refuses_what_a_chart_cannot_carry(field, sil_bench):
+    for value in _UNCARRIED[field]:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ChartStyle(**{field: value})
+    if field.endswith("_color"):  # any other text is escaped into SVG that parses
+        style = ChartStyle(**{field: "\t\n\r & \U0001f697 \ud7ff"})
+        parse(render_configuration_chart(ConfigurationSpace(sil_bench).at(0), sil_bench, style))
+
+
 def test_bench_chart_contains_empty_composition_group(sil_bench):
     root = parse(render_bench_chart(sil_bench))
     (composition,) = [g for g in root.findall(f"{SVG}g") if g.get("id") == "composition"]

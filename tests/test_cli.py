@@ -314,6 +314,28 @@ def test_assign_refuses_a_plan_value_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_assign_prices_an_integer_as_the_float_a_load_makes(tmp_path, capsys):
+    """An integer number of the registry prices as the float a load makes of
+    it: a cost rate of 2**53 + 1 runs as 2**53, so with another element's
+    rate of 1 an hour costs 2**53 + 1, written as 2**53, where the exact
+    integers would cost 2**53 + 2. The CLI writes the plan that
+    ``load_registry``, ``assign_greedy`` and ``save_plan`` write."""
+    registry_path = tmp_path / "dear.bench.json"
+    save_registry([uniform_bench("rig", cost_rate=0.0, time_factor=1.0)], registry_path)
+    doc = json.loads(registry_path.read_text(encoding="utf-8"))
+    first, second, *_ = doc["benches"][0]["elements"]
+    first["cost_rate"], second["cost_rate"] = 2**53 + 1, 1
+    registry_path.write_text(json.dumps(doc), encoding="utf-8")
+    suite_path = tmp_path / "hour.suite.json"
+    save_suite(LoadedSuite((make_test_case(duration=3600.0),), {}), suite_path)
+    out, reference = tmp_path / "plan.json", tmp_path / "reference.json"
+    assert run(["assign", str(registry_path), str(suite_path), "-o", str(out)]) == 0
+    suite = load_suite(suite_path)
+    save_plan(assignment.assign_greedy(suite.test_cases, load_registry(registry_path)), reference)
+    assert out.read_bytes() == reference.read_bytes()
+    assert json.loads(out.read_bytes())["total_cost"] == 2.0**53
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["enumerate", SIL]) == 2  # --bench missing
@@ -1075,18 +1097,23 @@ def _lookups_by_reference(path: Path, out: Path) -> dict[tuple[str, ...], tuple]
     }
 
 
-def test_commands_but_assign_build_no_element(tmp_path, capsys, monkeypatch):
-    """``validate``, ``enumerate``, ``classify`` and ``chart`` derive the
-    spaces they need from the registry's checked columns: with the
+def test_no_command_builds_an_element(tmp_path, capsys, monkeypatch):
+    """``validate``, ``enumerate``, ``classify``, ``chart`` and ``assign``
+    derive the spaces they need from the registry's checked columns: with the
     loader's element builder refusing, each gives the exit code, output and
-    written bytes it gives without, which agree at every index with the
-    brute-force enumeration of the benches a load builds. ``assign`` still
-    builds its benches."""
+    written bytes it gives without. The lookups agree at every index with
+    the brute-force enumeration of the benches a load builds; ``assign``
+    runs greedy and exact, with and without the demo budget."""
     out = tmp_path / "out"
     expected = {}
     for path in _lookup_registries(tmp_path):
         expected.update(_lookups_by_reference(path, out))
-    unpatched = {argv: _invocation(list(argv), out, capsys) for argv in expected}
+    assigns = [
+        ("assign", FLEET, SUITE, "-o", "{out}", *flags)
+        for flags in ((), ("--exact",), ("--budget", BUDGET), ("--exact", "--budget", BUDGET))
+    ]
+    unpatched = {argv: _invocation(list(argv), out, capsys) for argv in [*expected, *assigns]}
+    assert all(unpatched[argv][3] for argv in assigns)  # each wrote a plan
 
     def refuse(bench):
         raise AssertionError(f"built bench {bench.id!r}")
@@ -1094,7 +1121,5 @@ def test_commands_but_assign_build_no_element(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(registry, "_built", refuse)
     for argv, reference in expected.items():
         assert _invocation(list(argv), out, capsys) == unpatched[argv] == reference, argv
-    out.unlink()
-    with pytest.raises(AssertionError, match="built bench 'sil'"):
-        run(["assign", FLEET, SUITE, "-o", str(out)])
-    assert not out.exists()
+    for argv in assigns:
+        assert _invocation(list(argv), out, capsys) == unpatched[argv], argv

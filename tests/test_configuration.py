@@ -419,7 +419,7 @@ def test_refusals_match_a_per_element_check():
     for seed in range(200):
         rng = random.Random(4400 + seed)
         bench = random_bench(rng, f"bench-{seed}", count_cap=200)
-        space, elements = ConfigurationSpace(bench), {e.id: e for e in bench.elements}
+        space = ConfigurationSpace(bench)
         subs = [leaf.id for leaf in space.leaves if leaf.parent]
         case = make_test_case(
             purpose=rng.choice(PURPOSES), movable=rng.randint(0, 1),
@@ -431,7 +431,7 @@ def test_refusals_match_a_per_element_check():
                 profile = derive_requirement_profile(case, overrides)
             except ContradictoryOverride:
                 continue
-            refusals = _refusals(space, elements, profile)
+            refusals = _refusals(space, profile)
             assert list(refusals.items()) == list(reference_refusals(bench, profile).items())
             admitted.update(len(stages) for stages in overrides.values())
             sub_entries += any(dim in subs for dim in overrides)
